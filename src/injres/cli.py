@@ -14,7 +14,8 @@ import sys
 from .ring import (BivarPoly, LocalFraction, QQ, Field, parse_poly,
                    format_poly)
 from .gfrac import (GeneralizedFraction, reduce_h2, h4_reduce,
-                    h2_canonical_fraction, lemma_onto_rewrite)
+                    h2_canonical_fraction, lemma_onto_rewrite,
+                    NotSystemOfParameters)
 from .oracle import cech_equal
 from .hulls import act, is_socle, socle_project, omega_zw
 from .resolution import (PrimeIndex, delta, d0, d1_f, d0_preimage,
@@ -119,17 +120,22 @@ def parse_gfrac(text, field=QQ):
     if cut < 0:
         raise UsageError("missing '/' in generalized fraction")
     num_text = body[:cut].strip()
-    rest = body[cut + 1:]
-    ncut = _structural_slash(num_text)
-    if ncut >= 0:
-        num = LocalFraction(parse_poly(num_text[:ncut], BivarPoly, field),
-                            parse_poly(num_text[ncut + 1:], BivarPoly, field))
-    else:
-        num = parse_poly(num_text, BivarPoly, field)
-    entries = [e for e in _split_top(rest, ",") if e.strip()]
+    entries = [e for e in _split_top(body[cut + 1:], ",") if e.strip()]
     if len(entries) < 2:
         raise UsageError("need at least two denominators")
-    dens = [_parse_denominator(e, field) for e in entries]
+    ncut = _structural_slash(num_text)
+    try:
+        if ncut >= 0:
+            num = LocalFraction(parse_poly(num_text[:ncut], BivarPoly, field),
+                                parse_poly(num_text[ncut + 1:], BivarPoly, field))
+        else:
+            num = parse_poly(num_text, BivarPoly, field)
+        dens = [_parse_denominator(e, field) for e in entries]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    except ZeroDivisionError:
+        raise UsageError(f"a coefficient has a zero denominator in "
+                         f"{field!r}") from None
     return num, dens
 
 
@@ -147,23 +153,28 @@ def _canonical_lines(can):
 def suite_reduce(expr, field):
     rep = CohomologyReport(f"reduce {expr}")
     num, dens = parse_gfrac(expr, field)
-    if len(dens) == 2:
-        if any(isinstance(b, str) for b, _ in dens):
-            raise UsageError("two-denominator fractions take Z,W-polynomials")
-        can = reduce_h2(num, dens[0], dens[1])
-        gf = GeneralizedFraction(num, dens)
-        agreed = cech_equal(gf, h2_canonical_fraction(can, field))
-        rep.add("oracle", "independent membership check", agreed)
-    elif len(dens) == 4:
-        for pos, name in ((2, "X"), (3, "Y")):
-            if dens[pos][0] != name:
-                raise UsageError(f"slot {pos + 1} must be a power of {name}")
-        for pos in (0, 1):
-            if isinstance(dens[pos][0], str):
-                raise UsageError("slots 1 and 2 must be Z,W-polynomials")
-        can = h4_reduce(num, dens[:2], dens[2][1], dens[3][1])
-    else:
-        raise UsageError("two or four denominators required")
+    try:
+        if len(dens) == 2:
+            if any(isinstance(b, str) for b, _ in dens):
+                raise UsageError("two-denominator fractions take "
+                                 "Z,W-polynomials")
+            can = reduce_h2(num, dens[0], dens[1])
+            gf = GeneralizedFraction(num, dens)
+            agreed = cech_equal(gf, h2_canonical_fraction(can, field))
+            rep.add("oracle", "independent membership check", agreed)
+        elif len(dens) == 4:
+            for pos, name in ((2, "X"), (3, "Y")):
+                if not isinstance(dens[pos][0], str) or dens[pos][0] != name:
+                    raise UsageError(f"slot {pos + 1} must be a power of "
+                                     f"{name}")
+            for pos in (0, 1):
+                if isinstance(dens[pos][0], str):
+                    raise UsageError("slots 1 and 2 must be Z,W-polynomials")
+            can = h4_reduce(num, dens[:2], dens[2][1], dens[3][1])
+        else:
+            raise UsageError("two or four denominators required")
+    except NotSystemOfParameters as exc:
+        raise UsageError(f"not a system of parameters: {exc}") from None
     if can.is_zero():
         rep.add("canonical", "0")
     else:

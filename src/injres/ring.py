@@ -431,10 +431,7 @@ def bivar_gcd(a, b):
         if dx < dy:
             x, y = y, x
             continue
-        ly = y.coeffs_in("W")[dy]
-        r = x * ly ** (dx - dy + 1)
-        q, r = _pseudo_rem(r, y, "W")
-        x, y = y, r
+        x, y = y, _prem(x, y, "W")[1]
     if not y.is_zero():
         g = type(a).const(1, a.field)  # primitive parts are coprime in k(Z)[W]
     else:
@@ -444,25 +441,25 @@ def bivar_gcd(a, b):
     return normalize_monic(g)
 
 
-def _pseudo_rem(a, b, name):
-    """Plain division of a by b in `name`; leading coeff of b must divide along
-    the way (caller pre-multiplied to make this so)."""
-    cls = type(a)
+def _prem(f, g, name):
+    """Pseudo-division in `name`: (q, r) with lc(g)^(deg f - deg g + 1) * f
+    = q*g + r and deg r < deg g; needs deg f >= deg g."""
+    cls = type(f)
     i = cls.VARS.index(name)
-    db = b.degree_in(name)
-    lb = b.coeffs_in(name)[db]
-    q = cls.zero(a.field)
-    r = a
-    while not r.is_zero() and r.degree_in(name) >= db:
+    dg = g.degree_in(name)
+    lg = g.coeffs_in(name)[dg]
+    e = f.degree_in(name) - dg + 1
+    q, r = cls.zero(f.field), f
+    while not r.is_zero() and r.degree_in(name) >= dg:
         dr = r.degree_in(name)
-        lr = r.coeffs_in(name)[dr]
-        fac = exact_divide(lr, lb)
-        e = [0] * len(cls.VARS)
-        e[i] = dr - db
-        t = fac.shift(tuple(e))
-        q = q + t
-        r = r - t * b
-    return q, r
+        sh = [0] * len(cls.VARS)
+        sh[i] = dr - dg
+        t = r.coeffs_in(name)[dr].shift(tuple(sh))
+        q = q * lg + t
+        r = r * lg - t * g
+        e -= 1
+    lg_e = lg ** e
+    return q * lg_e, r * lg_e
 
 
 def normalize_monic(p):
@@ -629,106 +626,63 @@ class FactoredDenominator:
 
 # --- resultants with Bezout witnesses -------------------------------------
 
-def _rf_poly_divmod(a, b):
-    """Divmod for dense lists of RationalFunction coefficients (index = degree)."""
-    a = list(a)
-    q = [None] * max(1, len(a) - len(b) + 1)
-    field = b[-1].num.field
-    zero = RationalFunction.const(0, field)
-    for i in range(len(q)):
-        q[i] = zero
-    while len(a) >= len(b):
-        while a and a[-1].is_zero():
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1] / b[-1]
-        d = len(a) - len(b)
-        q[d] = q[d] + c
-        for i, bc in enumerate(b):
-            a[d + i] = a[d + i] - c * bc
-        a.pop()
-    while a and a[-1].is_zero():
-        a.pop()
-    return q, a
-
-
 def resultant_bezout(u, v, eliminate):
     """Eliminate one variable from the pair (u, v).
 
     Returns (r, a, b) with r = a*u + b*v, r a nonzero polynomial in the
     remaining variable alone.  Raises DegenerateResultant when u and v share
     a factor involving the eliminated variable.
+
+    The identity comes from the extended subresultant remainder sequence of
+    u and v in k[other][eliminate] (Collins, J. ACM 14, 1967; Brown and
+    Traub, J. ACM 18, 1971): each step takes a pseudo-remainder and divides
+    it, with its two cofactors, exactly by the subresultant factor beta, so
+    remainders and cofactors stay polynomial with no gcd inside the loop.
+    The last remainder lies in k[other]; when no degree is skipped it is
+    the resultant up to sign.  A zero remainder of positive degree means
+    a common factor.  The identity is then
+    made primitive, dividing (r, a, b) by gcd(r, content(a), content(b)) in
+    k[other], and scaled so r is monic.  The cofactors have degree below
+    deg v and deg u in the eliminated variable, so a/r and b/r are the
+    unique such cofactors over k(other), and the primitive r is the monic
+    generator of the polynomials that clear their denominators: no identity
+    with degree-bounded cofactors has an r of lower degree or order, which
+    keeps the exponents alpha, beta of reduce_h2 and its truncation box
+    minimal.
     """
     if u.is_zero() or v.is_zero():
         raise DegenerateResultant("zero input")
     field = u.field
-    one = BivarPoly.const(1, field)
-    if u.degree_in(eliminate) <= 0:
-        return u, one, BivarPoly.zero(field)
-    if v.degree_in(eliminate) <= 0:
-        return v, BivarPoly.zero(field), one
+    other = next(x for x in BivarPoly.VARS if x != eliminate)
+    one, zero = BivarPoly.const(1, field), BivarPoly.zero(field)
 
-    def to_list(p):
-        cs = p.coeffs_in(eliminate)
-        out = [RationalFunction.const(0, field)] * (max(cs) + 1)
-        for e, c in cs.items():
-            out[e] = RationalFunction(c, reduce=False)
-        return out
+    # rows (remainder, cofactor of u, cofactor of v); f has the higher degree
+    f, g = (u, one, zero), (v, zero, one)
+    if u.degree_in(eliminate) < v.degree_in(eliminate):
+        f, g = g, f
+    lc, psi = one, -one
+    while g[0].degree_in(eliminate) > 0:
+        dg = g[0].degree_in(eliminate)
+        d = f[0].degree_in(eliminate) - dg
+        beta = -lc * psi ** d
+        lc = g[0].coeffs_in(eliminate)[dg]
+        q, rem = _prem(f[0], g[0], eliminate)
+        scale = lc ** (d + 1)
+        h = (rem, scale * f[1] - q * g[1], scale * f[2] - q * g[2])
+        h = tuple(exact_divide(p, beta) for p in h)
+        if h[0].is_zero():
+            raise DegenerateResultant("common factor in the eliminated variable")
+        if d:
+            psi = exact_divide((-lc) ** d, psi ** (d - 1))
+        f, g = g, h
 
-    r0, r1 = to_list(u), to_list(v)
-    zero = RationalFunction.const(0, field)
-    one_rf = RationalFunction.const(1, field)
-    s0, s1 = [one_rf], [zero]
-    t0, t1 = [zero], [one_rf]
-
-    def sub_mul(x, q, y):
-        # x - q*y as coefficient lists
-        out = list(x) + [zero] * max(0, len(q) + len(y) - 1 - len(x))
-        for i, qc in enumerate(q):
-            if qc.is_zero():
-                continue
-            for j, yc in enumerate(y):
-                out[i + j] = out[i + j] - qc * yc
-        while out and out[-1].is_zero():
-            out.pop()
-        return out or [zero]
-
-    while len(r1) > 1 and not all(c.is_zero() for c in r1):
-        q, rem = _rf_poly_divmod(r0, r1)
-        rem = rem or [zero]
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub_mul(s0, q, s1)
-        t0, t1 = t1, sub_mul(t0, q, t1)
-
-    if all(c.is_zero() for c in r1):
-        raise DegenerateResultant("common factor in the eliminated variable")
-    if len(r1) > 1:
-        raise DegenerateResultant("elimination did not terminate")
-
-    r_rf, a_list, b_list = r1[0], s1, t1
-    # clear denominators: multiply the identity r = a*u + b*v through by D
-    dens = [r_rf.den] + [c.den for c in a_list] + [c.den for c in b_list]
-    D = BivarPoly.const(1, field)
-    for d in dens:
-        g = bivar_gcd(D, d)
-        D = D * exact_divide(d, g) if not g.is_constant() else D * d
-
-    def clear(c):
-        return c.num * exact_divide(D, c.den)
-
-    r = clear(r_rf)
-    elim_i = BivarPoly.VARS.index(eliminate)
-
-    def assemble(lst):
-        p = BivarPoly.zero(field)
-        for e, c in enumerate(lst):
-            sh = [0, 0]
-            sh[elim_i] = e
-            p = p + clear(c).shift(tuple(sh))
-        return p
-
-    a, b = assemble(a_list), assemble(b_list)
+    r, a, b = g
+    common = r
+    for p in (a, b):
+        common = univar_gcd(common, content_in(p, eliminate), other)
+    r, a, b = (exact_divide(p, common) for p in (r, a, b))
+    inv = field.one / r.terms[max(r.terms)]
+    r, a, b = r * inv, a * inv, b * inv
     assert a * u + b * v == r
     assert r.degree_in(eliminate) == 0 and not r.is_zero()
     return r, a, b

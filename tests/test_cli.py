@@ -66,6 +66,19 @@ def test_gfrac_usage_errors():
             parse_gfrac(bad)
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "[1 / Z, Z]"],
+    ["reduce", "[1 / Z, W^-1]"],
+    ["--field", "7", "reduce", "[1/7 / Z, W]"],
+    ["reduce", "[1 / Z, W, Z, Y]"],
+], ids=["shared-factor", "negative-exponent", "coefficient-mod-p",
+        "slot-3-not-X"])
+def test_bad_reduce_input_is_a_usage_error(argv):
+    code, out = run(argv)
+    assert code == 2
+    assert out.startswith("error: ")
+
+
 def test_reports_are_deterministic():
     args = ["--samples", "3", "--seed", "11", "resolution-check"]
     assert run(args) == run(args)

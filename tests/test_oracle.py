@@ -2,7 +2,7 @@
 
 import pytest
 
-from injres.ring import BivarPoly, parse_poly
+from injres.ring import BivarPoly, Field, QQ, parse_poly
 from injres.gfrac import (GeneralizedFraction, reduce_h2,
                           h2_canonical_fraction)
 from injres.oracle import local_membership, cech_equal
@@ -54,3 +54,17 @@ def test_reduction_agrees_with_oracle_seeded():
         can = reduce_h2(num, d1, d2)
         gf = GeneralizedFraction(num, [d1, d2])
         assert cech_equal(gf, h2_canonical_fraction(can))
+
+
+@pytest.mark.parametrize("char", [0, 7], ids=["Q", "F7"])
+@pytest.mark.parametrize("d1, d2", [(("Z+W^2", 3), ("W-Z^2", 3)),
+                                    (("Z+W", 4), ("W-Z^2", 4))],
+                         ids=["cubes", "fourth-powers"])
+def test_reduction_agrees_with_oracle_on_high_powers(d1, d2, char):
+    field = Field(char) if char else QQ
+    dens = [(parse_poly(b, field=field), e) for b, e in (d1, d2)]
+    num = parse_poly("1 + Z - 2*W^2", field=field)
+    can = reduce_h2(num, *dens)
+    assert not can.is_zero()
+    assert cech_equal(GeneralizedFraction(num, dens),
+                      h2_canonical_fraction(can, field))

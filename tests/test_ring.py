@@ -1,5 +1,6 @@
 """Base arithmetic: polynomials, rational functions, resultants, expansions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from injres.ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction,
                          Field, QQ, exact_divide, divides, f_adic_valuation,
                          bivar_gcd, normalize_monic, resultant_bezout,
+                         univar_gcd, content_in,
                          truncate, series_inverse_truncated, adic_expand,
                          verify_irreducible, parse_poly, format_poly,
-                         NotDivisible)
+                         NotDivisible, DegenerateResultant)
 
 
 P = lambda t: parse_poly(t)
@@ -85,15 +87,60 @@ def test_bivar_gcd_and_monic_normalization():
     assert normalize_monic(P("3*W - 3*Z^2")) == P("W - Z^2")
 
 
+def _checked_bezout(u, v, var):
+    """resultant_bezout with its contract checked: r = a*u + b*v, r free of
+    var and monic, and the identity primitive."""
+    r, a, b = resultant_bezout(u, v, var)
+    other = "Z" if var == "W" else "W"
+    assert a * u + b * v == r
+    assert not r.is_zero() and r.degree_in(var) == 0
+    assert r.terms[max(r.terms)] == 1
+    common = r
+    for p in (a, b):
+        common = univar_gcd(common, content_in(p, var), other)
+    assert common == 1
+    return r, a, b
+
+
 def test_resultant_bezout_certificate():
     for fa, fb, var in [("Z+W", "W^2", "W"), ("W-Z^2", "Z^3", "Z"),
                         ("Z+W^2", "Z^2", "W")]:
-        r, a, b = resultant_bezout(P(fa), P(fb), var)
-        assert a * P(fa) + b * P(fb) == r
-        other = "Z" if var == "W" else "W"
-        assert r.order_in(var) == 0 or r == r  # univariate in the other var
-        assert all(e == 0 for (ez, ew), c in r.terms.items()
-                   for e in ([ew] if var == "W" else [ez]))
+        _checked_bezout(P(fa), P(fb), var)
+
+
+def test_resultant_bezout_reaches_the_least_r():
+    # the resultant is W^4, but W^3 already lies in (Z^2, (Z+W)^2)
+    r, _, _ = _checked_bezout(P("Z^2"), P("Z+W") ** 2, "Z")
+    assert r == P("W^3")
+
+
+def test_resultant_bezout_detects_a_common_factor():
+    with pytest.raises(DegenerateResultant):
+        resultant_bezout(P("Z+W") * P("Z"), P("Z+W") * P("W"), "W")
+
+
+@pytest.mark.parametrize("char", [0, 7])
+def test_resultant_bezout_divides_the_sympy_resultant(char):
+    sympy = pytest.importorskip("sympy")
+    field = QQ if char == 0 else Field(char)
+    domain = {"modulus": char} if char else {"domain": "QQ"}
+    syms = dict(zip("ZW", sympy.symbols("Z W")))
+
+    def to_sympy(p, *gens):
+        expr = sympy.sympify(format_poly(p).replace("^", "**"), locals=syms)
+        return sympy.Poly(expr, *(syms[g] for g in gens), **domain)
+
+    bases = ["Z", "W", "Z+W", "Z-W", "W-Z^2", "Z+W^2", "Z^2+W^3"]
+    for b1, b2 in itertools.permutations(bases, 2):
+        for e1, e2 in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+            u = parse_poly(b1, field=field) ** e1
+            v = parse_poly(b2, field=field) ** e2
+            for var, other in (("W", "Z"), ("Z", "W")):
+                r, _, _ = _checked_bezout(u, v, var)
+                res = to_sympy(u, var, other).resultant(to_sympy(v, var, other))
+                res = sympy.Poly(res.as_expr(), syms[other], **domain)
+                assert not res.is_zero
+                assert res.rem(to_sympy(r, other)).is_zero, (b1, e1, b2, e2, var)
 
 
 def test_series_inverse_truncated():
