@@ -11,8 +11,8 @@ import json
 import re
 import sys
 
-from .ring import (BivarPoly, LocalFraction, QQ, Field, parse_poly,
-                   format_poly)
+from .ring import (BivarPoly, QuadPoly, LocalFraction, QQ, Field,
+                   parse_poly, format_poly)
 from .gfrac import (GeneralizedFraction, reduce_h2, h4_reduce,
                     h2_canonical_fraction, lemma_onto_rewrite,
                     NotSystemOfParameters)
@@ -22,7 +22,7 @@ from .resolution import (PrimeIndex, delta, d0, d1_f, d0_preimage,
                          surjectivity_witness, iota0)
 from .cohomology import (CohomologyReport, local_cohomology,
                          ext_power_of_max, ext_self, yoneda_product,
-                         yoneda_presentation_check, bass_numbers)
+                         yoneda_presentation_check, bass_numbers, BadIdeal)
 from . import dhm as dhm_mod
 from . import samples
 
@@ -139,13 +139,8 @@ def parse_gfrac(text, field=QQ):
     return num, dens
 
 
-def _format_coeff(c):
-    return str(c)
-
-
 def _canonical_lines(can):
-    return [f"{key}: {_format_coeff(c)}"
-            for key, c in sorted(can.coeffs.items())]
+    return [f"{key}: {c}" for key, c in sorted(can.coeffs.items())]
 
 
 # --- suites -------------------------------------------------------------------
@@ -153,6 +148,8 @@ def _canonical_lines(can):
 def suite_reduce(expr, field):
     rep = CohomologyReport(f"reduce {expr}")
     num, dens = parse_gfrac(expr, field)
+    if any(e < 1 for _, e in dens):
+        raise UsageError("denominator exponents must be >= 1")
     try:
         if len(dens) == 2:
             if any(isinstance(b, str) for b, _ in dens):
@@ -160,8 +157,13 @@ def suite_reduce(expr, field):
                                  "Z,W-polynomials")
             can = reduce_h2(num, dens[0], dens[1])
             gf = GeneralizedFraction(num, dens)
-            agreed = cech_equal(gf, h2_canonical_fraction(can, field))
-            rep.add("oracle", "independent membership check", agreed)
+            try:
+                agreed = cech_equal(gf, h2_canonical_fraction(can, field))
+                rep.add("oracle", "independent membership check", agreed)
+            except ValueError as exc:
+                # e.g. a base with both Z and W as factors: the oracle needs
+                # coprime slot products, and an unchecked line cannot pass
+                rep.add("oracle", f"undecided: {exc}", False)
         elif len(dens) == 4:
             for pos, name in ((2, "X"), (3, "Y")):
                 if not isinstance(dens[pos][0], str) or dens[pos][0] != name:
@@ -220,8 +222,8 @@ def suite_resolution(field, seed, count):
         bad = 0
         for _ in range(count):
             e = samples.random_hull_element(rng, p, field)
-            by_act = act(_xq(field), e).is_zero() and \
-                act(_yq(field), e).is_zero()
+            by_act = act(QuadPoly.var("X", field), e).is_zero() and \
+                act(QuadPoly.var("Y", field), e).is_zero()
             if by_act != (e == socle_project(e)):
                 bad += 1
             if is_socle(e) != by_act:
@@ -255,26 +257,21 @@ def suite_resolution(field, seed, count):
     return out
 
 
-def _xq(field):
-    from .ring import QuadPoly
-    return QuadPoly.mono((1, 0, 0, 0), 1, field)
-
-
-def _yq(field):
-    from .ring import QuadPoly
-    return QuadPoly.mono((0, 1, 0, 0), 1, field)
-
-
 def suite_lc(ideal_text, field, trunc):
     if ideal_text.strip() in ("0", ""):
         gens = []
     else:
-        gens = [parse_poly(t, BivarPoly, field)
-                for t in _split_top(ideal_text, ",")]
+        try:
+            gens = [parse_poly(t, BivarPoly, field)
+                    for t in _split_top(ideal_text, ",")]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad ideal {ideal_text!r}: {exc}") from None
     return [local_cohomology(gens, truncation=trunc, field=field)]
 
 
 def suite_ext_power(n, field):
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
     rep = CohomologyReport(f"Ext^2(A/m^{n}, A/p)")
     basis = ext_power_of_max(n, field)
     rep.add("dimension", f"{len(basis)} = {n}({n}+1)/2",
@@ -454,11 +451,25 @@ def build_parser():
     return ap
 
 
+def _check_flags(args):
+    """Reject negative indices, and counts that would leave a suite with
+    nothing to check."""
+    if args.trunc < 0:
+        raise UsageError(f"--trunc must be >= 0, got {args.trunc}")
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if getattr(args, "max_i", 0) < 0:
+        raise UsageError(f"--max-i must be >= 0, got {args.max_i}")
+    if (getattr(args, "i", None) or 0) < 0:
+        raise UsageError(f"--i must be >= 0, got {args.i}")
+
+
 def run_command(argv, stream=None):
     stream = stream or sys.stdout
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_flags(args)
         field = _parse_field(args.field)
         cfg = {"field": args.field, "seed": args.seed, "trunc": args.trunc,
                "samples": args.samples, "command": args.command}
@@ -466,7 +477,8 @@ def run_command(argv, stream=None):
         if args.command == "reduce":
             reports = suite_reduce(args.expr, field)
         elif args.command == "resolution-check":
-            reports = suite_resolution(field, args.seed, n or 25)
+            reports = suite_resolution(field, args.seed,
+                                       25 if n is None else n)
         elif args.command == "lc":
             reports = suite_lc(args.ideal, field, args.trunc)
         elif args.command == "ext-power":
@@ -483,8 +495,9 @@ def run_command(argv, stream=None):
             reports = suite_dhm(field, min(args.trunc, 4), args.max_i, what)
         elif args.command == "verify-all":
             reports = []
-            reports += suite_oracle(field, args.seed, n or 50)
-            reports += suite_resolution(field, args.seed, n or 10)
+            reports += suite_oracle(field, args.seed, 50 if n is None else n)
+            reports += suite_resolution(field, args.seed,
+                                        10 if n is None else n)
             for ideal in ("Z,W", "0", "Z"):
                 reports += suite_lc(ideal, field, args.trunc)
             for k in range(1, 6):
@@ -496,7 +509,7 @@ def run_command(argv, stream=None):
             reports += suite_onto_rewrite(field)
         else:  # pragma: no cover
             raise UsageError(args.command)
-    except UsageError as exc:
+    except (UsageError, BadIdeal, dhm_mod.TruncationTooSmall) as exc:
         stream.write(f"error: {exc}\n")
         return 2
     return _emit(reports, cfg, args.fmt, stream)

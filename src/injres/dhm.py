@@ -7,9 +7,8 @@ minimally generated by 5 elements, and Ext^i(M, A/p) has dimensions
 0, 0, 6, 7, 0, 0, ... over the coefficient field.
 """
 
-from .ring import BivarPoly, QuadPoly, QQ
-from .hulls import EZWElement, act, laurent_op, omega_zw
-from .resolution import PrimeIndex
+from .ring import BivarPoly, QuadPoly, RationalFunction, QQ
+from .hulls import EZWElement, act, laurent_op, omega, omega_zw
 from . import linalg
 
 
@@ -56,12 +55,8 @@ def _act_vec(x, vec, field):
     out = {}
     table = _ACTION[x]
     for b, c in vec.items():
-        for b2, s in table.get(b, {}).items():
-            t = out.get(b2, field.zero) + field.of(s) * c
-            if t:
-                out[b2] = t
-            else:
-                out.pop(b2, None)
+        images = {b2: field.of(s) for b2, s in table.get(b, {}).items()}
+        linalg._axpy(out, images, c)
     return out
 
 
@@ -225,16 +220,13 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
             e = omega_zw(*key, field)
             for x in _VARS:
                 # -x * Phi(b) lands in the rows of (x, b)
-                for k2, c in act(QuadPoly.var(x, field), e).coeffs.items():
-                    rk = (x, b, k2)
-                    col[rk] = col.get(rk, field.zero) - c
+                xe = act(QuadPoly.var(x, field), e)
+                linalg._axpy(col, {(x, b, k2): c
+                                   for k2, c in xe.coeffs.items()}, -1)
                 # +Phi(x b') wherever b appears in x b'
-                for b2 in BASIS:
-                    s = mod.act(x, b2).get(b)
-                    if s:
-                        rk = (x, b2, key)
-                        col[rk] = col.get(rk, field.zero) + s
-            pairs.append(((b, key), {k: v for k, v in col.items() if v}))
+                linalg._axpy(col, {(x, b2, key): mod.act(x, b2).get(b, 0)
+                                   for b2 in BASIS})
+            pairs.append(((b, key), col))
         kern = linalg.kernel_basis(pairs)
         homs = []
         for comb in kern:
@@ -248,30 +240,28 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
     if prime.kind in ("Z", "W", "irr"):
         # pick the variable that is a unit at the prime; M is its cube's
         # torsion, so it suffices that it acts injectively on the hull
-        from .hulls import omega as mk_omega
-        from .ring import RationalFunction
         var = "W" if prime.kind == "Z" else "Z"
-        xq = QuadPoly.var(var, field)
         for b in BASIS:
             v = mod.act(var, mod.act(var, mod.act(var, b)))
             assert not v, "module is not torsion against the chosen variable"
-        fwd = RationalFunction(BivarPoly.var(var, field), reduce=False)
-        bwd = RationalFunction(BivarPoly.const(1, field),
-                               BivarPoly.var(var, field), reduce=False)
+        e = (0, 1) if var == "W" else (1, 0)
+        fwd = RationalFunction.monomial(*e, field)
+        bwd = RationalFunction.monomial(-e[0], -e[1], field)
+        mono = RationalFunction.monomial
         T = truncation
         ok = True
         for a in range(-T, T + 1):
             for bb in range(-T, 1):
                 if prime.kind == "Z":
-                    gen = mk_omega("Z", min(T, 2), _lm(bb, a, field), field)
+                    gen = omega("Z", min(T, 2), mono(bb, a, field), field)
                 elif prime.kind == "W":
-                    gen = mk_omega("W", min(T, 2), _lm(a, bb, field), field)
+                    gen = omega("W", min(T, 2), mono(a, bb, field), field)
                 else:
                     num = BivarPoly.mono((max(a, 0), 0), 1, field)
                     den = BivarPoly.mono((max(-a, 0), 0), 1, field) * \
                         prime.f ** max(1, -bb)
-                    gen = mk_omega(prime.f, min(T, 2),
-                                   RationalFunction(num, den, reduce=False), field)
+                    arg = RationalFunction(num, den, reduce=False)
+                    gen = omega(prime.f, min(T, 2), arg, field)
                 if gen.is_zero():
                     continue
                 back = gen.mul_arg(fwd).mul_arg(bwd)
@@ -280,13 +270,6 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
             raise InvariantViolation("multiplication failed to invert on the box")
         return 0, []
     raise TruncationTooSmall(f"unsupported prime {prime!r}")
-
-
-def _lm(a, b, field):
-    from .ring import RationalFunction
-    num = BivarPoly.mono((max(a, 0), max(b, 0)), 1, field)
-    den = BivarPoly.mono((max(-a, 0), max(-b, 0)), 1, field)
-    return RationalFunction(num, den, reduce=False)
 
 
 # --- the explicit basis of M' -------------------------------------------------

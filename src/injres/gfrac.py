@@ -17,7 +17,8 @@ denominator pair (W^t, f^l) for irreducible f.
 from .ring import (BivarPoly, LocalFraction, RationalFunction, QQ,
                    bivar_gcd, exact_divide, divides, f_adic_valuation,
                    normalize_monic, resultant_bezout, series_inverse_truncated,
-                   truncate, DegenerateResultant, NotDivisible)
+                   truncate, DegenerateResultant)
+from .linalg import _axpy
 
 
 class NotSystemOfParameters(Exception):
@@ -69,14 +70,7 @@ class _CanonicalMap:
         return not self.coeffs
 
     def __add__(self, other):
-        t = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = t.get(k, 0) + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return type(self)(t)
+        return type(self)(_axpy(dict(self.coeffs), other.coeffs))
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.coeffs.items()})
@@ -164,14 +158,6 @@ class H1Class:
         return f"[{self.g!r} / ({self.h!r})*({self.f!r})^{self.s}]"
 
 
-def h1_class(g, h, f, s):
-    return H1Class(f, g, h, s)
-
-
-def h1_is_zero(c):
-    return c.is_zero()
-
-
 def _unit_part_z(r):
     """Split a polynomial in Z alone as Z^a * w with w(0) != 0."""
     a = r.order_in("Z")
@@ -225,15 +211,8 @@ def reduce_h2(num, d1, d2):
     unit_den = nden * wz * ww
     inv = series_inverse_truncated(unit_den, alpha, beta)
     n = truncate(npoly * det * inv, alpha, beta)
-    out = {}
-    for (c, d), coef in n.terms.items():
-        k = (alpha - c, beta - d)
-        s = out.get(k, 0) + coef
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return H2Canonical(out)
+    return H2Canonical({(alpha - c, beta - d): coef
+                        for (c, d), coef in n.terms.items()})
 
 
 def apply_transformation(gf, matrix):

@@ -18,12 +18,11 @@ Omega^{n-1}(phi/Z); on EZW coordinates X^a Y^b Z^c W^d moves (n,s,t) to
 arithmetic to negative powers without being inverse to multiplication.
 """
 
-from fractions import Fraction
-
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
-                   Fp, adic_expand, exact_divide, f_adic_valuation,
+                   adic_expand, exact_divide, f_adic_valuation,
                    normalize_monic, series_inverse_truncated, truncate)
 from .gfrac import H1Class, H2Canonical, H4Canonical, BadDenominator
+from .linalg import _axpy
 
 
 class BadLocus(Exception):
@@ -32,18 +31,6 @@ class BadLocus(Exception):
 
 class NotInEZW(Exception):
     pass
-
-
-def _rf_monomial(cz, cw, field):
-    """Z^cz * W^cw as a rational function, exponents of either sign."""
-    num = BivarPoly.mono((max(cz, 0), max(cw, 0)), 1, field)
-    den = BivarPoly.mono((max(-cz, 0), max(-cw, 0)), 1, field)
-    return RationalFunction(num, den, reduce=False)
-
-
-def _is_univar(rf, name):
-    other = "W" if name == "Z" else "Z"
-    return rf.num.degree_in(other) <= 0 and rf.den.degree_in(other) <= 0
 
 
 class HullElement:
@@ -78,14 +65,8 @@ class E0Element(HullElement):
         return self.factors | other.factors
 
     def __add__(self, other):
-        parts = dict(self.parts)
-        for n, p in other.parts.items():
-            s = parts.get(n, RationalFunction.const(0, self.field)) + p
-            if s.is_zero():
-                parts.pop(n, None)
-            else:
-                parts[n] = s
-        return E0Element(parts, self.field, self._merge_factors(other))
+        return E0Element(_axpy(dict(self.parts), other.parts), self.field,
+                         self._merge_factors(other))
 
     def __neg__(self):
         return E0Element({n: -p for n, p in self.parts.items()},
@@ -101,13 +82,11 @@ class E0Element(HullElement):
         return E0Element({n: p * rf for n, p in self.parts.items()}, self.field, f)
 
     def monomial_act(self, a, b, c, d):
-        out = {}
-        for n, phi in self.parts.items():
-            if n - a - b < 0:
-                continue
-            out[n - a - b] = out.get(n - a - b, RationalFunction.const(0, self.field)) \
-                + phi * _rf_monomial(c - b, d - a, self.field)
-        return E0Element(out, self.field, self.factors)
+        # n -> n - a - b is injective, so no two parts land on one index
+        mono = RationalFunction.monomial(c - b, d - a, self.field)
+        parts = {n - a - b: phi * mono for n, phi in self.parts.items()
+                 if n >= a + b}
+        return E0Element(parts, self.field, self.factors)
 
     def __eq__(self, other):
         if not isinstance(other, E0Element):
@@ -152,13 +131,7 @@ class _AxisElement(HullElement):
     def __add__(self, other):
         parts = {n: dict(cm) for n, cm in self.parts.items()}
         for n, cm in other.parts.items():
-            tgt = parts.setdefault(n, {})
-            for m, c in cm.items():
-                s = tgt.get(m, RationalFunction.const(0, self.field)) + c
-                if s.is_zero():
-                    tgt.pop(m, None)
-                else:
-                    tgt[m] = s
+            _axpy(parts.setdefault(n, {}), cm)
         return type(self)(parts, self.field)
 
     def __neg__(self):
@@ -171,12 +144,10 @@ class _AxisElement(HullElement):
 
     def representative(self, n):
         """The stored truncation of part n as a rational function."""
-        axis_i = 0 if self.AXIS == "Z" else 1
         acc = RationalFunction.const(0, self.field)
         for m, c in self.parts.get(n, {}).items():
-            sh = [0, 0]
-            sh[axis_i] = m
-            acc = acc + c * _rf_monomial(sh[0], sh[1], self.field)
+            e = (m, 0) if self.AXIS == "Z" else (0, m)
+            acc = acc + c * RationalFunction.monomial(*e, self.field)
         return acc
 
     def mul_arg(self, rf):
@@ -190,31 +161,20 @@ class _AxisElement(HullElement):
     def monomial_act(self, a, b, c, d):
         # argument gains Z^(c-b) W^(d-a); along the axis this shifts the
         # expansion index, across it the coefficients pick up the power
+        # (n, m) -> (n - a - b, m + shift) is injective: nothing accumulates
         if self.AXIS == "Z":
-            shift, coef_pow = c - b, d - a
+            shift = c - b
+            mono = RationalFunction.monomial(0, d - a, self.field)
         else:
-            shift, coef_pow = d - a, c - b
+            shift = d - a
+            mono = RationalFunction.monomial(c - b, 0, self.field)
         out = {}
         for n, cm in self.parts.items():
-            if n - a - b < 0:
-                continue
-            tgt = out.setdefault(n - a - b, {})
-            for m, v in cm.items():
-                mm = m + shift
-                if mm > n - a - b:
-                    continue
-                w = v * self._coef_monomial(coef_pow)
-                s = tgt.get(mm, RationalFunction.const(0, self.field)) + w
-                if s.is_zero():
-                    tgt.pop(mm, None)
-                else:
-                    tgt[mm] = s
+            k = n - a - b
+            if k >= 0:
+                out[k] = {m + shift: v * mono for m, v in cm.items()
+                          if m + shift <= k}
         return type(self)(out, self.field)
-
-    def _coef_monomial(self, e):
-        if self.AXIS == "Z":
-            return _rf_monomial(0, e, self.field)
-        return _rf_monomial(e, 0, self.field)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -351,14 +311,7 @@ class EZWElement(HullElement):
         return not self.coeffs
 
     def __add__(self, other):
-        c = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = c.get(k, self.field.zero) + v
-            if s:
-                c[k] = s
-            else:
-                c.pop(k, None)
-        return EZWElement(c, self.field)
+        return EZWElement(_axpy(dict(self.coeffs), other.coeffs), self.field)
 
     def __neg__(self):
         return EZWElement({k: -v for k, v in self.coeffs.items()}, self.field)
@@ -367,16 +320,13 @@ class EZWElement(HullElement):
         return EZWElement({k: v * c for k, v in self.coeffs.items()}, self.field)
 
     def monomial_act(self, a, b, c, d):
+        """Move Omega^n(Z^s W^t) to Omega^{n-a-b}(Z^{s+c-b} W^{t+d-a}),
+        dropping invalid indices; any signs.  The index map is injective."""
         out = {}
         for (n, s, t), v in self.coeffs.items():
             k = (n - a - b, s + c - b, t + d - a)
-            if not _valid_index(*k):
-                continue
-            u = out.get(k, self.field.zero) + v
-            if u:
-                out[k] = u
-            else:
-                out.pop(k, None)
+            if _valid_index(*k):
+                out[k] = v
         return EZWElement(out, self.field)
 
     def __eq__(self, other):
@@ -492,17 +442,7 @@ def laurent_op(i, j, k, l, e):
     Omega^n(Z^s W^t) -> Omega^{n-i-j}(Z^{s+k-j} W^{t+l-i}), zero where
     invalid.  Not inverse to multiplication."""
     assert isinstance(e, EZWElement)
-    out = {}
-    for (n, s, t), v in e.coeffs.items():
-        key = (n - i - j, s + k - j, t + l - i)
-        if not _valid_index(*key):
-            continue
-        u = out.get(key, e.field.zero) + v
-        if u:
-            out[key] = u
-        else:
-            out.pop(key, None)
-    return EZWElement(out, e.field)
+    return e.monomial_act(i, j, k, l)
 
 
 def socle_project(e):
@@ -538,12 +478,7 @@ def _expand_basis(n, s, t):
 def ezw_to_h4(e):
     out = {}
     for (n, s, t), v in e.coeffs.items():
-        for key in _expand_basis(n, s, t):
-            u = out.get(key, e.field.zero) + v
-            if u:
-                out[key] = u
-            else:
-                out.pop(key, None)
+        _axpy(out, dict.fromkeys(_expand_basis(n, s, t), v))
     return H4Canonical(out)
 
 
@@ -588,11 +523,6 @@ def ez_to_h3(e):
     out = {}
     for n, cm in e.parts.items():
         for m, c in cm.items():
-            for i in range(0, min(n, n - m) + 1):
-                key = (n + 1 - i - m, i + 1, n + 1 - i)
-                s = out.get(key, RationalFunction.const(0, e.field)) + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            _axpy(out, {(n + 1 - i - m, i + 1, n + 1 - i): c
+                        for i in range(min(n, n - m) + 1)})
     return out

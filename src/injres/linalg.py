@@ -10,12 +10,17 @@ def _lead(vec):
     return max(vec)
 
 
-def _sub_scaled(vec, row, c):
-    out = dict(vec)
-    for k, v in row.items():
-        s = out.get(k, 0) - c * v
-        if s:
-            out[k] = s
+def _axpy(out, vec, c=None):
+    """out += c * vec in place (out += vec when c is omitted, with no
+    multiplication at all); keys whose value becomes zero are dropped.
+    Returns out."""
+    for k, v in vec.items():
+        if c is not None:
+            v = c * v
+        if k in out:
+            v = out[k] + v
+        if v:
+            out[k] = v
         else:
             out.pop(k, None)
     return out
@@ -37,9 +42,9 @@ class Reducer:
             if got is None:
                 return vec, comb
             row, rcomb = got
-            c = vec[lead]
-            vec = _sub_scaled(vec, row, c)
-            comb = _sub_scaled(comb, rcomb, c)
+            c = -vec[lead]
+            _axpy(vec, row, c)
+            _axpy(comb, rcomb, c)
         return vec, comb
 
     def add(self, vec, label=None):
@@ -68,13 +73,6 @@ class Reducer:
         if vec:
             return None
         return {k: -v for k, v in comb.items()}
-
-
-def rank_of(vectors):
-    r = Reducer()
-    for v in vectors:
-        r.add(v)
-    return r.rank
 
 
 def kernel_basis(pairs):

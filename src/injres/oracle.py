@@ -19,10 +19,7 @@ Membership in the localization at the origin is decided two ways:
 """
 
 from .ring import BivarPoly, QuadPoly, LocalFraction, bivar_gcd
-
-
-class BoundExceeded(Exception):
-    pass
+from .linalg import _axpy
 
 
 class _Span:
@@ -42,13 +39,7 @@ class _Span:
             row = self.rows.get(lead)
             if row is None:
                 return vec
-            c = vec[lead]
-            for k, v in row.items():
-                s = vec.get(k, 0) - c * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
+            _axpy(vec, row, -vec[lead])
         return vec
 
     def add(self, vec):
@@ -163,7 +154,6 @@ def _zero_adjust(fr, nslots):
 
 
 def _cech_equal_h2(a, b, bound, max_s):
-    from .gfrac import GeneralizedFraction
     a, b = _zero_adjust(a, 2), _zero_adjust(b, 2)
     (ga1, ea1), (ga2, ea2) = a.denominators
     na, ua = _num_unit(a)

@@ -15,10 +15,8 @@ pi0, pi11, pi12 which precompose with argument multiplications.
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
-                   normalize_monic, resultant_bezout, exact_divide,
-                   f_adic_valuation)
-from .gfrac import (H2Canonical, H4Canonical, H1Class, reduce_h2,
-                    lemma_onto_rewrite, NotApplicable)
+                   normalize_monic, resultant_bezout)
+from .gfrac import H4Canonical, H1Class, reduce_h2, lemma_onto_rewrite
 from .hulls import (E0Element, EZElement, EWElement, EfElement, EZWElement,
                     act, act_series, omega, omega_zw, h4_to_ezw, BadLocus)
 
@@ -29,10 +27,6 @@ class DegreeMismatch(Exception):
 
 class UnfactoredDenominator(Exception):
     pass
-
-
-def _quad_mono(a, b, c, d, field=QQ):
-    return QuadPoly.mono((a, b, c, d), 1, field)
 
 
 class PrimeIndex:
@@ -98,6 +92,14 @@ def legal_kinds(degree):
     return _LEGAL.get(degree, {"max"})
 
 
+def max_copies(degree):
+    """How many copies of E(Z,W) the degree-n term has: one in degree 2 (or
+    below, if legal there), two from degree 3 on."""
+    if "max" not in legal_kinds(degree):
+        return 0
+    return 1 if degree <= 2 else 2
+
+
 class ChainElement:
     """An element of the degree-n term: finitely many nonzero slots."""
 
@@ -109,8 +111,9 @@ class ChainElement:
         for idx, el in (components or {}).items():
             if idx.kind not in legal_kinds(degree):
                 raise DegreeMismatch(f"slot {idx!r} illegal in degree {degree}")
-            if idx.kind == "max" and degree == 2 and idx.copy != 0:
-                raise DegreeMismatch("degree 2 has a single maximal slot")
+            if idx.kind == "max" and idx.copy >= max_copies(degree):
+                raise DegreeMismatch(f"degree {degree} has "
+                                     f"{max_copies(degree)} maximal slot(s)")
             if not el.is_zero():
                 self.components[idx] = el
 
@@ -192,16 +195,6 @@ def _map_parts(e0, prime, shift_rf=None):
     return {"Z": EZElement, "W": EWElement}[prime].zero(e0.field)
 
 
-def _inv_z(field):
-    return RationalFunction(BivarPoly.const(1, field), BivarPoly.var("Z", field),
-                            reduce=False)
-
-
-def _inv_w(field):
-    return RationalFunction(BivarPoly.const(1, field), BivarPoly.var("W", field),
-                            reduce=False)
-
-
 def d0(e0):
     """E(0) -> sum_f E(f) + E(Z) + E(W), argument-preserving on each slot."""
     comps = {
@@ -276,10 +269,11 @@ def d1(chain_f_components):
 def pi0(e0):
     """E(0) -> sum_f E(f): d0_f on irreducible slots, d0_Z(arg/Z),
     d0_W(arg/W) on the axis slots.  Lands in degree 2."""
+    mono = RationalFunction.monomial
     field = e0.field
     comps = {
-        PrimeIndex.prime_z(): _map_parts(e0, "Z", _inv_z(field)),
-        PrimeIndex.prime_w(): _map_parts(e0, "W", _inv_w(field)),
+        PrimeIndex.prime_z(): _map_parts(e0, "Z", mono(-1, 0, field)),
+        PrimeIndex.prime_w(): _map_parts(e0, "W", mono(0, -1, field)),
     }
     for f in _support_primes(e0):
         comps[PrimeIndex.irr(f)] = _map_parts(e0, f)
@@ -289,28 +283,25 @@ def pi0(e0):
 def pi11_pi12(prime, el):
     """The two socle-level companions of d1 at one prime: returns the pair
     (pi11 component, pi12 component) in EZW coordinates."""
+    mono = RationalFunction.monomial
     field = el.field
-    zrf = RationalFunction(BivarPoly.var("Z", field), BivarPoly.var("W", field),
-                           reduce=False)
     if prime.kind == "Z":
-        return (d1_f(prime, el.mul_arg(zrf)), d1_f(prime, el))
+        return (d1_f(prime, el.mul_arg(mono(1, -1, field))), d1_f(prime, el))
     if prime.kind == "W":
-        wrf = RationalFunction(BivarPoly.var("W", field),
-                               BivarPoly.var("Z", field), reduce=False)
-        return (d1_f(prime, el), d1_f(prime, el.mul_arg(wrf)))
+        return (d1_f(prime, el), d1_f(prime, el.mul_arg(mono(-1, 1, field))))
     if prime.kind == "irr":
-        return (d1_f(prime, el.mul_arg(_inv_w(field))),
-                d1_f(prime, el.mul_arg(_inv_z(field))))
+        return (d1_f(prime, el.mul_arg(mono(0, -1, field))),
+                d1_f(prime, el.mul_arg(mono(-1, 0, field))))
     raise DegreeMismatch(f"pi maps undefined at slot {prime!r}")
 
 
 def _f_triangle(prime, field):
     """The multiplier f^triangle: Y for Z, X for W, XW otherwise."""
     if prime.kind == "Z":
-        return _quad_mono(0, 1, 0, 0, field)
+        return QuadPoly.var("Y", field)
     if prime.kind == "W":
-        return _quad_mono(1, 0, 0, 0, field)
-    return _quad_mono(1, 0, 0, 1, field)
+        return QuadPoly.var("X", field)
+    return QuadPoly.mono((1, 0, 0, 1), 1, field)
 
 
 def delta(chain):
@@ -320,7 +311,7 @@ def delta(chain):
     if n == 0:
         psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
         out = d0(psi0) if not psi0.is_zero() else ChainElement.zero(1, field)
-        zw = act(_quad_mono(1, 0, 0, 1, field), psi0)
+        zw = act(QuadPoly.mono((1, 0, 0, 1), 1, field), psi0)
         return out + ChainElement(1, {PrimeIndex.zero(): zw}, field)
     if n == 1:
         psi0 = chain.component(PrimeIndex.zero())
@@ -339,10 +330,8 @@ def delta(chain):
         return out
     if n == 2:
         psi_m = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
-        X = _quad_mono(1, 0, 0, 0, field)
-        Y = _quad_mono(0, 1, 0, 0, field)
-        top = act(X, psi_m)
-        bot = act(Y, psi_m)
+        top = act(QuadPoly.var("X", field), psi_m)
+        bot = act(QuadPoly.var("Y", field), psi_m)
         for idx, el in chain.components.items():
             if idx.kind == "max":
                 continue
@@ -353,10 +342,7 @@ def delta(chain):
                                 PrimeIndex.maximal(1): bot}, field)
     p1 = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
     p2 = chain.component(PrimeIndex.maximal(1)) or EZWElement.zero(field)
-    X = _quad_mono(1, 0, 0, 0, field)
-    Y = _quad_mono(0, 1, 0, 0, field)
-    Zq = _quad_mono(0, 0, 1, 0, field)
-    Wq = _quad_mono(0, 0, 0, 1, field)
+    X, Y, Zq, Wq = (QuadPoly.var(v, field) for v in QuadPoly.VARS)
     if n % 2 == 1:
         top = act(Wq, p1) + (-act(Zq, p2))
         bot = (-act(Y, p1)) + act(X, p2)
@@ -374,8 +360,7 @@ def iota0(g, field=QQ):
         g = LocalFraction(g)
     if isinstance(g, RationalFunction):
         g = LocalFraction(g.num, g.den)
-    zw = RationalFunction(BivarPoly.mono((1, 1), 1, field), reduce=False)
-    phi = g.as_rational() * zw
+    phi = g.as_rational() * RationalFunction.monomial(1, 1, field)
     return ChainElement(0, {PrimeIndex.zero():
                             omega("0", 0, phi, field, factors=frozenset())}, field)
 
@@ -387,9 +372,7 @@ def surjectivity_witness(prime, s, t, field=QQ):
     if s > 0 or t > 0:
         raise BadLocus("only socle targets with s, t <= 0 are hit this way")
     target = omega_zw(0, s, t, field)
-    mono = RationalFunction(
-        BivarPoly.mono((max(s, 0), max(t, 0)), 1, field),
-        BivarPoly.mono((max(-s, 0), max(-t, 0)), 1, field), reduce=False)
+    mono = RationalFunction.monomial(s, t, field)
     if prime.kind == "Z":
         w = -omega("Z", 0, mono, field)
     elif prime.kind == "W":

@@ -3,11 +3,13 @@ localized fractions, resultants with Bezout witnesses, truncated series
 inversion and adic expansion.
 
 Coefficients are exact rationals by default, or elements of a prime field
-F_p with p > 3.  Characteristic 2 is rejected because derived test vectors
-divide by 2.
+F_p for an odd prime p.  Characteristic 2 is rejected because derived test
+vectors divide by 2.
 """
 
 from fractions import Fraction
+
+from .linalg import _axpy
 
 
 class NotDivisible(Exception):
@@ -228,14 +230,7 @@ class Poly:
 
     def __add__(self, other):
         o = self._coerce(other)
-        t = dict(self.terms)
-        for k, c in o.terms.items():
-            s = t.get(k, self.field.zero) + c
-            if s:
-                t[k] = s
-            else:
-                t.pop(k, None)
-        return type(self)(t, self.field)
+        return type(self)(_axpy(dict(self.terms), o.terms), self.field)
 
     __radd__ = __add__
 
@@ -253,6 +248,8 @@ class Poly:
             c0 = self.field.of(other) if isinstance(other, int) else other
             return type(self)({k: c * c0 for k, c in self.terms.items()}, self.field)
         o = self._coerce(other)
+        # the product loop stays inline: it is the hottest kernel
+        # (exact_divide's quotient updates), and a helper call per term shows
         t = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
@@ -313,10 +310,6 @@ class BivarPoly(Poly):
     def eval_w0(self):
         """Set W = 0."""
         return BivarPoly({(z, 0): c for (z, w), c in self.terms.items() if w == 0},
-                         self.field)
-
-    def eval_z0(self):
-        return BivarPoly({(0, w): c for (z, w), c in self.terms.items() if z == 0},
                          self.field)
 
 
@@ -494,6 +487,13 @@ class RationalFunction:
     def const(cls, c, field=QQ):
         return cls(BivarPoly.const(c, field))
 
+    @classmethod
+    def monomial(cls, a, b, field=QQ):
+        """The Laurent monomial Z^a W^b, exponents of either sign."""
+        num = BivarPoly.mono((max(a, 0), max(b, 0)), 1, field)
+        den = BivarPoly.mono((max(-a, 0), max(-b, 0)), 1, field)
+        return cls(num, den, reduce=False)
+
     def is_zero(self):
         return self.num.is_zero()
 
@@ -597,31 +597,6 @@ class LocalFraction:
 
     def __repr__(self):
         return f"LocalFraction({self.num!r}, {self.den!r}, {self.locus!r})"
-
-
-class FactoredDenominator:
-    """unit * prod(factor^multiplicity); factors are irreducible, vanish at the
-    origin, pairwise non-associate, and normalized monic (lex W > Z)."""
-
-    def __init__(self, unit, factors):
-        if not unit.at_origin():
-            raise ValueError("unit part vanishes at the origin")
-        seen = []
-        for f, m in factors:
-            if f.at_origin() or f.is_constant():
-                raise ValueError("factor must be nonconstant and vanish at the origin")
-            nf = normalize_monic(f)
-            if any(nf == g for g in seen):
-                raise ValueError("repeated factor; merge multiplicities")
-            seen.append(nf)
-        self.unit = unit
-        self.factors = [(normalize_monic(f), m) for f, m in factors]
-
-    def expand(self):
-        p = self.unit
-        for f, m in self.factors:
-            p = p * f ** m
-        return p
 
 
 # --- resultants with Bezout witnesses -------------------------------------

@@ -8,7 +8,7 @@ import random
 
 from .ring import BivarPoly, RationalFunction, QQ, parse_poly
 from .hulls import EZWElement, omega, omega_zw
-from .resolution import PrimeIndex, ChainElement, legal_kinds
+from .resolution import PrimeIndex, ChainElement, legal_kinds, max_copies
 
 
 IRR_POOL_TEXT = ["Z+W", "W-Z^2"]
@@ -109,8 +109,7 @@ def random_chain(rng, degree, field=QQ):
                     idx = PrimeIndex.irr(f)
                     comps[idx] = random_ef(rng, f, field)
         elif kind == "max":
-            copies = (0, 1) if degree >= 3 else (0,)
-            for c in copies:
+            for c in range(max_copies(degree)):
                 comps[PrimeIndex.maximal(c)] = random_ezw(rng, field)
         else:
             idx = PrimeIndex(kind)

@@ -4,6 +4,7 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injres.ring import parse_poly, LocalFraction
 from injres.cli import (run_command, parse_gfrac, UsageError,
@@ -71,12 +72,62 @@ def test_gfrac_usage_errors():
     ["reduce", "[1 / Z, W^-1]"],
     ["--field", "7", "reduce", "[1/7 / Z, W]"],
     ["reduce", "[1 / Z, W, Z, Y]"],
+    ["reduce", "[1 / Z, W, X^0, Y]"],
+    ["lc", "--ideal", "X"],
+    ["lc", "--ideal", "Z*W"],
+    ["lc", "--ideal", "Z^2"],
+    ["ext-power", "--n", "0"],
+    ["ext-self", "--i", "-1"],
+    ["--trunc", "1", "dhm", "--hom"],
+    ["--trunc", "-3", "ext-self", "--i", "3"],
+    ["ext-self", "--max-i", "-1"],
+    ["dhm", "--max-i", "-1"],
+    ["--samples", "0", "resolution-check"],
 ], ids=["shared-factor", "negative-exponent", "coefficient-mod-p",
-        "slot-3-not-X"])
-def test_bad_reduce_input_is_a_usage_error(argv):
+        "slot-3-not-X", "zero-power-of-X", "lc-variable-X", "lc-reducible",
+        "lc-power", "ext-power-n-0", "ext-self-negative-i", "dhm-trunc-1",
+        "negative-trunc", "ext-self-negative-max-i", "dhm-negative-max-i",
+        "zero-samples"])
+def test_bad_input_is_a_usage_error(argv):
     code, out = run(argv)
     assert code == 2
     assert out.startswith("error: ")
+
+
+def _argv_of(data):
+    """One command line drawn over the cheap commands, with flags in and
+    just outside their legal ranges."""
+    argv = ["--field", data.draw(st.sampled_from(["Q", "3", "7"])),
+            "--trunc", str(data.draw(st.integers(-2, 3)))]
+    command = data.draw(st.sampled_from(["reduce", "lc", "ext-power",
+                                         "ext-self"]))
+    if command == "reduce":
+        bases = st.sampled_from(["Z", "W", "Z+W", "W-Z^2", "1+Z", "Z*W"])
+        num = data.draw(st.sampled_from(["1", "Z", "1+W", "Z*W-2", "1/2*W"]))
+        dens = [f"({data.draw(bases)})^{data.draw(st.integers(-1, 3))}"
+                for _ in range(2)]
+        return argv + [command, f"[{num} / {dens[0]}, {dens[1]}]"]
+    if command == "lc":
+        ideal = data.draw(st.sampled_from(
+            ["0", "Z,W", "Z", "W", "Z+W", "X", "Z*W", "Z^2", "1+Z", "Z,W^2",
+             "W-Z^2", "Z+W,Z-W"]))
+        return argv + [command, "--ideal", ideal]
+    flag = "--n" if command == "ext-power" else "--i"
+    return argv + [command, flag, str(data.draw(st.integers(-3, 3)))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_no_input_escapes_as_an_exception(data):
+    argv = _argv_of(data)
+    code, out = run(argv)
+    assert code in (0, 1, 2), argv
+    assert out.startswith("error: ") == (code == 2), argv
+
+
+def test_field_3_passes():
+    assert run(["--field", "3", "--samples", "3", "resolution-check"])[0] == 0
+    assert run(["--field", "3", "dhm"])[0] == 0
 
 
 def test_reports_are_deterministic():

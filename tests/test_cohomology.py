@@ -121,3 +121,23 @@ def test_bass_number_table():
     assert table["p = (X,Y)"] == [1, 1, 0, 0, 0, 0, 0]
     assert table["height-one primes (X,Y,f)"] == [0, 1, 1, 0, 0, 0, 0]
     assert table["m = (X,Y,Z,W)"] == [0, 0, 1, 2, 2, 2, 2]
+
+
+def test_height1_scan_fails_without_kernel_vectors(monkeypatch):
+    import injres.cohomology as coh
+    monkeypatch.setattr(coh, "d1_f", lambda prime, el: omega_zw(0, 0, 0))
+    rep = local_cohomology([P("Z+W")], truncation=6)
+    assert not rep.passed
+    assert any(label == "H^1" and not ok for label, _, ok in rep.lines)
+
+
+def test_bass_numbers_follow_the_slot_table(monkeypatch):
+    import injres.resolution as res
+    table = dict(res._LEGAL)
+    table[3] = {"irr", "max"}
+    monkeypatch.setattr(res, "_LEGAL", table)
+    got = bass_numbers(max_degree=4)
+    assert got["height-one primes (X,Y,f)"] == [0, 1, 1, 1, 0]
+    assert got["m = (X,Y,Z,W)"] == [0, 0, 1, 2, 2]
+    table[2] = {"Z", "W", "irr"}
+    assert bass_numbers(max_degree=4)["m = (X,Y,Z,W)"] == [0, 0, 0, 2, 2]
