@@ -309,7 +309,7 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
     out = []
     if "ext" in what:
         rep = CohomologyReport("Ext^i(M, A/p) dimensions")
-        dims = [dhm_mod.dhm_ext(i, field) for i in range(max_i + 1)]
+        dims = dhm_mod.dhm_ext(max_i, field)
         want = [0, 0, 6, 7] + [0] * max(0, max_i - 3)
         rep.add("dims", ",".join(str(d) for d in dims), dims == want[:max_i + 1])
         rep.data["dims"] = dims

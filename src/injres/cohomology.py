@@ -6,16 +6,19 @@ graded part of the hull, so Ext groups against A/p are cohomology of
   E_0(0) -> E_0(0) + sum_f E_0(f) -> sum_f E_0(f) + E_0(Z,W) -> E_0(Z,W)^2 -> ...
 
 with the differentials induced by the resolution (the multiplication parts
-of delta die on socles).  Finite verifications run on truncated coordinate
-boxes; box sizes are controlled by the truncation argument.
+of delta die on socles).  Every differential is resolution.delta itself,
+applied to socle chains: Ext is the cohomology of delta on truncated
+coordinate boxes (linalg.box_cohomology), whose sizes are controlled by
+the truncation argument.
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
-                   bivar_gcd, normalize_monic, verify_irreducible, VERIFIED)
+                   bivar_gcd, divides, exact_divide, normalize_monic,
+                   verify_irreducible, VERIFIED)
 from .hulls import (E0Element, EWElement, EZWElement, act, omega, omega_zw,
                     is_socle)
-from .resolution import (PrimeIndex, ChainElement, d0, d1_f, pi0, pi11_pi12,
-                         delta, iota0, legal_kinds, max_copies, _map_parts)
+from .resolution import (PrimeIndex, ChainElement, d0, d1_f, pi0, delta,
+                         iota0, legal_kinds, max_copies, _map_parts)
 from . import linalg
 
 
@@ -140,12 +143,24 @@ def local_cohomology(gens, truncation=8, field=QQ):
         g = bivar_gcd(g, h)
     if g.is_constant():
         return _lc_height2(gens, truncation, field)
-    f = normalize_monic(g)
+    f = _radical(g)
     zn = normalize_monic(BivarPoly.var("Z", field))
     wn = normalize_monic(BivarPoly.var("W", field))
     if f != zn and f != wn and verify_irreducible(f) != VERIFIED:
         raise BadIdeal("radical generator could not be certified irreducible")
     return _lc_height1(f, truncation, field)
+
+
+def _radical(g):
+    """The generator f = g / gcd(g, dg/dZ, dg/dW) of the radical of (g),
+    normalized monic.  The exact division certifies f | g; f is accepted
+    only if also g | f^(deg g).  In characteristic p the derivatives miss a
+    factor whose multiplicity p divides, and that test refuses it."""
+    d = bivar_gcd(bivar_gcd(g, g.derivative("Z")), g.derivative("W"))
+    f = normalize_monic(exact_divide(g, d))
+    if not divides(g, f ** g.total_degree()):
+        raise BadIdeal("the radical of the ideal could not be certified")
+    return f
 
 
 def _lc_height2(gens, truncation, field):
@@ -212,13 +227,15 @@ def _lc_height1(f, truncation, field):
         return rep
     # irreducible f away from the axes: H^1 = ker(d1 on E_0(f));
     # sample the box g = Z^a W^b / f^s and split it by d1-membership
+    # T >= 2 keeps Z W / f in the box, which d1 kills for every f
+    T = max(truncation, 2)
     idx = PrimeIndex.irr(f)
     ker_found = 0
     checked = 0
-    for s in range(1, max(2, truncation // 2) + 1):
-        for a in range(0, truncation + 1):
-            for b in range(0, truncation + 1):
-                if a + b > truncation:
+    for s in range(1, max(2, T // 2) + 1):
+        for a in range(0, T + 1):
+            for b in range(0, T + 1):
+                if a + b > T:
                     continue
                 el = omega(f, 0, RationalFunction(
                     BivarPoly.mono((a, b), 1, field), f ** s), field)
@@ -265,27 +282,37 @@ def ext_power_of_max(n, field=QQ):
     return basis
 
 
-# --- the socle complex as boxed linear maps ----------------------------------
+# --- Ext^i(A/p, A/p) as cohomology of delta on boxes --------------------------
 
-def _socle_deg1_domain(T, field):
-    """Labelled generators of the degree-1 socle term on a box: monomial
-    arguments at the Zero slot and monomial coefficients at the axes."""
+def _socle_box(degree, T, field):
+    """Socle chains spanning a box of the degree-n term: Omega^0_0(Z^a W^b)
+    at E(0) (|a|, |b| <= T), Omega^0 of Z^m W^w at E(Z) and of Z^w W^m at
+    E(W) (-T <= m <= 0, |w| <= T), and Omega^0(Z^s W^t) at each copy of
+    E(Z,W) (-T <= s, t <= 0).  The irreducible slots get no box."""
     mono = RationalFunction.monomial
-    out = []
-    for a in range(-T, T + 1):
-        for b in range(-T, T + 1):
-            el = omega("0", 0, mono(a, b, field), field, factors=frozenset())
-            out.append((("zero", a, b),
-                        ChainElement(1, {PrimeIndex.zero(): el}, field)))
-    for m in range(-T, 1):
-        for w in range(-T, T + 1):
-            el = omega("Z", 0, mono(m, w, field), field)
-            out.append((("Z", m, w),
-                        ChainElement(1, {PrimeIndex.prime_z(): el}, field)))
-            el = omega("W", 0, mono(w, m, field), field)
-            out.append((("W", m, w),
-                        ChainElement(1, {PrimeIndex.prime_w(): el}, field)))
-    return out
+    kinds = legal_kinds(degree)
+    comps = []
+    if "zero" in kinds:
+        comps += [{PrimeIndex.zero(): omega("0", 0, mono(a, b, field), field,
+                                            factors=frozenset())}
+                  for a in range(-T, T + 1) for b in range(-T, T + 1)]
+    if "Z" in kinds:  # E(Z) and E(W) are legal in the same degrees
+        for m in range(-T, 1):
+            for w in range(-T, T + 1):
+                comps.append({PrimeIndex.prime_z():
+                              omega("Z", 0, mono(m, w, field), field)})
+                comps.append({PrimeIndex.prime_w():
+                              omega("W", 0, mono(w, m, field), field)})
+    comps += [{PrimeIndex.maximal(c): omega_zw(0, s, t, field)}
+              for c in range(max_copies(degree))
+              for s in range(-T, 1) for t in range(-T, 1)]
+    return [ChainElement(degree, comp, field) for comp in comps]
+
+
+def _is_generator(i, field):
+    """The representative of e_i is a nonzero cocycle."""
+    e = yoneda_rep(i, field)
+    return not e.is_zero() and delta(e).is_zero()
 
 
 def ext_self(i, truncation=8, field=QQ):
@@ -306,44 +333,36 @@ def ext_self(i, truncation=8, field=QQ):
                 ok = ok and (in_ker == (a >= 1 and b >= 1))
         rep.add("kernel of d0", "Omega^0_0(Z W g) on the monomial box "
                 f"|a|,|b| <= {T}", ok)
-        rep.add("generator", "e_0 = Omega^0_0(Z W)", True)
+        rep.add("generator", "e_0 = Omega^0_0(Z W)", _is_generator(0, field))
         return rep
     if i == 1:
         rep = CohomologyReport("Ext^1(A/p, A/p)", {"dim": "infinite over k"})
         ok = True
+        no_e0 = True
         for a in range(-T, T + 1):
             for b in range(-T, T + 1):
                 e0 = omega("0", 0, mono(a, b, field), field,
                            factors=frozenset())
                 in_ker = pi0(e0).is_zero()
                 ok = ok and (in_ker == (a >= 2 and b >= 2))
+                cob = delta(ChainElement(0, {PrimeIndex.zero(): e0}, field))
+                no_e0 = no_e0 and cob.component(PrimeIndex.zero()) is None
         rep.add("kernel of pi0", "Omega^0_0(Z^2 W^2 g) on the monomial box",
                 ok)
         rep.add("coboundaries", "the image of delta^0 has no E(0) component "
-                "on socles, so distinct kernel vectors stay distinct", True)
-        rep.add("generator", "e_1 = Omega^0_0(Z^2 W^2)", True)
+                "on socles, so distinct kernel vectors stay distinct", no_e0)
+        rep.add("generator", "e_1 = Omega^0_0(Z^2 W^2)",
+                _is_generator(1, field))
         return rep
     if i == 2:
         return _ext_self_2(T, field)
-    if i % 2 == 1:
-        return _ext_self_odd(i, T, field)
-    return _ext_self_even(i, T, field)
-
-
-def _e2_chain(field):
-    e2 = omega("W", 0, RationalFunction.monomial(1, 0, field), field)
-    return ChainElement(2, {PrimeIndex.prime_w(): e2}, field)
-
-
-def _e2i_chain(i, field):
-    return ChainElement(i, {PrimeIndex.maximal(1): omega_zw(0, 0, 0, field)},
-                        field)
+    return _ext_self_tail(i, T, field)
 
 
 def _e2_relations(field):
     """ZV and WV at the cochain level: whether Z e_2 equals the coboundary
     pi0(Omega^0_0(Z^2 W)), and whether W e_2 = 0."""
-    e2 = _e2_chain(field).component(PrimeIndex.prime_w())
+    e2 = yoneda_rep(2, field).component(PrimeIndex.prime_w())
     ze2 = ChainElement(2, {PrimeIndex.prime_w():
                            act(QuadPoly.var("Z", field), e2)}, field)
     psi = omega("0", 0, RationalFunction.monomial(2, 1, field), field,
@@ -354,109 +373,47 @@ def _e2_relations(field):
 
 def _ext_self_2(T, field):
     rep = CohomologyReport("Ext^2(A/p, A/p)", {"dim": 1})
-    e2 = _e2_chain(field)
+    e2 = yoneda_rep(2, field)
     rep.add("cocycle", "delta^2(e_2) = 0", delta(e2).is_zero())
     # e_2 is not a coboundary: no monomial-box psi_0 satisfies pi0(psi_0)=e_2,
     # and degree-1 axis slots contribute nothing to the f-slots on socles
-    target = chain_coords(e2)
-    images = [chain_coords(delta(c))
-              for _, c in _socle_deg1_domain(T + 2, field)]
+    images = [chain_coords(delta(c)) for c in _socle_box(1, T + 2, field)]
     rep.add("not a coboundary",
             f"checked against the degree-1 box at truncation {T + 2}",
-            not linalg.in_span(target, images))
+            not linalg.in_span(chain_coords(e2), images))
     z_ok, w_ok = _e2_relations(field)
     rep.add("Z e_2 = pi0(Omega^0_0(Z^2 W)) at the cochain level", "", z_ok)
     rep.add("W e_2 = 0 at the cochain level", "", w_ok)
-    rep.add("generator", "e_2 = Omega^0_W(Z)", True)
+    rep.add("generator", "e_2 = Omega^0_W(Z)", _is_generator(2, field))
     rep.data["annihilator"] = "p + AZ + AW"
     return rep
 
 
-def _pair_coords(p1, p2):
-    vec = {}
-    for copy, el in ((0, p1), (1, p2)):
-        for (n, s, t), c in el.coeffs.items():
-            vec[(copy, n, s, t)] = c
-    return vec
-
-
-def _socle_box_kernel(T, field, image):
-    """Kernel of a socle matrix on E_0(Z,W)^2, restricted to the two-copy box
-    Omega^0(Z^s W^t), s, t in [-T, 0], as coordinate vectors.  image(copy,
-    el) is the pair of images of el placed in the given copy."""
-    pairs = []
-    for copy in (0, 1):
-        for s in range(-T, 1):
-            for t in range(-T, 1):
-                img = image(copy, omega_zw(0, s, t, field))
-                pairs.append(((copy, s, t), _pair_coords(*img)))
-    return [{(copy, 0, s, t): c for (copy, s, t), c in comb.items()}
-            for comb in linalg.kernel_basis(pairs)]
-
-
-def _ext_self_odd(i, T, field):
-    """Odd i >= 3 vanish: on socles the incoming differential is
-    (psi1, psi2) -> (W psi1 - Z psi2, 0) and its kernel is covered by the
-    previous image; checked by exact linear algebra on boxes."""
-    rep = CohomologyReport(f"Ext^{i}(A/p, A/p)", {"dim": 0})
-    zq, wq = QuadPoly.var("Z", field), QuadPoly.var("W", field)
-    zero = EZWElement.zero(field)
-    kern = _socle_box_kernel(T, field, lambda copy, el: (
-        -act(zq, el) if copy else act(wq, el), zero))
-    # image of the previous differential from a slightly larger box
-    images = []
-    if i == 3:
-        mono = RationalFunction.monomial
-        for m in range(-T - 2, 1):
-            for w in range(-T - 2, T + 3):
-                for prime, arg in ((PrimeIndex.prime_z(), mono(m, w, field)),
-                                   (PrimeIndex.prime_w(), mono(w, m, field))):
-                    el = omega(prime.kind, 0, arg, field)
-                    images.append(_pair_coords(*pi11_pi12(prime, el)))
-    else:
-        for s in range(-T - 2, 1):
-            for t in range(-T - 2, 1):
-                el = omega_zw(0, s, t, field)
-                # even matrix (X, Z; Y, W) on socles: (Z psi2, W psi2) from
-                # copy 1; copy 0 maps to zero
-                images.append(_pair_coords(act(zq, el), act(wq, el)))
-    ok = all(linalg.in_span(vec, images) for vec in kern)
-    rep.add("vanishing", f"kernel/image matched on the box T={T} "
-            f"(kernel rank {len(kern)})", ok)
-    return rep
-
-
-def _ext_self_even(i, T, field):
-    """Even i >= 4: one-dimensional, generated by e_i = (0, Omega^0(1))."""
-    rep = CohomologyReport(f"Ext^{i}(A/p, A/p)", {"dim": 1})
-    xq, yq, zq, wq = (QuadPoly.var(v, field) for v in QuadPoly.VARS)
-    zero = EZWElement.zero(field)
-    kern = _socle_box_kernel(T, field, lambda copy, el: (
-        (act(zq, el), act(wq, el)) if copy else (zero, zero)))
-    images = []
-    for s in range(-T - 2, 1):
-        for t in range(-T - 2, 1):
-            el = omega_zw(0, s, t, field)
-            # odd matrix on socles: (W psi1 - Z psi2, 0)
-            images.append(_pair_coords(act(wq, el), zero))
-            images.append(_pair_coords(-act(zq, el), zero))
-    gen_vec = _pair_coords(zero, omega_zw(0, 0, 0, field))
-    reducer = linalg.Reducer()
-    for v in images:
-        reducer.add(v)
-    base_rank = reducer.rank
-    reducer.add(gen_vec)
-    gen_independent = reducer.rank == base_rank + 1
-    # every kernel vector is a multiple of e_i modulo the image
-    ok = gen_independent and all(reducer.solve(vec) is not None
-                                 for vec in kern)
+def _ext_self_tail(i, T, field):
+    """Ext^i for i >= 3, read off delta: its kernel on the two-copy socle box
+    at truncation T must lie in the delta-image of the degree-(i-1) socle
+    box at T+2 plus k*e_i.  Odd i have no generator and vanish; even i are
+    one-dimensional, generated by e_i = (0, Omega^0(1))."""
+    even = i % 2 == 0
+    rep = CohomologyReport(f"Ext^{i}(A/p, A/p)", {"dim": int(even)})
+    gens = [yoneda_rep(i, field)] if even else []
+    rank, independent, outside = linalg.box_cohomology(
+        [(chain_coords(c), chain_coords(delta(c)))
+         for c in _socle_box(i, T, field)],
+        [chain_coords(delta(c)) for c in _socle_box(i - 1, T + 2, field)],
+        [chain_coords(g) for g in gens])
+    if not even:
+        rep.add("vanishing", f"kernel/image matched on the box T={T} "
+                f"(kernel rank {rank})", outside == 0)
+        return rep
     rep.add("dimension 1", f"kernel covered by image + k*e_{i} on the box "
-            f"T={T}", ok)
-    e2i = _e2i_chain(i, field)
+            f"T={T}", independent and outside == 0)
+    e2i = gens[0]
     rep.add("cocycle", f"delta(e_{i}) = 0", delta(e2i).is_zero())
     rep.add("annihilators", "Z, W, X, Y all kill the representative",
-            all(act(m, e2i.component(PrimeIndex.maximal(1))).is_zero()
-                for m in (zq, wq, xq, yq)))
+            all(act(QuadPoly.var(v, field),
+                    e2i.component(PrimeIndex.maximal(1))).is_zero()
+                for v in QuadPoly.VARS))
     rep.data["annihilator"] = "p + AZ + AW"
     return rep
 
@@ -492,9 +449,11 @@ def yoneda_rep(i, field=QQ):
                    factors=frozenset())
         return ChainElement(1, {PrimeIndex.zero(): e1}, field)
     if i == 2:
-        return _e2_chain(field)
+        e2 = omega("W", 0, RationalFunction.monomial(1, 0, field), field)
+        return ChainElement(2, {PrimeIndex.prime_w(): e2}, field)
     if i >= 4 and i % 2 == 0:
-        return _e2i_chain(i, field)
+        return ChainElement(i, {PrimeIndex.maximal(1):
+                                omega_zw(0, 0, 0, field)}, field)
     raise UnsupportedIndex(f"no nonzero class e_{i}")
 
 

@@ -4,11 +4,14 @@ M has a k-basis u1..u5, v1..v4, w1..w6 with an explicit X,Y,Z,W action
 table (m^3 M = 0, and only six degree-two monomial actions survive).  The
 module of homomorphisms M' = Hom(M, E(Z,W)) is again 15-dimensional,
 minimally generated by 5 elements, and Ext^i(M, A/p) has dimensions
-0, 0, 6, 7, 0, 0, ... over the coefficient field.
+0, 0, 6, 7, 0, 0, ... over the coefficient field: the cohomology of
+Hom(M, I^*), with the differential applied through resolution.delta.
 """
 
 from .ring import BivarPoly, QuadPoly, RationalFunction, QQ
 from .hulls import EZWElement, act, laurent_op, omega, omega_zw
+from .resolution import ChainElement, PrimeIndex, delta, max_copies
+from .cohomology import chain_coords
 from . import linalg
 
 
@@ -48,6 +51,11 @@ _DEG2_SURVIVORS = {
 }
 
 _VARS = ["X", "Y", "Z", "W"]
+
+# the 15 named homomorphisms spanning M', in the order the reports use
+DUAL_NAMES = [f"phi{i}" for i in range(1, 7)] + \
+    ["phi13", "phi24", "phi35", "phi46",
+     "phi14", "phi25", "phi36", "phi135", "phi246"]
 
 
 def _act_vec(x, vec, field):
@@ -136,21 +144,6 @@ class DHMHom:
 
     def is_zero(self):
         return not self.values
-
-    def __add__(self, other):
-        vals = dict(self.values)
-        for b, v in other.values.items():
-            vals[b] = vals[b] + v if b in vals else v
-        return DHMHom(vals, self.field)
-
-    def __neg__(self):
-        return DHMHom({b: -v for b, v in self.values.items()}, self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return DHMHom({b: v.scale(c) for b, v in self.values.items()}, self.field)
 
     def mult(self, x):
         """The A-action on Hom: (x Phi)(b) = x Phi(b)."""
@@ -315,8 +308,7 @@ def _lop(ops, wvals):
 def _wadd(*dicts):
     out = {}
     for d in dicts:
-        for b, v in d.items():
-            out[b] = out[b] + v if b in out else v
+        linalg._axpy(out, d)
     return out
 
 
@@ -364,17 +356,14 @@ def dhm_dual_basis(field=QQ):
 def dhm_min_generators(field=QQ):
     """Minimal generator count of M' with an explicit complement of m M'."""
     named = dhm_dual_basis(field)
-    order = [f"phi{i}" for i in range(1, 7)] + \
-        ["phi13", "phi24", "phi35", "phi46",
-         "phi14", "phi25", "phi36", "phi135", "phi246"]
     red = linalg.Reducer()
-    for name in order:
+    for name in DUAL_NAMES:
         dep = red.add(named[name].coords(), label=name)
         if dep is not None:
             raise InvariantViolation(f"{name} is dependent")
     total = red.rank
     mred = linalg.Reducer()
-    for name in order:
+    for name in DUAL_NAMES:
         for x in _VARS:
             mred.add(named[name].mult(x).coords())
     sub = mred.rank
@@ -391,57 +380,37 @@ def dhm_min_generators(field=QQ):
 
 # --- Ext^i(M, A/p) -------------------------------------------------------------
 
-def dhm_ext(i, field=QQ):
-    """dim_k Ext^i(M, A/p).
+def _hom_coords(values):
+    """Coordinates of a homomorphism M -> I^n given by its values
+    {basis vector: chain}."""
+    vec = {}
+    for b, chain in values.items():
+        vec.update({(b,) + k: c for k, c in chain_coords(chain).items()})
+    return vec
+
+
+def dhm_ext(max_i, field=QQ):
+    """[dim_k Ext^i(M, A/p) for i = 0, ..., max_i], read off resolution.delta.
 
     Hom(M, E(0)) and Hom(M, E(f)) vanish (the hulls at primes of height
-    below two carry no m^3-torsion), so the Hom complex collapses to
-    0 -> 0 -> M' -> M'^2 -> M'^2 -> ... with the maximal-slot matrices of
-    the resolution.
+    below two carry no m^3-torsion), so Hom(M, I^n) is a copy of M' for each
+    copy of E(Z,W) in I^n, spanned by the dual basis, and Hom(M, delta)
+    applies delta to the value of a homomorphism at each basis vector of M.
+    The dual basis is built and verified once; each degree's map is
+    computed once, for its kernel, and reused as the next degree's image.
     """
-    if i < 0:
-        raise ValueError(i)
-    if i < 2:
-        return 0
     named = dhm_dual_basis(field)
-    order = [f"phi{i0}" for i0 in range(1, 7)] + \
-        ["phi13", "phi24", "phi35", "phi46",
-         "phi14", "phi25", "phi36", "phi135", "phi246"]
-    basis = [named[n] for n in order]
-    zero = DHMHom({}, field)
-
-    def pair_coords(p):
-        vec = {}
-        for copy, h in enumerate(p):
-            for k, v in h.coords().items():
-                vec[(copy,) + k] = v
-        return vec
-
-    def d_out(degree, p):
-        """The induced map at cohomological degree `degree`."""
-        a, b = p
-        if degree == 2:
-            return (a.mult("X"), a.mult("Y"))
-        if degree % 2 == 1:
-            return (a.mult("W") - b.mult("Z"), b.mult("X") - a.mult("Y"))
-        return (a.mult("X") + b.mult("Z"), a.mult("Y") + b.mult("W"))
-
-    def domain(degree):
-        if degree == 2:
-            return [(h, zero) for h in basis]
-        out = [(h, zero) for h in basis] + [(zero, h) for h in basis]
-        return out
-
-    def ker_dim(degree):
-        pairs = []
-        for idx, p in enumerate(domain(degree)):
-            pairs.append((idx, pair_coords(d_out(degree, p))))
-        return len(linalg.kernel_basis(pairs)), len(pairs)
-
-    def rank(degree):
-        k, n = ker_dim(degree)
-        return n - k
-
-    k, _ = ker_dim(i)
-    incoming = 0 if i == 2 else rank(i - 1)
-    return k - incoming
+    basis = [named[n] for n in DUAL_NAMES]
+    dims, images = [], []
+    for degree in range(max_i + 1):
+        cochains = []
+        for copy in range(max_copies(degree)):
+            for h in basis:
+                vals = {b: ChainElement(degree, {PrimeIndex.maximal(copy): v},
+                                        field)
+                        for b, v in h.values.items()}
+                cochains.append((_hom_coords(vals), _hom_coords(
+                    {b: delta(chain) for b, chain in vals.items()})))
+        dims.append(linalg.box_cohomology(cochains, images)[2])
+        images = [img for _, img in cochains]
+    return dims

@@ -18,9 +18,9 @@ Omega^{n-1}(phi/Z); on EZW coordinates X^a Y^b Z^c W^d moves (n,s,t) to
 arithmetic to negative powers without being inverse to multiplication.
 """
 
-from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
-                   adic_expand, exact_divide, f_adic_valuation,
-                   normalize_monic, series_inverse_truncated, truncate)
+from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ, adic_expand,
+                   exact_divide, f_adic_valuation, normalize_monic,
+                   series_inverse_truncated, truncate)
 from .gfrac import H1Class, H2Canonical, H4Canonical, BadDenominator
 from .linalg import _axpy
 
@@ -229,17 +229,8 @@ class EfElement(HullElement):
 
     def __add__(self, other):
         self._check(other)
-        parts = dict(self.parts)
-        for n, p in other.parts.items():
-            if n in parts:
-                s = parts[n] + p
-                if s.is_zero():
-                    del parts[n]
-                else:
-                    parts[n] = s
-            else:
-                parts[n] = p
-        return EfElement(self.f, parts, self.field)
+        return EfElement(self.f, _axpy(dict(self.parts), other.parts),
+                         self.field)
 
     def __neg__(self):
         return EfElement(self.f, {n: -p for n, p in self.parts.items()}, self.field)
@@ -259,20 +250,12 @@ class EfElement(HullElement):
                          self.field)
 
     def monomial_act(self, a, b, c, d):
-        out = {}
+        # n -> n - a - b is injective, so no two parts land on one index
         num = BivarPoly.mono((c, d), 1, self.field)
         den = BivarPoly.mono((b, a), 1, self.field)  # /W^a /Z^b
-        for n, p in self.parts.items():
-            if n - a - b < 0:
-                continue
-            q = p.scale(num, den)
-            if n - a - b in out:
-                q = out[n - a - b] + q
-            if not q.is_zero():
-                out[n - a - b] = q
-            else:
-                out.pop(n - a - b, None)
-        return EfElement(self.f, out, self.field)
+        return EfElement(self.f, {n - a - b: p.scale(num, den)
+                                  for n, p in self.parts.items()
+                                  if n >= a + b}, self.field)
 
     def __eq__(self, other):
         if not isinstance(other, EfElement):
@@ -413,10 +396,7 @@ def act_series(phi, e):
     series expansion is truncated per the index constraint: Z^c W^d moves
     Omega^n(Z^s W^t) out of range once c + d > n - s - t.
     """
-    if isinstance(phi, LocalFraction):
-        num, den = phi.num, phi.den
-    else:
-        num, den = phi.num, phi.den
+    num, den = phi.num, phi.den
     if not den.at_origin():
         raise BadLocus("denominator vanishes at the origin")
     if e.is_zero() or num.is_zero():

@@ -87,6 +87,30 @@ def kernel_basis(pairs):
     return out
 
 
+def box_cohomology(cochains, coboundaries, generators=()):
+    """One degree of a complex cut down to finite boxes.
+
+    cochains: (vector, image) pairs spanning a box of the degree-i term,
+    image being the differential of vector; coboundaries: the differentials
+    of a box of the degree-(i-1) term; generators: degree-i vectors named as
+    classes.  Returns (kernel rank on the box, whether each generator is
+    independent modulo the coboundaries and the generators before it, the
+    number of kernel classes outside the span of coboundaries and
+    generators)."""
+    kern = kernel_basis([(k, img) for k, (_, img) in enumerate(cochains)])
+    red = Reducer()
+    for v in coboundaries:
+        red.add(v)
+    independent = all(red.add(g) is None for g in generators)
+    outside = 0
+    for comb in kern:
+        vec = {}
+        for k, c in comb.items():
+            _axpy(vec, cochains[k][0], c)
+        outside += red.add(vec) is None
+    return len(kern), independent, outside
+
+
 def in_span(vec, vectors):
     r = Reducer()
     for v in vectors:

@@ -19,6 +19,7 @@ from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
 from .gfrac import H4Canonical, H1Class, reduce_h2, lemma_onto_rewrite
 from .hulls import (E0Element, EZElement, EWElement, EfElement, EZWElement,
                     act, act_series, omega, omega_zw, h4_to_ezw, BadLocus)
+from .linalg import _axpy
 
 
 class DegreeMismatch(Exception):
@@ -130,10 +131,9 @@ class ChainElement:
     def __add__(self, other):
         if self.degree != other.degree:
             raise DegreeMismatch("cannot add across degrees")
-        comps = dict(self.components)
-        for idx, el in other.components.items():
-            comps[idx] = comps[idx] + el if idx in comps else el
-        return ChainElement(self.degree, comps, self.field)
+        return ChainElement(self.degree,
+                            _axpy(dict(self.components), other.components),
+                            self.field)
 
     def __neg__(self):
         return ChainElement(self.degree,

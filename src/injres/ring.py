@@ -200,6 +200,13 @@ class Poly:
         i = self.VARS.index(name)
         return max((k[i] for k in self.terms), default=-1)
 
+    def derivative(self, name):
+        """The partial derivative in one variable."""
+        i = self.VARS.index(name)
+        return type(self)({k[:i] + (k[i] - 1,) + k[i + 1:]: c * k[i]
+                           for k, c in self.terms.items() if k[i]},
+                          self.field)
+
     def order_total(self):
         """Smallest total degree of a term; -1 on the zero poly."""
         return min((sum(k) for k in self.terms), default=-1)
@@ -569,34 +576,21 @@ class RationalFunction:
 # --- localized fractions ---------------------------------------------------
 
 class LocalFraction:
-    """num/den with den outside the prime of the locus.
+    """num/den with den a unit at the origin, i.e. outside the prime (Z,W)."""
 
-    locus is "zero", "origin" (the prime (Z,W)), or ("principal", f).
-    """
-
-    def __init__(self, num, den=None, locus="origin"):
+    def __init__(self, num, den=None):
         if den is None:
             den = BivarPoly.const(1, num.field)
-        if locus == "origin":
-            if not den.at_origin():
-                raise ValueError("denominator vanishes at the origin")
-        elif locus == "zero":
-            if den.is_zero():
-                raise ValueError("zero denominator")
-        elif isinstance(locus, tuple) and locus[0] == "principal":
-            if divides(locus[1], den):
-                raise ValueError("denominator inside the principal prime")
-        else:
-            raise ValueError(f"unknown locus {locus!r}")
+        if not den.at_origin():
+            raise ValueError("denominator vanishes at the origin")
         self.num = num
         self.den = den
-        self.locus = locus
 
     def as_rational(self):
         return RationalFunction(self.num, self.den)
 
     def __repr__(self):
-        return f"LocalFraction({self.num!r}, {self.den!r}, {self.locus!r})"
+        return f"LocalFraction({self.num!r}, {self.den!r})"
 
 
 # --- resultants with Bezout witnesses -------------------------------------

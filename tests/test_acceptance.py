@@ -41,7 +41,7 @@ def test_criterion_01_ext_powers_of_the_maximal_ideal():
 
 def test_criterion_02_ext_dimensions_of_the_test_module():
     t0 = time.monotonic()
-    dims = [dhm_ext(i) for i in range(8)]
+    dims = dhm_ext(7)
     elapsed = time.monotonic() - t0
     assert dims == [0, 0, 6, 7, 0, 0, 0, 0], dims
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.1f}s"

@@ -2,6 +2,7 @@
 
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from injres.ring import QQ
 
 
 P = lambda t: parse_poly(t)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(argv):
@@ -75,7 +77,7 @@ def test_gfrac_usage_errors():
     ["reduce", "[1 / Z, W, X^0, Y]"],
     ["lc", "--ideal", "X"],
     ["lc", "--ideal", "Z*W"],
-    ["lc", "--ideal", "Z^2"],
+    ["--field", "7", "lc", "--ideal", "Z^7*W+W^8"],
     ["ext-power", "--n", "0"],
     ["ext-self", "--i", "-1"],
     ["--trunc", "1", "dhm", "--hom"],
@@ -85,13 +87,28 @@ def test_gfrac_usage_errors():
     ["--samples", "0", "resolution-check"],
 ], ids=["shared-factor", "negative-exponent", "coefficient-mod-p",
         "slot-3-not-X", "zero-power-of-X", "lc-variable-X", "lc-reducible",
-        "lc-power", "ext-power-n-0", "ext-self-negative-i", "dhm-trunc-1",
+        "lc-multiplicity-divisible-by-p", "ext-power-n-0", "ext-self-negative-i", "dhm-trunc-1",
         "negative-trunc", "ext-self-negative-max-i", "dhm-negative-max-i",
         "zero-samples"])
 def test_bad_input_is_a_usage_error(argv):
     code, out = run(argv)
     assert code == 2
     assert out.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv,prime", [
+    (["lc", "--ideal", "Z^2"], "Z"),
+    (["--field", "7", "lc", "--ideal", "Z^3+3*Z^2*W+3*Z*W^2+W^3"], "Z + W"),
+    (["--trunc", "0", "lc", "--ideal", "Z+W"], "Z + W"),
+    (["--field", "7", "--trunc", "1", "lc", "--ideal", "W-Z^2"],
+     "6*Z^2 + W"),
+], ids=["lc-power", "lc-cube", "lc-trunc-0", "lc-trunc-1"])
+def test_lc_answers_at_the_radical(argv, prime):
+    # (Z+W)^3 is written out: the polynomial grammar has no parentheses;
+    # at --trunc 0 and 1 the H^1 scan still has a box that holds Z W / f
+    code, out = run(argv)
+    assert code == 0, out
+    assert f"local cohomology at I0 = ({prime})\n" in out
 
 
 def _argv_of(data):
@@ -128,6 +145,20 @@ def test_no_input_escapes_as_an_exception(data):
 def test_field_3_passes():
     assert run(["--field", "3", "--samples", "3", "resolution-check"])[0] == 0
     assert run(["--field", "3", "dhm"])[0] == 0
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("ext-self-Q", ["--trunc", "5", "ext-self"]),
+    ("ext-self-7", ["--field", "7", "--trunc", "5", "ext-self"]),
+    ("dhm-Q", ["dhm"]),
+    ("dhm-7", ["--field", "7", "dhm"]),
+])
+def test_report_matches_golden_text(name, argv):
+    # tests/golden/<name>.txt is the text report `injres <argv>` printed
+    # before Ext was read off resolution.delta
+    code, out = run(argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
 def test_reports_are_deterministic():

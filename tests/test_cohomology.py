@@ -141,3 +141,43 @@ def test_bass_numbers_follow_the_slot_table(monkeypatch):
     assert got["m = (X,Y,Z,W)"] == [0, 0, 1, 2, 2]
     table[2] = {"Z", "W", "irr"}
     assert bass_numbers(max_degree=4)["m = (X,Y,Z,W)"] == [0, 0, 0, 2, 2]
+
+
+def test_ext_is_read_off_delta(monkeypatch):
+    # a differential that vanishes from degree 3 on must show in both Ext
+    # computations, so neither may carry its own copy of the tail matrices
+    import injres.cohomology as coh
+    import injres.dhm as dhm
+    real = coh.delta
+
+    def truncated(chain):
+        if chain.degree >= 3:
+            return ChainElement.zero(chain.degree + 1, chain.field)
+        return real(chain)
+
+    monkeypatch.setattr(coh, "delta", truncated)
+    monkeypatch.setattr(dhm, "delta", truncated)
+    assert not ext_self(3, truncation=3).passed
+    assert dhm.dhm_ext(7) != [0, 0, 6, 7, 0, 0, 0, 0]
+
+
+def test_generator_and_coboundary_lines_can_fail(monkeypatch):
+    import injres.cohomology as coh
+    monkeypatch.setattr(coh, "yoneda_rep",
+                        lambda i, field=QQ: ChainElement.zero(i, field))
+    for i in (0, 1):
+        rep = ext_self(i, truncation=2)
+        assert [la for la, _, ok in rep.lines if not ok] == ["generator"], i
+    monkeypatch.undo()
+    real = coh.delta
+
+    def leaky(chain):
+        # delta^0 with an E(0) component left in its image
+        out = real(chain)
+        if chain.degree == 0:
+            out = out + ChainElement(1, chain.components, chain.field)
+        return out
+
+    monkeypatch.setattr(coh, "delta", leaky)
+    rep = ext_self(1, truncation=2)
+    assert [la for la, _, ok in rep.lines if not ok] == ["coboundaries"]

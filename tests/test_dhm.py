@@ -85,7 +85,7 @@ def test_minimal_generators():
 
 
 def test_ext_dimensions():
-    assert [dhm_ext(i) for i in range(8)] == [0, 0, 6, 7, 0, 0, 0, 0]
+    assert dhm_ext(7) == [0, 0, 6, 7, 0, 0, 0, 0]
 
 
 def test_ext2_kernel_is_spanned_by_the_elementary_homs():
@@ -113,6 +113,6 @@ def test_hom_values_respect_annihilators():
 
 def test_modular_coefficients():
     F5 = Field(5)
-    assert [dhm_ext(i, F5) for i in range(8)] == [0, 0, 6, 7, 0, 0, 0, 0]
+    assert dhm_ext(7, F5) == [0, 0, 6, 7, 0, 0, 0, 0]
     info = dhm_min_generators(F5)
     assert info["min_generators"] == 5
