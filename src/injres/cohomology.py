@@ -15,10 +15,10 @@ the truncation argument.
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
                    bivar_gcd, divides, exact_divide, normalize_monic,
                    verify_irreducible, VERIFIED)
-from .hulls import (E0Element, EWElement, EZWElement, act, omega, omega_zw,
-                    is_socle)
+from .hulls import E0Element, EZWElement, act, omega, omega_zw, is_socle
 from .resolution import (PrimeIndex, ChainElement, d0, d1_f, pi0, delta,
-                         iota0, legal_kinds, max_copies, _map_parts)
+                         iota0, legal_kinds, max_copies, surjectivity_witness,
+                         _map_parts)
 from . import linalg
 
 
@@ -95,18 +95,17 @@ def chain_coords(chain):
     def put(key, c):
         linalg._axpy(vec, {key: c})
 
-    for idx, el in chain.components.items():
+    for idx, el in chain.terms.items():
         if idx.kind == "max":
-            for (n, s, t), c in el.coeffs.items():
+            for (n, s, t), c in el.terms.items():
                 put((3, idx.copy, n, s, t), c)
         elif idx.kind in ("Z", "W"):
             slot = 1 if idx.kind == "Z" else 2
-            for n, cm in el.parts.items():
-                for m, c in cm.items():
-                    for (ez, ew), v in _mono_coords(c):
-                        put((slot, 0, n, m, ez + ew), v)
+            for (n, m), c in el.terms.items():
+                for (ez, ew), v in _mono_coords(c):
+                    put((slot, 0, n, m, ez + ew), v)
         elif idx.kind == "zero":
-            for n, p in el.parts.items():
+            for n, p in el.terms.items():
                 for (ez, ew), v in _mono_coords(p):
                     put((0, 0, n, ez, ew), v)
         else:
@@ -198,17 +197,21 @@ def _lc_height1(f, truncation, field):
     rep = CohomologyReport(f"local cohomology at I0 = ({f!r})", {"height": 1})
     rep.add("height", 1)
     rep.add("H^0", "zero (A/p is a domain)", True)
-    rep.add("H^2", "zero (d1 is onto the socle row)", True)
+    idx = (PrimeIndex.prime_z() if f == zn else PrimeIndex.prime_w() if f == wn
+           else PrimeIndex.irr(f))
+    rep.add("H^2", "zero (d1 is onto the socle row)",
+            all(d1_f(idx, surjectivity_witness(idx, s, t, field))
+                == omega_zw(0, s, t, field)
+                for s in (-1, 0) for t in (-1, 0)))
     if f == zn:
         # kernel of d1_Z on E_0(Z): coefficients with a positive W-order,
         # free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0
         ok = True
         for s in range(-truncation, 1):
             gen = omega("Z", 0, RationalFunction.monomial(s, 1, field), field)
-            ok = ok and d1_f(PrimeIndex.prime_z(), gen).is_zero() \
-                and not gen.is_zero()
+            ok = ok and d1_f(idx, gen).is_zero() and not gen.is_zero()
             off = omega("Z", 0, RationalFunction.monomial(s, 0, field), field)
-            ok = ok and not d1_f(PrimeIndex.prime_z(), off).is_zero()
+            ok = ok and not d1_f(idx, off).is_zero()
         rep.add("H^1", "free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0; "
                 f"checked for |s| <= {truncation}", ok)
         rep.data["dims"] = {0: 0, 1: "infinite", 2: 0}
@@ -217,10 +220,9 @@ def _lc_height1(f, truncation, field):
         ok = True
         for t in range(-truncation, 1):
             gen = omega("W", 0, RationalFunction.monomial(1, t, field), field)
-            ok = ok and d1_f(PrimeIndex.prime_w(), gen).is_zero() \
-                and not gen.is_zero()
+            ok = ok and d1_f(idx, gen).is_zero() and not gen.is_zero()
             off = omega("W", 0, RationalFunction.monomial(0, t, field), field)
-            ok = ok and not d1_f(PrimeIndex.prime_w(), off).is_zero()
+            ok = ok and not d1_f(idx, off).is_zero()
         rep.add("H^1", "free over k[Z]_(Z) on Omega^0_W(Z W^t), t <= 0; "
                 f"checked for |t| <= {truncation}", ok)
         rep.data["dims"] = {0: 0, 1: "infinite", 2: 0}
@@ -229,7 +231,6 @@ def _lc_height1(f, truncation, field):
     # sample the box g = Z^a W^b / f^s and split it by d1-membership
     # T >= 2 keeps Z W / f in the box, which d1 kills for every f
     T = max(truncation, 2)
-    idx = PrimeIndex.irr(f)
     ker_found = 0
     checked = 0
     for s in range(1, max(2, T // 2) + 1):
@@ -464,7 +465,7 @@ def _m23(chain, field):
     inv_w = RationalFunction.monomial(0, -1, field)
     top = EZWElement.zero(field)
     bot = EZWElement.zero(field)
-    for idx, el in chain.components.items():
+    for idx, el in chain.terms.items():
         if idx.kind == "zero":
             continue
         if idx.kind == "W":
@@ -481,7 +482,7 @@ def _m24(chain, field):
     twist = {"Z": (0, -1), "W": (-1, 0), "irr": (-1, -1)}
     top = EZWElement.zero(field)
     bot = EZWElement.zero(field)
-    for idx, el in chain.components.items():
+    for idx, el in chain.terms.items():
         if idx.kind == "max":
             top = top + (-el)
         else:
@@ -506,7 +507,7 @@ def yoneda_lift_stage(j, k, chain, field=QQ):
             mono = RationalFunction.monomial
             return ChainElement(2, {
                 idx: el.mul_arg(mono(*twist[idx.kind], field))
-                for idx, el in chain.components.items() if idx.kind != "zero"},
+                for idx, el in chain.terms.items() if idx.kind != "zero"},
                 field)
         raise UnsupportedIndex("the odd lift is hard-coded in stages 0 and 1 "
                                "only; use commutativity for higher stages")
@@ -516,8 +517,7 @@ def yoneda_lift_stage(j, k, chain, field=QQ):
         psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
         # the twist 1/W for e_2, 1/(ZW) above
         twist = RationalFunction.monomial(0 if j == 2 else -1, -1, field)
-        tw = _map_parts(psi0, "W", twist) if not psi0.is_zero() \
-            else EWElement.zero(field)
+        tw = _map_parts(psi0, "W", twist)
         if j == 2:
             return ChainElement(2, {PrimeIndex.prime_w(): tw}, field)
         val = d1_f(PrimeIndex.prime_w(), tw)
@@ -531,11 +531,7 @@ def yoneda_lift_stage(j, k, chain, field=QQ):
         return ChainElement(j + 2, {PrimeIndex.maximal(0): top,
                                     PrimeIndex.maximal(1): bot}, field)
     # beyond the hull pair the lift is minus the identity
-    comps = {PrimeIndex.maximal(c):
-             -(chain.component(PrimeIndex.maximal(c)) or EZWElement.zero(field))
-             for c in (0, 1)}
-    comps = {k2: v for k2, v in comps.items() if not v.is_zero()}
-    return ChainElement(k + j, comps, field)
+    return ChainElement(k + j, (-chain).terms, field)
 
 
 def _identify(chain, index, field):
@@ -567,7 +563,7 @@ def yoneda_product(i, j, field=QQ):
     return _identify(chain, i + j, field)
 
 
-def yoneda_presentation_check(truncation=8, field=QQ):
+def yoneda_presentation_check(field=QQ):
     """Verify the presentation Ext* = (A/p)[U, V]/(ZV, WV, U^2, UV) with
     U = e_1, V = e_2 and (-1)^(n+1) e_{2n} = e_2^n."""
     rep = CohomologyReport("Yoneda presentation",

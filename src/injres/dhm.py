@@ -9,7 +9,7 @@ Hom(M, I^*), with the differential applied through resolution.delta.
 """
 
 from .ring import BivarPoly, QuadPoly, RationalFunction, QQ
-from .hulls import EZWElement, act, laurent_op, omega, omega_zw
+from .hulls import EZWElement, act, omega, omega_zw
 from .resolution import ChainElement, PrimeIndex, delta, max_copies
 from .cohomology import chain_coords
 from . import linalg
@@ -126,15 +126,16 @@ def dhm_module(field=QQ):
     return DHMModule(field)
 
 
-class DHMHom:
-    """A homomorphism M -> E(Z,W), stored by its values on the basis."""
+class DHMHom(linalg.SparseVector):
+    """A homomorphism M -> E(Z,W), stored by its values on the basis: a
+    sparse vector keyed by basis name."""
 
-    def __init__(self, values, field=QQ):
+    def __init__(self, terms, field=QQ):
+        super().__init__(terms)
         self.field = field
-        self.values = {b: v for b, v in values.items() if not v.is_zero()}
 
     def value(self, b):
-        return self.values.get(b, EZWElement.zero(self.field))
+        return self.terms.get(b, EZWElement.zero(self.field))
 
     def apply(self, vec):
         out = EZWElement.zero(self.field)
@@ -142,18 +143,20 @@ class DHMHom:
             out = out + self.value(b).scale(c)
         return out
 
-    def is_zero(self):
-        return not self.values
+    def monomial_act(self, a, b, c, d):
+        """The operator X^a Y^b Z^c W^d (any signs) on every value."""
+        return self._like({name: v.monomial_act(a, b, c, d)
+                           for name, v in self.terms.items()})
 
     def mult(self, x):
         """The A-action on Hom: (x Phi)(b) = x Phi(b)."""
         q = QuadPoly.var(x, self.field)
-        return DHMHom({b: act(q, v) for b, v in self.values.items()}, self.field)
+        return self._like({b: act(q, v) for b, v in self.terms.items()})
 
     def coords(self):
         vec = {}
-        for b, v in self.values.items():
-            for (n, s, t), c in v.coeffs.items():
+        for b, v in self.terms.items():
+            for (n, s, t), c in v.terms.items():
                 vec[(b, n, s, t)] = c
         return vec
 
@@ -215,7 +218,7 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
                 # -x * Phi(b) lands in the rows of (x, b)
                 xe = act(QuadPoly.var(x, field), e)
                 linalg._axpy(col, {(x, b, k2): c
-                                   for k2, c in xe.coeffs.items()}, -1)
+                                   for k2, c in xe.terms.items()}, -1)
                 # +Phi(x b') wherever b appears in x b'
                 linalg._axpy(col, {(x, b2, key): mod.act(x, b2).get(b, 0)
                                    for b2 in BASIS})
@@ -267,53 +270,23 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
 
 # --- the explicit basis of M' -------------------------------------------------
 
-def _phi_elementary(i, field):
-    """w-values of Phi_i: w_j -> delta_ij Omega^0(1)."""
-    return {f"w{i}": omega_zw(0, 0, 0, field)}
-
-
-def _extend_w_values(wvals, field):
-    """Derive the u and v values from the w values through the action."""
-    def val(name):
-        return wvals.get(name, EZWElement.zero(field))
-
+def _extend_w_values(h, field):
+    """Derive the u and v values of a hom from its w values through the
+    action."""
     X = QuadPoly.var("X", field)
     Y = QuadPoly.var("Y", field)
-    Zq = QuadPoly.var("Z", field)
     Wq = QuadPoly.var("W", field)
-    vals = dict(wvals)
-    vals["v1"] = act(X, val("w1"))
-    vals["v2"] = act(X, val("w2"))
-    vals["v3"] = act(X, val("w3"))
-    vals["v4"] = act(X, val("w4"))
-    vals["u1"] = act(Wq, val("w1"))
-    vals["u2"] = act(Wq, val("w2"))
-    vals["u3"] = act(Y, val("w1"))
-    vals["u4"] = act(Y, val("w2"))
-    vals["u5"] = act(Y, val("w3"))
+    vals = dict(h.terms)
+    vals["v1"] = act(X, h.value("w1"))
+    vals["v2"] = act(X, h.value("w2"))
+    vals["v3"] = act(X, h.value("w3"))
+    vals["v4"] = act(X, h.value("w4"))
+    vals["u1"] = act(Wq, h.value("w1"))
+    vals["u2"] = act(Wq, h.value("w2"))
+    vals["u3"] = act(Y, h.value("w1"))
+    vals["u4"] = act(Y, h.value("w2"))
+    vals["u5"] = act(Y, h.value("w3"))
     return DHMHom(vals, field)
-
-
-def _lop(ops, wvals):
-    """Apply a composite Laurent operator (a list applied left to right) to
-    each generator value, never simplifying the composite symbolically."""
-    out = {}
-    for b, v in wvals.items():
-        for op in ops:
-            v = laurent_op(*op, v)
-        out[b] = v
-    return out
-
-
-def _wadd(*dicts):
-    out = {}
-    for d in dicts:
-        linalg._axpy(out, d)
-    return out
-
-
-def _wneg(d):
-    return {b: -v for b, v in d.items()}
 
 
 _XINV = (-1, 0, 0, 0)
@@ -324,25 +297,31 @@ _WINV = (0, 0, 0, -1)
 
 def dhm_dual_basis(field=QQ):
     """The 15 named homomorphisms spanning M' = Hom(M, E(Z,W)), built from
-    Phi_1..Phi_6 by Laurent operators.  Each is verified to be a hom."""
-    phi = {i: _phi_elementary(i, field) for i in range(1, 7)}
+    Phi_1..Phi_6 by Laurent operators.  Each is verified to be a hom.  A
+    composite operator is applied one factor at a time, as written, never
+    merged into a single exponent."""
+    # Phi_i: w_j -> delta_ij Omega^0(1)
+    phi = {i: DHMHom({f"w{i}": omega_zw(0, 0, 0, field)}, field)
+           for i in range(1, 7)}
     wvals = {f"phi{i}": phi[i] for i in range(1, 7)}
-    wvals["phi13"] = _wadd(_lop([_XINV], phi[1]), _lop([_ZINV], phi[3]))
-    wvals["phi24"] = _wadd(_lop([_XINV], phi[2]), _lop([_ZINV], phi[4]))
-    wvals["phi35"] = _wadd(_lop([_XINV], phi[3]), _lop([_ZINV], phi[5]))
-    wvals["phi46"] = _wadd(_lop([_XINV], phi[4]), _lop([_ZINV], phi[6]))
-    wvals["phi14"] = _wadd(_lop([_YINV], phi[1]), _lop([_WINV], phi[4]),
-                           _wneg(_lop([_XINV], phi[4])))
-    wvals["phi25"] = _wadd(_lop([_YINV], phi[2]), _lop([_WINV], phi[5]),
-                           _lop([_XINV], phi[5]))
-    wvals["phi36"] = _wadd(_lop([_YINV], phi[3]), _lop([_WINV], phi[6]),
-                           _lop([_XINV], phi[6]))
-    wvals["phi135"] = _wadd(_lop([_WINV], phi[1]), _lop([_XINV, _XINV], phi[1]),
-                            _lop([_XINV, _ZINV], phi[3]),
-                            _lop([_ZINV, _ZINV], phi[5]))
-    wvals["phi246"] = _wadd(_lop([_WINV], phi[2]), _lop([_XINV, _XINV], phi[2]),
-                            _lop([_XINV, _ZINV], phi[4]),
-                            _lop([_ZINV, _ZINV], phi[6]))
+    wvals["phi13"] = phi[1].monomial_act(*_XINV) + phi[3].monomial_act(*_ZINV)
+    wvals["phi24"] = phi[2].monomial_act(*_XINV) + phi[4].monomial_act(*_ZINV)
+    wvals["phi35"] = phi[3].monomial_act(*_XINV) + phi[5].monomial_act(*_ZINV)
+    wvals["phi46"] = phi[4].monomial_act(*_XINV) + phi[6].monomial_act(*_ZINV)
+    wvals["phi14"] = (phi[1].monomial_act(*_YINV) + phi[4].monomial_act(*_WINV)
+                      - phi[4].monomial_act(*_XINV))
+    wvals["phi25"] = (phi[2].monomial_act(*_YINV) + phi[5].monomial_act(*_WINV)
+                      + phi[5].monomial_act(*_XINV))
+    wvals["phi36"] = (phi[3].monomial_act(*_YINV) + phi[6].monomial_act(*_WINV)
+                      + phi[6].monomial_act(*_XINV))
+    wvals["phi135"] = (phi[1].monomial_act(*_WINV)
+                       + phi[1].monomial_act(*_XINV).monomial_act(*_XINV)
+                       + phi[3].monomial_act(*_XINV).monomial_act(*_ZINV)
+                       + phi[5].monomial_act(*_ZINV).monomial_act(*_ZINV))
+    wvals["phi246"] = (phi[2].monomial_act(*_WINV)
+                       + phi[2].monomial_act(*_XINV).monomial_act(*_XINV)
+                       + phi[4].monomial_act(*_XINV).monomial_act(*_ZINV)
+                       + phi[6].monomial_act(*_ZINV).monomial_act(*_ZINV))
     mod = DHMModule(field)
     out = {}
     for name, wv in wvals.items():
@@ -408,7 +387,7 @@ def dhm_ext(max_i, field=QQ):
             for h in basis:
                 vals = {b: ChainElement(degree, {PrimeIndex.maximal(copy): v},
                                         field)
-                        for b, v in h.values.items()}
+                        for b, v in h.terms.items()}
                 cochains.append((_hom_coords(vals), _hom_coords(
                     {b: delta(chain) for b, chain in vals.items()})))
         dims.append(linalg.box_cohomology(cochains, images)[2])

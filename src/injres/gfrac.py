@@ -18,7 +18,7 @@ from .ring import (BivarPoly, LocalFraction, RationalFunction, QQ,
                    bivar_gcd, exact_divide, divides, f_adic_valuation,
                    normalize_monic, resultant_bezout, series_inverse_truncated,
                    truncate, DegenerateResultant)
-from .linalg import _axpy
+from .linalg import SparseVector
 
 
 class NotSystemOfParameters(Exception):
@@ -60,44 +60,11 @@ class GeneralizedFraction:
         return f"[{self.numerator!r} / {dens}]"
 
 
-class _CanonicalMap:
-    """Shared behaviour of finitely-supported coefficient maps."""
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        return type(self)(_axpy(dict(self.coeffs), other.coeffs))
-
-    def __neg__(self):
-        return type(self)({k: -c for k, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return type(self)({k: v * c for k, v in self.coeffs.items()})
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((type(self).__name__, frozenset(self.coeffs.items())))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c!r}*{k}" for k, c in sorted(self.coeffs.items()))
-
-
-class H2Canonical(_CanonicalMap):
+class H2Canonical(SparseVector):
     """Coefficients c_{ij} of sum c_{ij} [1 / Z^i, W^j], i,j >= 1."""
 
 
-class H4Canonical(_CanonicalMap):
+class H4Canonical(SparseVector):
     """Coefficients a_{ijkl} of sum a_{ijkl} [1 / Z^i, W^j, X^k, Y^l]."""
 
 
@@ -124,6 +91,9 @@ class H1Class:
     def is_zero(self):
         return self.g.is_zero()
 
+    def __bool__(self):
+        return not self.is_zero()
+
     def scale(self, num, den=None, fpow=0):
         """Multiply by (num/den) * f^fpow, den not divisible by f."""
         if den is None:
@@ -139,6 +109,10 @@ class H1Class:
 
     def __neg__(self):
         return H1Class(self.f, -self.g, self.h, self.s)
+
+    def __mul__(self, c):
+        """The multiple by a field element c."""
+        return self.scale(BivarPoly.const(c, self.f.field))
 
     def __sub__(self, other):
         return self + (-other)
@@ -315,12 +289,12 @@ def h2_canonical_fraction(can, field=QQ):
     amplifying every basis fraction to the common denominator (Z^I, W^J)."""
     zvar = BivarPoly.var("Z", field)
     wvar = BivarPoly.var("W", field)
-    if not can.coeffs:
+    if not can.terms:
         return GeneralizedFraction(BivarPoly.zero(field), [(zvar, 1), (wvar, 1)])
-    big_i = max(i for i, _ in can.coeffs)
-    big_j = max(j for _, j in can.coeffs)
+    big_i = max(i for i, _ in can.terms)
+    big_j = max(j for _, j in can.terms)
     num = BivarPoly.zero(field)
-    for (i, j), c in can.coeffs.items():
+    for (i, j), c in can.terms.items():
         num = num + BivarPoly.mono((big_i - i, big_j - j), c, field)
     return GeneralizedFraction(num, [(zvar, big_i), (wvar, big_j)])
 
@@ -330,4 +304,4 @@ def h4_reduce(num, zw_denoms, x_exp, y_exp):
     fixed X and Y indices."""
     assert x_exp >= 1 and y_exp >= 1
     h2 = reduce_h2(num, zw_denoms[0], zw_denoms[1])
-    return H4Canonical({(a, b, x_exp, y_exp): c for (a, b), c in h2.coeffs.items()})
+    return H4Canonical({(a, b, x_exp, y_exp): c for (a, b), c in h2.terms.items()})

@@ -1,28 +1,31 @@
 """Canonical models of the injective hulls occurring in the resolution.
 
-Five shapes of hull element:
+Five shapes of hull element, each a linalg.SparseVector whose keys start
+with the grade n:
 
-  E0Element    sums  sum_n Omega^n_0(phi_n),  phi_n in k(Z,W)
+  E0Element    sums  sum_n Omega^n_0(phi_n),  phi_n in k(Z,W); keys n
   EZElement    sums  sum_n Omega^n_Z(phi_n),  phi_n stored as a truncated
-               Z-adic expansion  {m <= n: c_m in k(W)}
+               Z-adic expansion sum_{m <= n} c_m Z^m, c_m in k(W); flat
+               keys (n, m)
   EWElement    the mirror image (W-adic, coefficients in k(Z))
   EfElement    sums  sum_n Omega^n_f(phi_n),  phi_n an H1Class at the
-               irreducible f (f not associate to Z or W)
+               irreducible f (f not associate to Z or W); keys n
   EZWElement   finitely many coordinates (n, s, t) -> k on the basis
                Omega^n(Z^s W^t), subject to n >= max(0, s, t, s+t)
 
 The A = k[X,Y,Z,W]/(XW-YZ)-action is monomial-generated: Z and W multiply
 the argument, X sends Omega^n(phi) to Omega^{n-1}(phi/W), Y to
 Omega^{n-1}(phi/Z); on EZW coordinates X^a Y^b Z^c W^d moves (n,s,t) to
-(n-a-b, s+c-b, t+d-a).  Laurent division operators extend the same index
-arithmetic to negative powers without being inverse to multiplication.
+(n-a-b, s+c-b, t+d-a).  Laurent division operators (monomial_act with
+negative exponents) extend the same index arithmetic to negative powers
+without being inverse to multiplication.
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ, adic_expand,
                    exact_divide, f_adic_valuation, normalize_monic,
                    series_inverse_truncated, truncate)
 from .gfrac import H1Class, H2Canonical, H4Canonical, BadDenominator
-from .linalg import _axpy
+from .linalg import SparseVector, _axpy
 
 
 class BadLocus(Exception):
@@ -33,127 +36,77 @@ class NotInEZW(Exception):
     pass
 
 
-class HullElement:
-    """Common behaviour: exact linear structure over the coefficient field."""
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-
-class E0Element(HullElement):
+class E0Element(SparseVector):
     """sum_n Omega^n_0(phi_n).  Optionally carries the set of irreducible
     factors of the phi_n denominators (needed for d0 support discovery)."""
 
-    def __init__(self, parts, field=QQ, factors=None):
+    def __init__(self, terms, field=QQ, factors=None):
+        super().__init__(terms)
         self.field = field
-        self.parts = {n: p for n, p in parts.items() if not p.is_zero()}
         self.factors = None if factors is None else frozenset(factors)
 
     @classmethod
     def zero(cls, field=QQ):
         return cls({}, field, factors=frozenset())
 
-    def is_zero(self):
-        return not self.parts
-
-    def _merge_factors(self, other):
-        if self.factors is None or other.factors is None:
-            return None
-        return self.factors | other.factors
+    @staticmethod
+    def grade(n):
+        return n
 
     def __add__(self, other):
-        return E0Element(_axpy(dict(self.parts), other.parts), self.field,
-                         self._merge_factors(other))
-
-    def __neg__(self):
-        return E0Element({n: -p for n, p in self.parts.items()},
-                         self.field, self.factors)
-
-    def scale(self, c):
-        return E0Element({n: p * c for n, p in self.parts.items()},
-                         self.field, self.factors)
+        factors = None if self.factors is None or other.factors is None \
+            else self.factors | other.factors
+        return E0Element(_axpy(dict(self.terms), other.terms), self.field,
+                         factors)
 
     def mul_arg(self, rf, extra_factors=()):
         """Multiply every argument by a rational function."""
         f = None if self.factors is None else self.factors | frozenset(extra_factors)
-        return E0Element({n: p * rf for n, p in self.parts.items()}, self.field, f)
+        return E0Element({n: p * rf for n, p in self.terms.items()}, self.field, f)
 
     def monomial_act(self, a, b, c, d):
         # n -> n - a - b is injective, so no two parts land on one index
         mono = RationalFunction.monomial(c - b, d - a, self.field)
-        parts = {n - a - b: phi * mono for n, phi in self.parts.items()
-                 if n >= a + b}
-        return E0Element(parts, self.field, self.factors)
-
-    def __eq__(self, other):
-        if not isinstance(other, E0Element):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"Omega[0; {n}]({p!r})" for n, p in sorted(self.parts.items()))
+        return self._like({n - a - b: phi * mono
+                           for n, phi in self.terms.items() if n >= a + b})
 
 
-class _AxisElement(HullElement):
-    """Shared core of EZElement and EWElement.  parts: n -> {m: coefficient},
-    coefficients univariate rational in the other variable, m <= n."""
+class _AxisElement(SparseVector):
+    """Shared core of EZElement and EWElement.  terms: (n, m) -> coefficient
+    of Z^m (or W^m) in the expansion of the argument of Omega^n, univariate
+    rational in the other variable, m <= n."""
 
     AXIS = None  # "Z" or "W"
 
-    def __init__(self, parts, field=QQ):
+    def __init__(self, terms, field=QQ):
+        super().__init__({(n, m): c for (n, m), c in terms.items() if m <= n})
         self.field = field
-        clean = {}
-        for n, cm in parts.items():
-            keep = {m: c for m, c in cm.items() if m <= n and not c.is_zero()}
-            if keep:
-                clean[n] = keep
-        self.parts = clean
-
-    @classmethod
-    def zero(cls, field=QQ):
-        return cls({}, field)
 
     @classmethod
     def from_argument(cls, n, phi, field=QQ):
         """Omega^n_axis(phi): truncated adic expansion of the argument."""
         if isinstance(phi, BivarPoly):
             phi = RationalFunction(phi, reduce=False)
-        return cls({n: adic_expand(phi, cls.AXIS, n)}, field)
+        return cls({(n, m): c for m, c in adic_expand(phi, cls.AXIS, n).items()},
+                   field)
 
-    def is_zero(self):
-        return not self.parts
-
-    def __add__(self, other):
-        parts = {n: dict(cm) for n, cm in self.parts.items()}
-        for n, cm in other.parts.items():
-            _axpy(parts.setdefault(n, {}), cm)
-        return type(self)(parts, self.field)
-
-    def __neg__(self):
-        return type(self)({n: {m: -c for m, c in cm.items()}
-                           for n, cm in self.parts.items()}, self.field)
-
-    def scale(self, c):
-        return type(self)({n: {m: v * c for m, v in cm.items()}
-                           for n, cm in self.parts.items()}, self.field)
+    @staticmethod
+    def grade(key):
+        return key[0]
 
     def representative(self, n):
         """The stored truncation of part n as a rational function."""
         acc = RationalFunction.const(0, self.field)
-        for m, c in self.parts.get(n, {}).items():
-            e = (m, 0) if self.AXIS == "Z" else (0, m)
-            acc = acc + c * RationalFunction.monomial(*e, self.field)
+        for (k, m), c in self.terms.items():
+            if k == n:
+                e = (m, 0) if self.AXIS == "Z" else (0, m)
+                acc = acc + c * RationalFunction.monomial(*e, self.field)
         return acc
 
     def mul_arg(self, rf):
         """Multiply every argument by a rational function and re-expand."""
-        out = type(self).zero(self.field)
-        for n in self.parts:
+        out = self._like({})
+        for n in dict.fromkeys(n for n, _ in self.terms):
             out = out + type(self).from_argument(n, self.representative(n) * rf,
                                                  self.field)
         return out
@@ -168,27 +121,10 @@ class _AxisElement(HullElement):
         else:
             shift = d - a
             mono = RationalFunction.monomial(c - b, 0, self.field)
-        out = {}
-        for n, cm in self.parts.items():
-            k = n - a - b
-            if k >= 0:
-                out[k] = {m + shift: v * mono for m, v in cm.items()
-                          if m + shift <= k}
-        return type(self)(out, self.field)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        bits = []
-        for n, cm in sorted(self.parts.items()):
-            inner = " + ".join(f"({c!r})*{self.AXIS}^{m}" for m, c in sorted(cm.items()))
-            bits.append(f"Omega[{self.AXIS}; {n}]({inner})")
-        return " + ".join(bits)
+        k = a + b
+        return self._like({(n - k, m + shift): v * mono
+                           for (n, m), v in self.terms.items()
+                           if n >= k and m + shift <= n - k})
 
 
 class EZElement(_AxisElement):
@@ -199,17 +135,13 @@ class EWElement(_AxisElement):
     AXIS = "W"
 
 
-class EfElement(HullElement):
+class EfElement(SparseVector):
     """sum_n Omega^n_f(phi_n) at an irreducible f with Z, W not in (f)."""
 
-    def __init__(self, f, parts, field=QQ):
+    def __init__(self, f, terms, field=QQ):
+        super().__init__(terms)
         self.f = normalize_monic(f)
         self.field = field
-        self.parts = {n: p for n, p in parts.items() if not p.is_zero()}
-
-    @classmethod
-    def zero(cls, f, field=QQ):
-        return cls(f, {}, field)
 
     @classmethod
     def from_argument(cls, f, n, phi, field=QQ):
@@ -220,108 +152,61 @@ class EfElement(HullElement):
         h = exact_divide(phi.den, f ** s) if s else phi.den
         return cls(f, {n: H1Class(f, phi.num, h, s)}, field)
 
-    def is_zero(self):
-        return not self.parts
+    @staticmethod
+    def grade(n):
+        return n
 
     def _check(self, other):
         if self.f != other.f:
             raise BadLocus("elements at different primes")
-
-    def __add__(self, other):
-        self._check(other)
-        return EfElement(self.f, _axpy(dict(self.parts), other.parts),
-                         self.field)
-
-    def __neg__(self):
-        return EfElement(self.f, {n: -p for n, p in self.parts.items()}, self.field)
-
-    def scale(self, c):
-        one = BivarPoly.const(1, self.field)
-        return EfElement(self.f, {n: p.scale(one * c) for n, p in self.parts.items()},
-                         self.field)
 
     def mul_arg(self, rf):
         num, den = rf.num, rf.den
         v = f_adic_valuation(den, self.f)
         if v:
             den = exact_divide(den, self.f ** v)
-        return EfElement(self.f,
-                         {n: p.scale(num, den, -v) for n, p in self.parts.items()},
-                         self.field)
+        return self._like({n: p.scale(num, den, -v)
+                           for n, p in self.terms.items()})
 
     def monomial_act(self, a, b, c, d):
         # n -> n - a - b is injective, so no two parts land on one index
         num = BivarPoly.mono((c, d), 1, self.field)
         den = BivarPoly.mono((b, a), 1, self.field)  # /W^a /Z^b
-        return EfElement(self.f, {n - a - b: p.scale(num, den)
-                                  for n, p in self.parts.items()
-                                  if n >= a + b}, self.field)
-
-    def __eq__(self, other):
-        if not isinstance(other, EfElement):
-            return NotImplemented
-        self._check(other)
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"Omega[{self.f!r}; {n}]({p!r})"
-                          for n, p in sorted(self.parts.items()))
+        return self._like({n - a - b: p.scale(num, den)
+                           for n, p in self.terms.items() if n >= a + b})
 
 
 def _valid_index(n, s, t):
     return n >= max(0, s, t, s + t)
 
 
-class EZWElement(HullElement):
+class EZWElement(SparseVector):
     """Coordinates on the basis Omega^n(Z^s W^t), n >= max(0, s, t, s+t)."""
 
-    def __init__(self, coeffs=None, field=QQ):
+    def __init__(self, terms=None, field=QQ):
+        for key in terms or {}:
+            if not _valid_index(*key):
+                raise NotInEZW(f"illegal index {key}")
+        super().__init__(terms)
         self.field = field
-        self.coeffs = {}
-        for (n, s, t), c in (coeffs or {}).items():
-            if not _valid_index(n, s, t):
-                raise NotInEZW(f"illegal index {(n, s, t)}")
-            if c:
-                self.coeffs[(n, s, t)] = c
 
     @classmethod
     def zero(cls, field=QQ):
         return cls({}, field)
 
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        return EZWElement(_axpy(dict(self.coeffs), other.coeffs), self.field)
-
-    def __neg__(self):
-        return EZWElement({k: -v for k, v in self.coeffs.items()}, self.field)
-
-    def scale(self, c):
-        return EZWElement({k: v * c for k, v in self.coeffs.items()}, self.field)
+    @staticmethod
+    def grade(key):
+        return key[0]
 
     def monomial_act(self, a, b, c, d):
         """Move Omega^n(Z^s W^t) to Omega^{n-a-b}(Z^{s+c-b} W^{t+d-a}),
         dropping invalid indices; any signs.  The index map is injective."""
         out = {}
-        for (n, s, t), v in self.coeffs.items():
+        for (n, s, t), v in self.terms.items():
             k = (n - a - b, s + c - b, t + d - a)
             if _valid_index(*k):
                 out[k] = v
-        return EZWElement(out, self.field)
-
-    def __eq__(self, other):
-        if not isinstance(other, EZWElement):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        return " + ".join(f"{v!r}*Omega^{n}(Z^{s} W^{t})"
-                          for (n, s, t), v in sorted(self.coeffs.items()))
+        return self._like(out)
 
 
 def omega_zw(n, s, t, field=QQ, c=1):
@@ -342,7 +227,7 @@ def omega(prime, n, argument, field=QQ, factors=None):
     if isinstance(prime, str) and prime == "ZW":
         if isinstance(argument, H2Canonical):
             out = EZWElement.zero(field)
-            for (u, v), c in argument.coeffs.items():
+            for (u, v), c in argument.terms.items():
                 out = out + omega_zw(n, -u, -v, field, c)
             return out
         u, v = argument
@@ -380,12 +265,9 @@ def act(r, e):
         r = r.to_quad()
     if not isinstance(r, QuadPoly):
         r = QuadPoly.const(e.field.of(r), e.field)
-    out = None
+    out = e._like({})
     for (a, b, c, d), coef in r.terms.items():
-        term = e.monomial_act(a, b, c, d).scale(coef)
-        out = term if out is None else out + term
-    if out is None:
-        return _zero_like(e)
+        out = out + e.monomial_act(a, b, c, d).scale(coef)
     return out
 
 
@@ -401,40 +283,15 @@ def act_series(phi, e):
         raise BadLocus("denominator vanishes at the origin")
     if e.is_zero() or num.is_zero():
         return EZWElement.zero(e.field)
-    bound = max(n - s - t for (n, s, t) in e.coeffs) + 1
+    bound = max(n - s - t for (n, s, t) in e.terms) + 1
     series = truncate(num * series_inverse_truncated(den, bound, bound),
                       bound, bound)
     return act(series, e)
 
 
-def _zero_like(e):
-    if isinstance(e, E0Element):
-        return E0Element.zero(e.field)
-    if isinstance(e, _AxisElement):
-        return type(e).zero(e.field)
-    if isinstance(e, EfElement):
-        return EfElement.zero(e.f, e.field)
-    return EZWElement.zero(e.field)
-
-
-def laurent_op(i, j, k, l, e):
-    """The operator X^i Y^j Z^k W^l on EZW coordinates, any signs:
-    Omega^n(Z^s W^t) -> Omega^{n-i-j}(Z^{s+k-j} W^{t+l-i}), zero where
-    invalid.  Not inverse to multiplication."""
-    assert isinstance(e, EZWElement)
-    return e.monomial_act(i, j, k, l)
-
-
 def socle_project(e):
     """The n = 0 graded part."""
-    if isinstance(e, E0Element):
-        return E0Element({n: p for n, p in e.parts.items() if n == 0},
-                         e.field, e.factors)
-    if isinstance(e, _AxisElement):
-        return type(e)({n: cm for n, cm in e.parts.items() if n == 0}, e.field)
-    if isinstance(e, EfElement):
-        return EfElement(e.f, {n: p for n, p in e.parts.items() if n == 0}, e.field)
-    return EZWElement({k: v for k, v in e.coeffs.items() if k[0] == 0}, e.field)
+    return e._like({k: v for k, v in e.terms.items() if e.grade(k) == 0})
 
 
 def is_socle(e):
@@ -457,7 +314,7 @@ def _expand_basis(n, s, t):
 
 def ezw_to_h4(e):
     out = {}
-    for (n, s, t), v in e.coeffs.items():
+    for (n, s, t), v in e.terms.items():
         _axpy(out, dict.fromkeys(_expand_basis(n, s, t), v))
     return H4Canonical(out)
 
@@ -466,13 +323,13 @@ def h4_to_ezw(c, field=QQ):
     """Invert ezw_to_h4; raises NotInEZW when c is not in the image."""
     zero = field.zero
     # relation check a_{i(j+1)(k+1)l} = a_{(i+1)jk(l+1)}
-    for (i, j, k, l), v in c.coeffs.items():
+    for (i, j, k, l), v in c.terms.items():
         if j >= 2 and k >= 2:
-            w = c.coeffs.get((i + 1, j - 1, k - 1, l + 1), zero)
+            w = c.terms.get((i + 1, j - 1, k - 1, l + 1), zero)
             if v != w:
                 raise NotInEZW("coefficient relation fails")
     cands = {}
-    for (i, j, k, l), v in c.coeffs.items():
+    for (i, j, k, l), v in c.terms.items():
         if k == 1:
             # family t <= 0, witness at i_w = 0
             n, s, t = l - 1, l - i, 1 - j
@@ -501,8 +358,7 @@ def ez_to_h3(e):
     denoting sum phi * [1/Z^zi, (XW)^j, Y^k].  Equality of EZElements must
     agree with equality of these coordinate maps."""
     out = {}
-    for n, cm in e.parts.items():
-        for m, c in cm.items():
-            _axpy(out, {(n + 1 - i - m, i + 1, n + 1 - i): c
-                        for i in range(min(n, n - m) + 1)})
+    for (n, m), c in e.terms.items():
+        _axpy(out, {(n + 1 - i - m, i + 1, n + 1 - i): c
+                    for i in range(min(n, n - m) + 1)})
     return out

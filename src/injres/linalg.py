@@ -1,8 +1,13 @@
-"""Exact linear algebra over the coefficient field on sparse dict-vectors.
+"""Sparse vectors and exact linear algebra over the coefficient field.
 
-Vectors are dicts mapping hashable, mutually comparable coordinate keys to
-nonzero field elements.  Used for kernel/image computations on truncated
-coordinate boxes of hull elements.
+SparseVector is the one sparse-vector type: every element of a hull, of a
+term of the resolution, of Hom(M, E(Z,W)) and every canonical H^2/H^4
+coefficient map is a finite sum of basis classes stored as a terms dict,
+and shares its +, -, scale and == with the others.
+
+The row reduction below works on plain dicts mapping hashable, mutually
+comparable coordinate keys to nonzero field elements.  Used for
+kernel/image computations on truncated coordinate boxes of hull elements.
 """
 
 
@@ -24,6 +29,70 @@ def _axpy(out, vec, c=None):
         else:
             out.pop(k, None)
     return out
+
+
+class Apart(Exception):
+    """Raised by SparseVector._check when two vectors lie in different
+    spaces of one kind: they compare unequal, and adding them raises."""
+
+
+class SparseVector:
+    """A finite sum of basis classes: terms maps a key to a nonzero value.
+
+    Values support +, unary -, * c for a field element c, and truth.  A
+    subclass keeps any state beside its terms (a field, a prime, a degree)
+    as attributes, which _like carries over, and refuses an element with
+    other state in _check.
+    """
+
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
+
+    def _like(self, terms):
+        """A vector with the state of self and the given terms.  The
+        subclass constructor is not run, so the keys must already satisfy
+        its invariants (legal slots, valid indices)."""
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out.terms = {k: v for k, v in terms.items() if v}
+        return out
+
+    def _check(self, other):
+        """Raise when other has state that self cannot be combined with."""
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(_axpy(dict(self.terms), other.terms))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    __mul__ = scale
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        try:
+            self._check(other)
+        except Apart:
+            return False
+        return self.terms == other.terms
+
+    def __repr__(self):
+        body = ", ".join(f"{k!r}: {v!r}" for k, v in sorted(self.terms.items()))
+        return f"{type(self).__name__}({{{body}}})"
 
 
 class Reducer:

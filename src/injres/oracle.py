@@ -18,7 +18,7 @@ Membership in the localization at the origin is decided two ways:
   that are not primary to the origin.
 """
 
-from .ring import BivarPoly, QuadPoly, LocalFraction, bivar_gcd
+from .ring import BivarPoly, QuadPoly, bivar_gcd
 from .linalg import _axpy
 
 
@@ -118,13 +118,6 @@ def local_membership(target, gens, bound=None, allow_unit=True):
     return span.contains(dict(target.terms))
 
 
-def _num_unit(fr):
-    n = fr.numerator
-    if isinstance(n, LocalFraction):
-        return n.num, n.den
-    return n, type(n).const(1, n.field)
-
-
 def cech_equal(a, b, bound=None, max_s=3):
     """Decide equality of two generalized fractions via the Cech presentation.
 
@@ -142,7 +135,7 @@ def cech_equal(a, b, bound=None, max_s=3):
     raise ValueError("unsupported denominator count")
 
 
-def _zero_adjust(fr, nslots):
+def _zero_adjust(fr):
     """Replace non-positive exponents: the fraction is zero; normalize to a
     zero numerator over harmless denominators."""
     if fr.trivially_zero():
@@ -154,10 +147,10 @@ def _zero_adjust(fr, nslots):
 
 
 def _cech_equal_h2(a, b, bound, max_s):
-    a, b = _zero_adjust(a, 2), _zero_adjust(b, 2)
+    a, b = _zero_adjust(a), _zero_adjust(b)
     (ga1, ea1), (ga2, ea2) = a.denominators
-    na, ua = _num_unit(a)
-    nb, ub = _num_unit(b)
+    na, ua = a.num_den()
+    nb, ub = b.num_den()
 
     def difference(bden):
         (gb1, eb1), (gb2, eb2) = bden
@@ -187,7 +180,7 @@ def _cech_equal_h2(a, b, bound, max_s):
 
 
 def _cech_equal_h4(a, b, bound, max_s):
-    a, b = _zero_adjust(a, 4), _zero_adjust(b, 4)
+    a, b = _zero_adjust(a), _zero_adjust(b)
 
     def unpack(fr):
         (g1, e1), (g2, e2), (x, ex), (y, ey) = fr.denominators
@@ -195,7 +188,7 @@ def _cech_equal_h4(a, b, bound, max_s):
             if not (len(base.terms) == 1 and base.degree_in(name) == 1
                     and base.total_degree() == 1):
                 raise ValueError("slots 3 and 4 must be X and Y")
-        n, u = _num_unit(fr)
+        n, u = fr.num_den()
         return n, u, g1 ** e1, g2 ** e2, ex, ey
 
     na, ua, A1, A2, xa, ya = unpack(a)

@@ -17,12 +17,12 @@ pi0, pi11, pi12 which precompose with argument multiplications.
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
                    normalize_monic, resultant_bezout)
 from .gfrac import H4Canonical, H1Class, reduce_h2, lemma_onto_rewrite
-from .hulls import (E0Element, EZElement, EWElement, EfElement, EZWElement,
-                    act, act_series, omega, omega_zw, h4_to_ezw, BadLocus)
-from .linalg import _axpy
+from .hulls import (E0Element, EfElement, EZWElement, act, act_series, omega,
+                    omega_zw, h4_to_ezw, BadLocus)
+from .linalg import Apart, SparseVector
 
 
-class DegreeMismatch(Exception):
+class DegreeMismatch(Apart):
     pass
 
 
@@ -101,63 +101,31 @@ def max_copies(degree):
     return 1 if degree <= 2 else 2
 
 
-class ChainElement:
+class ChainElement(SparseVector):
     """An element of the degree-n term: finitely many nonzero slots."""
 
-    def __init__(self, degree, components=None, field=QQ):
+    def __init__(self, degree, terms=None, field=QQ):
         assert degree >= 0
-        self.degree = degree
-        self.field = field
-        self.components = {}
-        for idx, el in (components or {}).items():
+        for idx in terms or {}:
             if idx.kind not in legal_kinds(degree):
                 raise DegreeMismatch(f"slot {idx!r} illegal in degree {degree}")
             if idx.kind == "max" and idx.copy >= max_copies(degree):
                 raise DegreeMismatch(f"degree {degree} has "
                                      f"{max_copies(degree)} maximal slot(s)")
-            if not el.is_zero():
-                self.components[idx] = el
+        super().__init__(terms)
+        self.degree = degree
+        self.field = field
 
     @classmethod
     def zero(cls, degree, field=QQ):
         return cls(degree, {}, field)
 
-    def is_zero(self):
-        return not self.components
-
     def component(self, idx):
-        return self.components.get(idx)
+        return self.terms.get(idx)
 
-    def __add__(self, other):
+    def _check(self, other):
         if self.degree != other.degree:
-            raise DegreeMismatch("cannot add across degrees")
-        return ChainElement(self.degree,
-                            _axpy(dict(self.components), other.components),
-                            self.field)
-
-    def __neg__(self):
-        return ChainElement(self.degree,
-                            {i: -e for i, e in self.components.items()}, self.field)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        return ChainElement(self.degree,
-                            {i: e.scale(c) for i, e in self.components.items()},
-                            self.field)
-
-    def __eq__(self, other):
-        if not isinstance(other, ChainElement) or self.degree != other.degree:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"0 (degree {self.degree})"
-        bits = [f"{i!r}: {e!r}" for i, e in sorted(self.components.items(),
-                                                   key=lambda kv: kv[0])]
-        return "{" + ", ".join(bits) + f"}} (degree {self.degree})"
+            raise DegreeMismatch("cannot combine chains across degrees")
 
 
 def _support_primes(e0):
@@ -182,17 +150,12 @@ def _support_primes(e0):
 def _map_parts(e0, prime, shift_rf=None):
     """Apply Omega at the given prime to every argument of an E0Element,
     optionally multiplying arguments by shift_rf first."""
-    out = None
-    for n, phi in e0.parts.items():
+    out = omega(prime, 0, BivarPoly.zero(e0.field), e0.field)
+    for n, phi in e0.terms.items():
         if shift_rf is not None:
             phi = phi * shift_rf
-        term = omega(prime, n, phi, e0.field)
-        out = term if out is None else out + term
-    if out is not None:
-        return out
-    if isinstance(prime, BivarPoly):
-        return EfElement.zero(prime, e0.field)
-    return {"Z": EZElement, "W": EWElement}[prime].zero(e0.field)
+        out = out + omega(prime, n, phi, e0.field)
+    return out
 
 
 def d0(e0):
@@ -210,16 +173,15 @@ def _d1_axis(el, axis):
     """d1 on E(Z) (axis="Z", sign -1) or E(W) (axis="W", sign +1)."""
     field = el.field
     out = EZWElement.zero(field)
-    for n, cm in el.parts.items():
-        for m, c in cm.items():
-            # c is univariate in the off-axis variable: split off its pole
-            other = "W" if axis == "Z" else "Z"
-            w = max(c.den.order_in(other), 0)
-            h0 = c.den.shift((0, -w) if axis == "Z" else (-w, 0))
-            base = omega_zw(n, m, -w, field) if axis == "Z" \
-                else omega_zw(n, -w, m, field)
-            term = act_series(LocalFraction(c.num, h0), base)
-            out = out + (-term if axis == "Z" else term)
+    for (n, m), c in el.terms.items():
+        # c is univariate in the off-axis variable: split off its pole
+        other = "W" if axis == "Z" else "Z"
+        w = max(c.den.order_in(other), 0)
+        h0 = c.den.shift((0, -w) if axis == "Z" else (-w, 0))
+        base = omega_zw(n, m, -w, field) if axis == "Z" \
+            else omega_zw(n, -w, m, field)
+        term = act_series(LocalFraction(c.num, h0), base)
+        out = out + (-term if axis == "Z" else term)
     return out
 
 
@@ -230,15 +192,13 @@ def _d1_irr(el):
     Z = BivarPoly.var("Z", field)
     W = BivarPoly.var("W", field)
     h4 = H4Canonical()
-    for n, cls in el.parts.items():
-        if cls.is_zero():
-            continue
+    for n, cls in el.terms.items():
         g, h, f, s = cls.g, cls.h, cls.f, cls.s
         for i in range(n + 1):
             d1base = h * W ** (i + 1) * Z ** (n + 1 - i)
             h2 = reduce_h2(g, (d1base, 1), (f, s))
             h4 = h4 + H4Canonical({(zi, wj, i + 1, n + 1 - i): c
-                                   for (zi, wj), c in h2.coeffs.items()})
+                                   for (zi, wj), c in h2.terms.items()})
     return h4_to_ezw(h4, field)
 
 
@@ -310,29 +270,27 @@ def delta(chain):
     n = chain.degree
     if n == 0:
         psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
-        out = d0(psi0) if not psi0.is_zero() else ChainElement.zero(1, field)
         zw = act(QuadPoly.mono((1, 0, 0, 1), 1, field), psi0)
-        return out + ChainElement(1, {PrimeIndex.zero(): zw}, field)
+        return d0(psi0) + ChainElement(1, {PrimeIndex.zero(): zw}, field)
     if n == 1:
         psi0 = chain.component(PrimeIndex.zero())
         comps = {}
         mx = EZWElement.zero(field)
-        for idx, el in chain.components.items():
+        for idx, el in chain.terms.items():
             if idx.kind == "zero":
                 continue
             mx = mx + d1_f(idx, el)
-            neg = act(_f_triangle(idx, field), el)
-            comps[idx] = comps[idx] + (-neg) if idx in comps else -neg
+            comps[idx] = -act(_f_triangle(idx, field), el)
         out = ChainElement(2, comps, field) + \
             ChainElement(2, {PrimeIndex.maximal(0): mx}, field)
-        if psi0 is not None and not psi0.is_zero():
+        if psi0 is not None:
             out = out + pi0(psi0)
         return out
     if n == 2:
         psi_m = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
         top = act(QuadPoly.var("X", field), psi_m)
         bot = act(QuadPoly.var("Y", field), psi_m)
-        for idx, el in chain.components.items():
+        for idx, el in chain.terms.items():
             if idx.kind == "max":
                 continue
             p11, p12 = pi11_pi12(idx, el)
@@ -419,14 +377,14 @@ def d0_preimage(chain):
     phi = RationalFunction.const(0, field)
     factors = set()
     rem = chain
-    for idx in sorted(chain.components):
+    for idx in sorted(chain.terms):
         if idx.kind != "irr":
             continue
         el = rem.component(idx)
         if el is None:
             continue
         piece = RationalFunction.const(0, field)
-        for n, cls in el.parts.items():
+        for n, cls in el.terms.items():
             if n != 0:
                 raise ValueError("not a socle element")
             piece = piece + _f_pure_rep(cls)

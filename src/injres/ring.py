@@ -7,6 +7,7 @@ F_p for an odd prime p.  Characteristic 2 is rejected because derived test
 vectors divide by 2.
 """
 
+import re
 from fractions import Fraction
 
 from .linalg import _axpy
@@ -661,9 +662,6 @@ def resultant_bezout(u, v, eliminate):
 
 def truncate(p, boundZ, boundW):
     """Drop monomials with Z-degree >= boundZ or W-degree >= boundW."""
-    if isinstance(p, QuadPoly):
-        return QuadPoly({k: c for k, c in p.terms.items()
-                         if k[2] < boundZ and k[3] < boundW}, p.field)
     return BivarPoly({k: c for k, c in p.terms.items()
                       if k[0] < boundZ and k[1] < boundW}, p.field)
 
@@ -850,38 +848,62 @@ def format_poly(p):
     return "".join(parts)
 
 
-def parse_poly(text, cls=BivarPoly, field=QQ):
-    """Parse the term grammar c*X^a*Y^b*Z^c*W^d (+/- separated)."""
-    import re
+def split_top(text, seps):
+    """Split text at the characters of seps that lie outside parentheses.
+    Returns (separator, piece) pairs; the first separator is ''."""
+    out, depth, sep, start = [], 0, "", 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch in seps and depth == 0:
+            out.append((sep, text[start:i]))
+            sep, start = ch, i + 1
+    out.append((sep, text[start:]))
+    return out
 
+
+def split_power(text):
+    """(inner, k) when text is one parenthesised group '(inner)' or
+    '(inner)^k' (k = 1 when no power is written); None otherwise."""
+    if not text.startswith("("):
+        return None
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if not depth:
+            break
+    m = re.fullmatch(r"\s*(?:\^\s*(\d+))?", text[i + 1:])
+    if depth or not m:
+        return None
+    return text[1:i], int(m.group(1) or 1)
+
+
+def parse_poly(text, cls=BivarPoly, field=QQ):
+    """Parse a polynomial: terms separated by + and -, each a product of
+    factors joined by *.  A factor is a coefficient (an integer, a decimal
+    or a/b), a variable with an optional power such as Z^3, or a
+    parenthesised polynomial with an optional power such as (Z+W)^2."""
     text = text.replace("−", "-").strip()
     if text in ("0", ""):
         return cls.zero(field)
-    tokens = re.findall(r"[+-]|[^+-]+", text)
     sign = 1
     result = cls.zero(field)
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i].strip()
-        if tok == "+":
-            i += 1
-            continue
-        if tok == "-":
+    for sep, term in split_top(text, "+-"):
+        if sep == "-":
             sign = -sign
-            i += 1
+        term = term.strip()
+        if not term:
             continue
         coeff = Fraction(1)
         exps = [0] * len(cls.VARS)
-        j = 0
-        factors = tok.split("*")
-        # a trailing '/' (rational coefficient split across '-'? not possible) --
-        for fac in factors:
+        groups = []
+        for _, fac in split_top(term, "*"):
             fac = fac.strip()
             if not fac:
-                raise ValueError(f"bad term {tok!r}")
-            if fac[0].isdigit() or fac[0] == ".":
-                coeff *= Fraction(fac)
-            elif "/" in fac:
+                raise ValueError(f"bad term {term!r}")
+            group = split_power(fac)
+            if group:
+                groups.append(group)
+            elif fac[0].isdigit() or fac[0] == "." or "/" in fac:
                 coeff *= Fraction(fac)
             else:
                 m = re.fullmatch(r"([A-Za-z])(?:\^(\d+))?", fac)
@@ -891,8 +913,9 @@ def parse_poly(text, cls=BivarPoly, field=QQ):
                 if name not in cls.VARS:
                     raise ValueError(f"unknown variable {name!r}")
                 exps[cls.VARS.index(name)] += e
-            j += 1
-        result = result + cls.mono(tuple(exps), field.of(coeff * sign), field)
+        prod = cls.mono(tuple(exps), field.of(coeff * sign), field)
+        for inner, k in groups:
+            prod = prod * parse_poly(inner, cls, field) ** k
+        result = result + prod
         sign = 1
-        i += 1
     return result

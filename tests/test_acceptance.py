@@ -86,9 +86,9 @@ def test_criterion_05_yoneda_product_table():
 def test_criterion_06_presentation_relations_at_the_cochain_level():
     e2 = yoneda_rep(2)
     z_e2 = ChainElement(2, {idx: act(P("Z").to_quad(), el)
-                            for idx, el in e2.components.items()}, QQ)
+                            for idx, el in e2.terms.items()}, QQ)
     w_e2 = ChainElement(2, {idx: act(P("W").to_quad(), el)
-                            for idx, el in e2.components.items()}, QQ)
+                            for idx, el in e2.terms.items()}, QQ)
     coboundary = pi0(omega("0", 0, RationalFunction(P("Z^2*W"), P("1"),
                                                     reduce=False),
                            factors=frozenset()))

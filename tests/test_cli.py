@@ -42,6 +42,16 @@ def test_reduce_four_denominators():
     assert "(2, 1, 3, 2): 1" in out
 
 
+def test_reduce_reads_parenthesised_powers():
+    code, paren = run(["reduce", "[(Z+W)^2*Z / Z^3, (W)^2]"])
+    assert code == 0, paren
+    code, plain = run(["reduce", "[Z^3+2*Z^2*W+Z*W^2 / Z^3, W^2]"])
+    assert code == 0, plain
+    canonical = [line for line in paren.splitlines() if "canonical" in line]
+    assert canonical and canonical == [line for line in plain.splitlines()
+                                       if "canonical" in line]
+
+
 def test_gfrac_grammar():
     num, dens = parse_gfrac("[1 / Z^1, W-3*Z^1]")
     assert num == P("1")
@@ -102,10 +112,11 @@ def test_bad_input_is_a_usage_error(argv):
     (["--trunc", "0", "lc", "--ideal", "Z+W"], "Z + W"),
     (["--field", "7", "--trunc", "1", "lc", "--ideal", "W-Z^2"],
      "6*Z^2 + W"),
-], ids=["lc-power", "lc-cube", "lc-trunc-0", "lc-trunc-1"])
+    (["lc", "--ideal", "(Z+W)^3"], "Z + W"),
+], ids=["lc-power", "lc-cube", "lc-trunc-0", "lc-trunc-1", "lc-paren-cube"])
 def test_lc_answers_at_the_radical(argv, prime):
-    # (Z+W)^3 is written out: the polynomial grammar has no parentheses;
-    # at --trunc 0 and 1 the H^1 scan still has a box that holds Z W / f
+    # (Z+W)^3 is given written out and parenthesised; at --trunc 0 and 1
+    # the H^1 scan still has a box that holds Z W / f
     code, out = run(argv)
     assert code == 0, out
     assert f"local cohomology at I0 = ({prime})\n" in out

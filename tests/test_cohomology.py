@@ -3,7 +3,7 @@
 import pytest
 
 from injres.ring import BivarPoly, RationalFunction, parse_poly, QQ
-from injres.hulls import omega, omega_zw
+from injres.hulls import EZWElement, omega, omega_zw
 from injres.resolution import PrimeIndex, ChainElement, delta, iota0
 from injres.cohomology import (local_cohomology, ext_power_of_max, ext_self,
                                normal_iso, yoneda_rep, yoneda_lift_stage,
@@ -59,7 +59,7 @@ def test_yoneda_product_table():
 
 
 def test_yoneda_presentation():
-    rep = yoneda_presentation_check(truncation=6)
+    rep = yoneda_presentation_check()
     assert rep.passed, rep.render()
 
 
@@ -104,6 +104,16 @@ def test_local_cohomology_height1():
         rep = local_cohomology(gens, truncation=6)
         assert rep.passed, rep.render()
         assert rep.data.get("height") == 1
+
+
+@pytest.mark.parametrize("gen", ["Z", "W", "Z+W"])
+def test_height_one_h2_line_can_fail(monkeypatch, gen):
+    # the line checks d1 on surjectivity witnesses: a d1 that loses the
+    # socle row must turn it into FAIL
+    import injres.cohomology as coh
+    monkeypatch.setattr(coh, "d1_f", lambda idx, el: EZWElement.zero(QQ))
+    rep = local_cohomology([P(gen)], truncation=2)
+    assert [ok for la, _, ok in rep.lines if la == "H^2"] == [False]
 
 
 def test_local_cohomology_unit_ideal():
@@ -175,7 +185,7 @@ def test_generator_and_coboundary_lines_can_fail(monkeypatch):
         # delta^0 with an E(0) component left in its image
         out = real(chain)
         if chain.degree == 0:
-            out = out + ChainElement(1, chain.components, chain.field)
+            out = out + ChainElement(1, chain.terms, chain.field)
         return out
 
     monkeypatch.setattr(coh, "delta", leaky)

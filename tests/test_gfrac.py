@@ -34,7 +34,7 @@ FROZEN = [
 
 @pytest.mark.parametrize("num,d1,d2,want", FROZEN)
 def test_reduce_h2_frozen_vectors(num, d1, d2, want):
-    assert RH2(num, d1, d2).coeffs == want
+    assert RH2(num, d1, d2).terms == want
 
 
 def test_nonpositive_exponent_vanishes():
@@ -45,7 +45,7 @@ def test_nonpositive_exponent_vanishes():
 def test_local_fraction_numerator():
     num = LocalFraction(P("1"), P("1+Z"))
     got = reduce_h2(num, (P("Z"), 1), (P("W"), 1))
-    assert got.coeffs == {(1, 1): F(1)}
+    assert got.terms == {(1, 1): F(1)}
 
 
 def test_shared_origin_factor_rejected():
@@ -58,7 +58,7 @@ def test_shared_origin_factor_rejected():
 def test_shared_unit_factor_divided_out():
     # (1+Z) is a unit at the origin: [(1+Z)^2 / (1+Z)Z, (1+Z)W] = [1 / Z, W]
     got = RH2("1 + 2*Z + Z^2", ("Z+Z^2", 1), ("W+Z*W", 1))
-    assert got.coeffs == {(1, 1): F(1)}
+    assert got.terms == {(1, 1): F(1)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -99,7 +99,7 @@ def test_h1_scale_composes():
 
 def test_h4_reduce_attaches_xy_indices():
     got = h4_reduce(P("1"), [(P("Z"), 2), (P("W"), 3)], 4, 5)
-    assert got.coeffs == {(2, 3, 4, 5): F(1)}
+    assert got.terms == {(2, 3, 4, 5): F(1)}
 
 
 def test_split_zw_postcondition():

@@ -10,9 +10,10 @@ from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
                          QQ)
 from injres.hulls import (E0Element, EZElement, EWElement, EfElement,
                           EZWElement, omega, omega_zw, act, act_series,
-                          laurent_op, socle_project, is_socle, ezw_to_h4,
+                          socle_project, is_socle, ezw_to_h4,
                           h4_to_ezw, ez_to_h3, NotInEZW, BadLocus)
 from injres.gfrac import H4Canonical
+from injres.resolution import PrimeIndex, ChainElement, DegreeMismatch
 from injres import samples
 
 
@@ -71,9 +72,9 @@ def test_e0_action_moves_arguments():
 
 def test_laurent_ops_are_not_inverse_to_multiplication():
     e = omega_zw(0, 0, 0)
-    up = laurent_op(1, 0, 0, 0, e)        # X^-1 would-be inverse target
+    up = e.monomial_act(1, 0, 0, 0)        # X^-1 would-be inverse target
     assert up.is_zero()                   # X * Omega^0(1) = 0 already
-    down = laurent_op(-1, 0, 0, 0, e)     # formal division by X
+    down = e.monomial_act(-1, 0, 0, 0)     # formal division by X
     assert down == omega_zw(1, 0, 1)
     assert act(Q("X"), down) == e         # one-sided section only
 
@@ -89,16 +90,16 @@ def test_division_operators_commute(op1, op2):
     # test below
     rng = samples.rng_from_seed(hash((op1, op2)) % (2 ** 31))
     e = samples.random_ezw(rng)
-    a = laurent_op(*op2, laurent_op(*op1, e))
-    b = laurent_op(*op1, laurent_op(*op2, e))
+    a = e.monomial_act(*op1).monomial_act(*op2)
+    b = e.monomial_act(*op2).monomial_act(*op1)
     assert a == b
 
 
 def test_mixed_sign_operators_need_not_commute():
     e = omega_zw(0, 0, 0)
     op1, op2 = (-2, -1, -2, 1), (1, 0, -2, -1)
-    a = laurent_op(*op2, laurent_op(*op1, e))
-    b = laurent_op(*op1, laurent_op(*op2, e))
+    a = e.monomial_act(*op1).monomial_act(*op2)
+    b = e.monomial_act(*op2).monomial_act(*op1)
     assert not a.is_zero() and b.is_zero()
 
 
@@ -183,3 +184,45 @@ def test_unit_scaling_independence_of_generator():
     a = omega(f, 0, RF("1", "Z+W"))
     b = omega(P("2*Z+2*W"), 0, RF("1", "Z+W"))
     assert a == b  # the hull only depends on the prime, not the generator
+
+
+@pytest.mark.parametrize("kind", ["zero", "Z", "W", "irr", "max", "chain"])
+def test_sparse_vector_laws(kind):
+    # every hull element and every chain shares one +, -, scale and ==
+    rng = samples.rng_from_seed(5)
+    f = samples.irr_pool()[0]
+    c = Fraction(-3, 2)
+    for _ in range(6):
+        if kind == "chain":
+            a, b = (samples.random_chain(rng, 1) for _ in range(2))
+        else:
+            prime = PrimeIndex(kind, f=f)
+            a, b = (samples.random_hull_element(rng, prime) for _ in range(2))
+        assert (a - a).is_zero() and not (a - a)
+        assert (a + b) - b == a and a + b == b + a
+        assert (a + b).scale(c) == a.scale(c) + b.scale(c)
+        if kind == "chain":
+            continue
+        zero = act(0, a)
+        assert type(zero) is type(a) and zero.is_zero()
+        assert getattr(zero, "f", None) == getattr(a, "f", None)
+        s = socle_project(a)
+        assert type(s) is type(a) and socle_project(s) == s
+
+
+def test_mismatched_state_is_refused():
+    f, g = samples.irr_pool()
+    a = omega(f, 0, RationalFunction(P("1"), f))
+    b = omega(g, 0, RationalFunction(P("1"), g))
+    with pytest.raises(BadLocus):
+        a + b
+    with pytest.raises(BadLocus):
+        a == b
+    one = omega_zw(0, 0, 0)
+    c3 = ChainElement(3, {PrimeIndex.maximal(0): one})
+    c4 = ChainElement(4, {PrimeIndex.maximal(0): one})
+    assert c3 != c4 and ChainElement.zero(3) != ChainElement.zero(4)
+    with pytest.raises(DegreeMismatch):
+        c3 + c4
+    with pytest.raises(NotInEZW):
+        EZWElement({(1, 1, 1): QQ.zero}, QQ)

@@ -1,8 +1,9 @@
 """Dead-code checks on the package source, with the standard library's ast.
 
-Every name a module of src/injres imports must be used in that module, and
+Every name a module of src/injres imports must be used in that module,
 every top-level private definition (a name starting with "_") must be
-referenced somewhere in src/ or tests/.
+referenced somewhere in src/ or tests/, and every command-line flag must be
+read by the CLI.
 """
 
 import ast
@@ -71,3 +72,19 @@ def test_every_private_definition_is_referenced():
             for name, line in _private_definitions(tree)
             if name not in referenced]
     assert not dead, "unreferenced private definitions: " + ", ".join(dead)
+
+
+def test_every_cli_flag_is_read():
+    # a flag is read as an attribute of the parsed namespace, args.<dest>;
+    # bare names do not count (suite_bass has a local variable "table")
+    from injres.cli import build_parser
+    read = {node.attr for node in ast.walk(_parse(PACKAGE / "cli.py"))
+            if isinstance(node, ast.Attribute)}
+    parsers, unread = [build_parser()], []
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action.choices, dict):  # the subcommands
+                parsers += action.choices.values()
+            if action.dest != "help" and action.dest not in read:
+                unread.append(action.dest)
+    assert not unread, "flags never read: " + ", ".join(unread)

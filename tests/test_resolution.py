@@ -56,7 +56,7 @@ def test_d1_irreducible_frozen_vector():
     f = P("Z+W")
     el = omega(f, 0, RF("1", "Z+W"))
     got = d1_f(PrimeIndex.irr(f), el)
-    assert got.coeffs == {(0, -1, 0): Fraction(-1), (0, 0, -1): Fraction(1)}
+    assert got.terms == {(0, -1, 0): Fraction(-1), (0, 0, -1): Fraction(1)}
 
 
 def test_d0_preserves_arguments_and_pi0_shifts():
@@ -157,8 +157,8 @@ def test_delta_on_socles_keeps_socles():
         for _ in range(6):
             ch = samples.random_chain(rng, deg)
             soc = ChainElement(deg, {idx: socle_project(e)
-                                     for idx, e in ch.components.items()
+                                     for idx, e in ch.terms.items()
                                      if idx.kind == "max"}, QQ)
             img = delta(soc)
-            for idx, e in img.components.items():
+            for idx, e in img.terms.items():
                 assert socle_project(e) == e
