@@ -94,21 +94,22 @@ class _AxisElement(SparseVector):
     def grade(key):
         return key[0]
 
-    def representative(self, n):
-        """The stored truncation of part n as a rational function."""
-        acc = RationalFunction.const(0, self.field)
-        for (k, m), c in self.terms.items():
-            if k == n:
-                e = (m, 0) if self.AXIS == "Z" else (0, m)
-                acc = acc + c * RationalFunction.monomial(*e, self.field)
-        return acc
+    def representatives(self):
+        """The stored truncation of every part, n -> rational function,
+        read off the terms in one pass."""
+        zero = RationalFunction.const(0, self.field)
+        out = {}
+        for (n, m), c in self.terms.items():
+            e = (m, 0) if self.AXIS == "Z" else (0, m)
+            mono = RationalFunction.monomial(*e, self.field)
+            out[n] = out.get(n, zero) + c * mono
+        return out
 
     def mul_arg(self, rf):
         """Multiply every argument by a rational function and re-expand."""
         out = self._like({})
-        for n in dict.fromkeys(n for n, _ in self.terms):
-            out = out + type(self).from_argument(n, self.representative(n) * rf,
-                                                 self.field)
+        for n, phi in self.representatives().items():
+            out = out + type(self).from_argument(n, phi * rf, self.field)
         return out
 
     def monomial_act(self, a, b, c, d):

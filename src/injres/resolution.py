@@ -393,12 +393,12 @@ def d0_preimage(chain):
         rem = rem - d0(omega("0", 0, piece, field, factors={idx.f}))
     ez = rem.component(PrimeIndex.prime_z())
     if ez is not None:
-        piece = ez.representative(0)
+        piece = ez.representatives().get(0, RationalFunction.const(0, field))
         phi = phi + piece
         rem = rem - d0(omega("0", 0, piece, field, factors=frozenset()))
     ew = rem.component(PrimeIndex.prime_w())
     if ew is not None:
-        piece = ew.representative(0)
+        piece = ew.representatives().get(0, RationalFunction.const(0, field))
         phi = phi + piece
         rem = rem - d0(omega("0", 0, piece, field, factors=frozenset()))
     if not rem.is_zero():
