@@ -275,7 +275,6 @@ def ext_power_of_max(n, field=QQ):
             e = omega_zw(0, s, t, field)
             assert any(not act(zq ** a * wq ** (n - a), e).is_zero()
                        for a in range(n + 1)), "annihilator conditions leak"
-    assert len(basis) == n * (n + 1) // 2
     return basis
 
 
@@ -417,11 +416,12 @@ def _ext_self_tail(i, T, field):
 
 # --- the normal module isomorphism -------------------------------------------
 
-def normal_iso(g, field=QQ):
+def normal_iso(g):
     """Ext^1 -> Hom(p, A/p): the class Omega^0_0(g Z^2 W^2) corresponds to
     the homomorphism X -> gZ, Y -> gW (values in A/p = k[Z,W]_(Z,W))."""
     if isinstance(g, BivarPoly):
         g = LocalFraction(g)
+    field = g.num.field
     mono = RationalFunction.monomial
     cls = omega("0", 0, g.as_rational() * mono(2, 2, field), field,
                 factors=frozenset())

@@ -45,9 +45,6 @@ class GeneralizedFraction:
         self.numerator = numerator
         self.denominators = [(b, int(e)) for b, e in denominators]
 
-    def trivially_zero(self):
-        return any(e <= 0 for _, e in self.denominators)
-
     def num_den(self):
         """Split the numerator into (polynomial, unit polynomial)."""
         n = self.numerator

@@ -24,7 +24,7 @@ without being inverse to multiplication.
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ, adic_expand,
                    exact_divide, f_adic_valuation, normalize_monic,
                    series_inverse_truncated, truncate)
-from .gfrac import H1Class, H2Canonical, H4Canonical, BadDenominator
+from .gfrac import H1Class, H4Canonical, BadDenominator
 from .linalg import SparseVector, _axpy
 
 
@@ -59,10 +59,9 @@ class E0Element(SparseVector):
         return E0Element(_axpy(dict(self.terms), other.terms), self.field,
                          factors)
 
-    def mul_arg(self, rf, extra_factors=()):
+    def mul_arg(self, rf):
         """Multiply every argument by a rational function."""
-        f = None if self.factors is None else self.factors | frozenset(extra_factors)
-        return E0Element({n: p * rf for n, p in self.terms.items()}, self.field, f)
+        return self._like({n: p * rf for n, p in self.terms.items()})
 
     def monomial_act(self, a, b, c, d):
         # n -> n - a - b is injective, so no two parts land on one index
@@ -218,23 +217,9 @@ def omega_zw(n, s, t, field=QQ, c=1):
 
 
 def omega(prime, n, argument, field=QQ, factors=None):
-    """Dispatch to the hull constructor for the given prime.
-
-    prime: "0", "Z", "W", an irreducible BivarPoly, or "ZW".  For "ZW" the
-    argument is a pair (u, v) with u, v >= 1 denoting the basis fraction
-    [1/Z^u, W^v], or an H2Canonical combination of such.
-    """
+    """Dispatch to the hull constructor for the given prime: "0", "Z", "W"
+    or an irreducible BivarPoly.  Elements of E(Z,W) come from omega_zw."""
     assert n >= 0
-    if isinstance(prime, str) and prime == "ZW":
-        if isinstance(argument, H2Canonical):
-            out = EZWElement.zero(field)
-            for (u, v), c in argument.terms.items():
-                out = out + omega_zw(n, -u, -v, field, c)
-            return out
-        u, v = argument
-        if u < 1 or v < 1:
-            raise BadLocus("basis fraction needs positive exponents")
-        return omega_zw(n, -u, -v, field)
     if isinstance(argument, BivarPoly):
         argument = RationalFunction(argument, reduce=False)
     if isinstance(prime, str):
@@ -296,12 +281,9 @@ def socle_project(e):
 
 
 def is_socle(e):
-    """True iff X.e = Y.e = 0; checked against the graded criterion."""
-    by_act = e.monomial_act(1, 0, 0, 0).is_zero() and \
+    """True iff X.e = Y.e = 0."""
+    return e.monomial_act(1, 0, 0, 0).is_zero() and \
         e.monomial_act(0, 1, 0, 0).is_zero()
-    by_grade = (socle_project(e) - e).is_zero()
-    assert by_act == by_grade, "socle criteria disagree"
-    return by_act
 
 
 # --- EZW <-> H4 canonical coordinates ---------------------------------------

@@ -1,9 +1,11 @@
-"""Brute-force verification of generalized-fraction identities.
+"""Brute-force verification of generalized-fraction identities in H^2.
 
 Deliberately algorithm-disjoint from the reduction pipeline: no resultants,
-no series inversion.  Equality of fractions is decided through the Cech
-presentation: a fraction vanishes iff (x1...xn)^s * w lies in
-(x1^{s+1}, ..., xn^{s+1}) locally for some s >= 0.
+no series inversion.  The oracle compares two-slot fractions [w / x1, x2]
+over k[Z,W] localized at the origin; a four-slot H^4 fraction is checked on
+its (Z,W) part.  Equality is decided through the Cech presentation: a
+fraction vanishes iff (x1 x2)^s * w lies in (x1^{s+1}, x2^{s+1}) locally
+for some s >= 0.
 
 Membership in the localization at the origin is decided two ways:
 
@@ -18,8 +20,11 @@ Membership in the localization at the origin is decided two ways:
   that are not primary to the origin.
 """
 
-from .ring import BivarPoly, QuadPoly, bivar_gcd
+from .ring import bivar_gcd
 from .linalg import _axpy
+
+# the largest s tried in the Cech criterion
+MAX_S = 3
 
 
 class _Span:
@@ -72,7 +77,7 @@ def _trunc_total(p, maxdeg):
     return {k: c for k, c in p.terms.items() if sum(k) <= maxdeg}
 
 
-def local_membership(target, gens, bound=None, allow_unit=True):
+def local_membership(target, gens):
     """Does u * target lie in (gens) for some unit u at the origin?
 
     Exact decision when (gens) is primary to the origin; otherwise sound
@@ -84,16 +89,14 @@ def local_membership(target, gens, bound=None, allow_unit=True):
     if not gens:
         return False
     nvars = len(target.VARS)
-    if bound is None:
-        bound = 2 * max([target.total_degree()] +
-                        [g.total_degree() for g in gens]) + 4
+    bound = 2 * max([target.total_degree()] +
+                    [g.total_degree() for g in gens]) + 4
 
     # stage 1: truncated-quotient decision, valid when stabilization occurs
     start = max(g.total_degree() for g in gens)
     for D in range(start, bound + 1):
         span = _Span()
         for g in gens:
-            dg = g.total_degree()
             for m in _monomials(nvars, max(0, D - g.order_total())):
                 prod = _trunc_total(g.shift(m), D)
                 if prod:
@@ -104,8 +107,6 @@ def local_membership(target, gens, bound=None, allow_unit=True):
         if stable:
             return span.contains(_trunc_total(target, D))
 
-    if not allow_unit:
-        return False
     # stage 2: bounded certificate search (no truncation)
     span = _Span()
     for g in gens:
@@ -118,36 +119,11 @@ def local_membership(target, gens, bound=None, allow_unit=True):
     return span.contains(dict(target.terms))
 
 
-def cech_equal(a, b, bound=None, max_s=3):
-    """Decide equality of two generalized fractions via the Cech presentation.
-
-    Supports the two-denominator case over k[Z,W] localized at the origin and
-    the four-denominator case over k[X,Y,Z,W] with X- and Y-power slots in
-    positions 3 and 4.  Slot products across the two fractions must be
-    coprime (up to an automatic slot swap of b); callers arrange this.
-    """
-    if len(a.denominators) != len(b.denominators):
-        raise ValueError("mismatched denominator counts")
-    if len(a.denominators) == 2:
-        return _cech_equal_h2(a, b, bound, max_s)
-    if len(a.denominators) == 4:
-        return _cech_equal_h4(a, b, bound, max_s)
-    raise ValueError("unsupported denominator count")
-
-
-def _zero_adjust(fr):
-    """Replace non-positive exponents: the fraction is zero; normalize to a
-    zero numerator over harmless denominators."""
-    if fr.trivially_zero():
-        field = fr.denominators[0][0].field
-        cls = type(fr.denominators[0][0])
-        num = cls.zero(field)
-        return type(fr)(num, [(b, max(e, 1)) for b, e in fr.denominators])
-    return fr
-
-
-def _cech_equal_h2(a, b, bound, max_s):
-    a, b = _zero_adjust(a), _zero_adjust(b)
+def cech_equal(a, b):
+    """Decide equality of two generalized fractions [w / x1^i1, x2^i2] over
+    k[Z,W] localized at the origin, via the Cech presentation.  Slot
+    products across the two fractions must be coprime (up to an automatic
+    slot swap of b); raises ValueError when they cannot be made so."""
     (ga1, ea1), (ga2, ea2) = a.denominators
     na, ua = a.num_den()
     nb, ub = b.num_den()
@@ -172,61 +148,8 @@ def _cech_equal_h2(a, b, bound, max_s):
     t, d1, d2 = got
     if t.is_zero():
         return True
-    for s in range(max_s + 1):
+    for s in range(MAX_S + 1):
         tt = t * (d1 * d2) ** s
-        if local_membership(tt, [d1 ** (s + 1), d2 ** (s + 1)], bound):
+        if local_membership(tt, [d1 ** (s + 1), d2 ** (s + 1)]):
             return True
     return False
-
-
-def _cech_equal_h4(a, b, bound, max_s):
-    a, b = _zero_adjust(a), _zero_adjust(b)
-
-    def unpack(fr):
-        (g1, e1), (g2, e2), (x, ex), (y, ey) = fr.denominators
-        for base, name in ((x, "X"), (y, "Y")):
-            if not (len(base.terms) == 1 and base.degree_in(name) == 1
-                    and base.total_degree() == 1):
-                raise ValueError("slots 3 and 4 must be X and Y")
-        n, u = fr.num_den()
-        return n, u, g1 ** e1, g2 ** e2, ex, ey
-
-    na, ua, A1, A2, xa, ya = unpack(a)
-    nb, ub, B1, B2, xb, yb = unpack(b)
-    J, K = max(xa, xb), max(ya, yb)
-    X = QuadPoly.var("X", na.field)
-    Y = QuadPoly.var("Y", na.field)
-
-    def lift(p):
-        return p.to_quad() if isinstance(p, BivarPoly) else p
-
-    d1 = A1 * B1
-    d2 = A2 * B2
-    if not bivar_gcd(d1, d2).is_constant():
-        raise ValueError("cannot arrange coprime denominator slots")
-    ta = lift(na) * lift(ub) * lift(B1 * B2) * X ** (J - xa) * Y ** (K - ya)
-    tb = lift(nb) * lift(ua) * lift(A1 * A2) * X ** (J - xb) * Y ** (K - yb)
-    t = ta - tb
-    if t.is_zero():
-        return True
-    d1q, d2q = lift(d1), lift(d2)
-    for s in range(max_s + 1):
-        tt = t * (d1q * d2q) ** s * X ** s * Y ** s
-        ok = True
-        for (ex, ey), comp in _xy_components(tt).items():
-            if ex >= J + s or ey >= K + s:
-                continue
-            if not local_membership(comp, [d1 ** (s + 1), d2 ** (s + 1)], bound):
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _xy_components(p):
-    """Split a QuadPoly into BivarPoly coefficients of X^a Y^b."""
-    out = {}
-    for (x, y, z, w), c in p.terms.items():
-        out.setdefault((x, y), {})[(z, w)] = c
-    return {k: BivarPoly(t, p.field) for k, t in out.items()}

@@ -15,7 +15,7 @@ pi0, pi11, pi12 which precompose with argument multiplications.
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
-                   normalize_monic, resultant_bezout)
+                   normalize_monic, resultant_bezout, DegenerateResultant)
 from .gfrac import H4Canonical, H1Class, reduce_h2, lemma_onto_rewrite
 from .hulls import (E0Element, EfElement, EZWElement, act, act_series, omega,
                     omega_zw, h4_to_ezw, BadLocus)
@@ -213,19 +213,6 @@ def d1_f(prime, el):
     raise DegreeMismatch(f"d1 undefined at slot {prime!r}")
 
 
-def d1(chain_f_components):
-    """Sum of d1_f over the E(f)-slots of a dict {PrimeIndex: element}."""
-    out = None
-    field = QQ
-    for idx, el in chain_f_components.items():
-        if idx.kind in ("zero", "max"):
-            continue
-        term = d1_f(idx, el)
-        field = term.field
-        out = term if out is None else out + term
-    return out if out is not None else EZWElement.zero(field)
-
-
 def pi0(e0):
     """E(0) -> sum_f E(f): d0_f on irreducible slots, d0_Z(arg/Z),
     d0_W(arg/W) on the axis slots.  Lands in degree 2."""
@@ -325,11 +312,10 @@ def iota0(g, field=QQ):
 
 def surjectivity_witness(prime, s, t, field=QQ):
     """An element w at the given height-one prime with
-    d1_f(w) = Omega^0(Z^s W^t); requires s, t <= 0.  The postcondition is
-    verified before returning."""
+    d1_f(w) = Omega^0(Z^s W^t); requires s, t <= 0.  The caller checks
+    d1_f(w) against its target."""
     if s > 0 or t > 0:
         raise BadLocus("only socle targets with s, t <= 0 are hit this way")
-    target = omega_zw(0, s, t, field)
     mono = RationalFunction.monomial(s, t, field)
     if prime.kind == "Z":
         w = -omega("Z", 0, mono, field)
@@ -342,8 +328,6 @@ def surjectivity_witness(prime, s, t, field=QQ):
         w = EfElement(prime.f, {0: H1Class(prime.f, num, den, ell)}, field)
     else:
         raise DegreeMismatch(f"no witness at slot {prime!r}")
-    got = d1_f(prime, w)
-    assert got == target, f"witness failed: {got!r} != {target!r}"
     return w
 
 
@@ -358,7 +342,7 @@ def _f_pure_rep(cls):
     fs = cls.f ** cls.s
     try:
         r, a, _ = resultant_bezout(cls.h, fs, "W")
-    except Exception:
+    except DegenerateResultant:
         r, a, _ = resultant_bezout(cls.h, fs, "Z")
     return RationalFunction(cls.g * a, r * fs)
 
@@ -403,6 +387,4 @@ def d0_preimage(chain):
         rem = rem - d0(omega("0", 0, piece, field, factors=frozenset()))
     if not rem.is_zero():
         raise ValueError("element is not in the image of d0")
-    pre = omega("0", 0, phi, field, factors=frozenset(factors))
-    assert d0(pre) == chain
-    return pre
+    return omega("0", 0, phi, field, factors=frozenset(factors))

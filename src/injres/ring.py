@@ -776,13 +776,13 @@ def _poly_sqrt_univar(p, name):
     return root if (root * root == p) else None
 
 
-def verify_irreducible(f, effort_bound=1000):
+def verify_irreducible(f):
     """Best-effort irreducibility check for a nonconstant bivariate polynomial.
 
     Handles: linear polynomials; polynomials of degree 1 in one variable
     (primitive check); quadratics in one variable (discriminant square test,
     char != 2); univariate polynomials vanishing at the origin.  Otherwise
-    returns UNVERIFIED once the effort bound is exhausted.
+    returns UNVERIFIED.
     """
     if f.is_constant():
         raise ValueError("constant input")

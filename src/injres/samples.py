@@ -22,20 +22,27 @@ def irr_pool(field=QQ):
     return [parse_poly(t, BivarPoly, field) for t in IRR_POOL_TEXT]
 
 
-def random_poly(rng, field=QQ, max_deg=2, max_terms=3, vanish_at_origin=False):
+def random_poly(rng, field=QQ, max_deg=2, max_terms=3):
     terms = BivarPoly.zero(field)
     for _ in range(rng.randint(1, max_terms)):
         a = rng.randint(0, max_deg)
         b = rng.randint(0, max_deg)
-        if vanish_at_origin and a == 0 and b == 0:
-            a = 1
         c = rng.randint(-3, 3)
         terms = terms + BivarPoly.mono((a, b), c, field)
-    if terms.is_zero() or (vanish_at_origin and terms.at_origin()) or \
-            (vanish_at_origin and terms.is_constant()):
-        base = BivarPoly.var("Z", field)
-        terms = terms + base if vanish_at_origin else BivarPoly.const(1, field)
+    if terms.is_zero():
+        terms = BivarPoly.const(1, field)
     return terms
+
+
+def _random_e0_part(rng, n, chosen, field):
+    """Omega^n_0(num / Z^a W^b prod f) with a, b and each exponent of a
+    chosen pool prime f in {0, 1}, carrying the chosen factor set."""
+    num = random_poly(rng, field)
+    den = BivarPoly.mono((rng.randint(0, 1), rng.randint(0, 1)), 1, field)
+    for f in chosen:
+        den = den * f ** rng.randint(0, 1)
+    arg = RationalFunction(num, den, reduce=False)
+    return omega("0", n, arg, field, factors=frozenset(chosen))
 
 
 def random_e0(rng, field=QQ):
@@ -44,17 +51,18 @@ def random_e0(rng, field=QQ):
     parts = {}
     for _ in range(rng.randint(1, 2)):
         n = rng.randint(0, 2)
-        num = random_poly(rng, field)
-        den = BivarPoly.mono((rng.randint(0, 1), rng.randint(0, 1)), 1, field)
-        for f in chosen:
-            den = den * f ** rng.randint(0, 1)
-        arg = RationalFunction(num, den, reduce=False)
-        e = omega("0", n, arg, field, factors=frozenset(chosen))
-        parts[n] = e
+        parts[n] = _random_e0_part(rng, n, chosen, field)
     out = None
     for e in parts.values():
         out = e if out is None else out + e
     return out
+
+
+def random_socle_e0(rng, field=QQ):
+    """A grade-0 element Omega^0_0(phi) whose denominator may have a pole
+    along Z, W and the pool primes; its d0-image is often nonzero."""
+    chosen = [f for f in irr_pool(field) if rng.random() < 0.5]
+    return _random_e0_part(rng, 0, chosen, field)
 
 
 def random_axis(rng, axis, field=QQ):

@@ -40,6 +40,7 @@ def test_reduce_four_denominators():
     code, out = run(["reduce", "[1 / Z^2, W, X^3, Y^2]"])
     assert code == 0
     assert "(2, 1, 3, 2): 1" in out
+    assert "[ok] oracle" in out
 
 
 def test_reduce_reads_parenthesised_powers():
@@ -213,6 +214,31 @@ def test_bad_field_is_a_usage_error():
     code, out = run(["--field", "4", "ext-power", "--n", "1"])
     assert code == 2
     assert "error" in out
+
+
+def _doubled(fn):
+    return lambda x: fn(x) + fn(x)
+
+
+@pytest.mark.parametrize("patches,line", [
+    ([("resolution", "_d1_irr", _doubled)], "[FAIL] prime irr: "),
+    ([("resolution", "_f_pure_rep", _doubled)], "[FAIL] d0 preimages: "),
+    ([("hulls", "socle_project", lambda fn: lambda e: e),
+      ("cli", "socle_project", lambda fn: lambda e: e)], "[FAIL] hull at "),
+], ids=["witness", "d0-preimage", "socle-law"])
+def test_resolution_lines_can_fail(monkeypatch, patches, line):
+    # a broken computation is reported on its own line, not as a traceback,
+    # and a sample counts at most once against its line
+    import importlib
+    for module, name, breaker in patches:
+        mod = importlib.import_module(f"injres.{module}")
+        monkeypatch.setattr(mod, name, breaker(getattr(mod, name)))
+    code, out = run(["--field", "7", "--samples", "4", "resolution-check"])
+    assert code == 1, out
+    assert line in out, out
+    counts = [text.rsplit(": ", 1)[1].split()[0] for text in out.splitlines()
+              if "samples" in text and text.startswith("  [")]
+    assert all(0 <= int(c.split("/")[0]) <= 4 for c in counts), out
 
 
 def test_exit_code_reflects_failures(monkeypatch):

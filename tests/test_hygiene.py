@@ -2,8 +2,9 @@
 
 Every name a module of src/injres imports must be used in that module,
 every top-level private definition (a name starting with "_") must be
-referenced somewhere in src/ or tests/, and every command-line flag must be
-read by the CLI.
+referenced somewhere in src/ or tests/, every public one by the program
+itself, every parameter with a default must be set by some call, and every
+command-line flag must be read by the CLI.
 """
 
 import ast
@@ -11,6 +12,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "injres"
+BENCH = ROOT / "perfbench"
+
+# claim checks that only the tests call
+TEST_FACING = {"normal_iso", "apply_transformation", "ez_to_h3"}
 
 
 def _parse(path):
@@ -89,3 +94,110 @@ def test_every_cli_flag_is_read():
             if action.dest != "help" and action.dest not in read:
                 unread.append(action.dest)
     assert not unread, "flags never read: " + ", ".join(unread)
+
+
+def _defaulted_parameters(tree):
+    """(function name, parameter, position, line) of every parameter with a
+    default.  The position counts the arguments a caller passes, so self and
+    cls are skipped; it is None for a keyword-only parameter.  A class's
+    __init__ is named after the class, as its callers name it."""
+    owner = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for f in cls.body if isinstance(f, ast.FunctionDef)}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        name = cls.name if cls and node.name == "__init__" else node.name
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list)
+        args = node.args
+        positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+        first = len(positional) - len(args.defaults)
+        for pos, arg in enumerate(positional[first:], first):
+            yield name, arg.arg, pos, node.lineno
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, arg.arg, None, node.lineno
+
+
+def _call_name(func, cls):
+    """The function a call reaches, by name: cls(...) and super().__init__(...)
+    inside a class reach the class and its first base."""
+    if isinstance(func, ast.Name):
+        return cls.name if func.id == "cls" and cls else func.id
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr == "__init__" and cls and cls.bases and \
+            isinstance(func.value, ast.Call) and \
+            isinstance(func.value.func, ast.Name) and func.value.func.id == "super":
+        base = cls.bases[0]
+        return base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+    return func.attr
+
+
+def _passed_arguments(tree, out, cls=None):
+    """Record, per function name, the positional counts and keyword names of
+    every call in the tree; a *args or **kwargs call passes everything."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            name = _call_name(node.func, cls)
+            if name is not None:
+                counts, keywords = out.setdefault(name, (set(), set()))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                counts.add(float("inf") if starred else len(node.args))
+                keywords.update(kw.arg or "*" for kw in node.keywords)
+        _passed_arguments(node, out,
+                          node if isinstance(node, ast.ClassDef) else cls)
+    return out
+
+
+def test_every_default_is_overridden_by_some_call():
+    # a default that no call overrides is a constant spelled as an option
+    callers = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.rglob("*.py")) + \
+        sorted((ROOT / "tests").glob("*.py"))
+    passed = {}
+    for path in callers:
+        _passed_arguments(_parse(path), passed)
+    never = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, param, pos, line in _defaulted_parameters(_parse(path)):
+            counts, keywords = passed.get(name, ((), ()))
+            if param in keywords or "*" in keywords or \
+                    (pos is not None and any(c > pos for c in counts)):
+                continue
+            never.append(f"{path.name}:{line} {name}({param})")
+    assert not never, "defaults no call overrides: " + ", ".join(never)
+
+
+def _public_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
+                not node.name.startswith("_"):
+            yield node.name, node.lineno
+
+
+def test_every_public_definition_is_used_by_the_program():
+    # counted: an import by another module, an attribute read, a bare name
+    # in the defining module, and any of these in perfbench; a bare name in
+    # another module of the package is a local variable, not a reference
+    modules = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    elsewhere = set()
+    for tree in modules.values():
+        elsewhere |= {node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+    for path in sorted(BENCH.rglob("*.py")):
+        tree = _parse(path)
+        elsewhere |= _loaded_names(tree)
+        elsewhere |= {name for name, _ in _imported_names(tree)}
+    unused = []
+    for path, tree in modules.items():
+        imported = {name for other, t in modules.items() if other != path
+                    for name, _ in _imported_names(t)}
+        own = {node.id for node in ast.walk(tree)
+               if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _public_definitions(tree)
+                   if name not in elsewhere | imported | own | TEST_FACING]
+    assert not unused, "public definitions the program never uses: " + \
+        ", ".join(unused)
