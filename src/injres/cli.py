@@ -161,8 +161,8 @@ def suite_reduce(expr, field):
                             h2_canonical_fraction(zw_part, field))
         rep.add("oracle", "independent membership check", agreed)
     except ValueError as exc:
-        # e.g. a base with both Z and W as factors: the oracle needs
-        # coprime slot products, and an unchecked line cannot pass
+        # the oracle needs coprime slot products, and when no swap or
+        # shear of the slots gives them, an unchecked line cannot pass
         rep.add("oracle", f"undecided: {exc}", False)
     if can.is_zero():
         rep.add("canonical", "0")
@@ -261,10 +261,11 @@ def suite_ext_power(n, field):
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
     rep = CohomologyReport(f"Ext^2(A/m^{n}, A/p)")
-    basis = ext_power_of_max(n, field)
+    basis, sealed = ext_power_of_max(n, field)
     rep.add("dimension", f"{len(basis)} = {n}({n}+1)/2",
             2 * len(basis) == n * (n + 1))
-    rep.add("basis", " ".join(f"Omega^0(Z^{s} W^{t})" for s, t in basis))
+    rep.add("basis", " ".join(f"Omega^0(Z^{s} W^{t})" for s, t in basis),
+            sealed)
     rep.data["dim"] = len(basis)
     return [rep]
 

@@ -252,7 +252,9 @@ def _lc_height1(f, truncation, field):
 
 def ext_power_of_max(n, field=QQ):
     """Ext^2(A/m^n, A/p): basis {Omega^0(Z^s W^t) : s,t <= 0, s+t+n > 0},
-    found by solving the annihilator conditions in EZW coordinates."""
+    found by solving the annihilator conditions in EZW coordinates.
+    Returns (basis, sealed); sealed is False when some neighbouring index
+    is killed by every degree-n monomial too, i.e. the conditions leak."""
     assert n >= 1
     xq, yq, zq, wq = (QuadPoly.var(v, field) for v in QuadPoly.VARS)
     basis = []
@@ -268,14 +270,11 @@ def ext_power_of_max(n, field=QQ):
                    for a in range(n + 1)):
                 basis.append((s, t))
     # and nothing else: the neighbouring indices must survive some monomial
-    for s in range(-n, 1):
-        for t in range(-n, 1):
-            if s + t + n > 0:
-                continue
-            e = omega_zw(0, s, t, field)
-            assert any(not act(zq ** a * wq ** (n - a), e).is_zero()
-                       for a in range(n + 1)), "annihilator conditions leak"
-    return basis
+    outside = (omega_zw(0, s, t, field) for s in range(-n, 1)
+               for t in range(-n, 1) if s + t + n <= 0)
+    sealed = all(any(not act(zq ** a * wq ** (n - a), e).is_zero()
+                     for a in range(n + 1)) for e in outside)
+    return basis, sealed
 
 
 # --- Ext^i(A/p, A/p) as cohomology of delta on boxes --------------------------

@@ -10,8 +10,11 @@ local cohomology supported at (x1, ..., xn).  It obeys three laws:
 
 A fraction with any exponent <= 0 is zero.  This module reduces H^2 and H^4
 classes to their unique canonical coefficients, decides H^1 classes by
-valuations, and constructs explicit rewritings of [1 / W^t, Z^s] over a
-denominator pair (W^t, f^l) for irreducible f.
+valuations, and rewrites [1 / W^t, Z^s] over a denominator pair (W^t, f^l)
+for irreducible f in two ways: the paper's induction (lemma_onto_rewrite),
+and the minimal rewriting (minimal_onto_rewrite) that takes the least l with
+f^l in (W^t, Z^s) and splits f^l by one division.  Both name the same
+class; they differ in l and g.
 """
 
 from .ring import (BivarPoly, LocalFraction, RationalFunction, QQ,
@@ -279,6 +282,24 @@ def lemma_onto_rewrite(f, s, t):
     g = (f ** l0 * f0 ** (q + 1) * Z ** (u - r)
          + f ** (q + 1) * g0_div * Z ** (u - r) * W ** v * f1 * F * G)
     return g, l0 + q + 1
+
+
+def minimal_onto_rewrite(f, s, t):
+    """Return (g, l) with [g / W^t, f^l] = [1 / W^t, Z^s] in H^2_(Z,W) for
+    the least l with f^l in (W^t, Z^s).
+
+    Writing f^l = a*W^t + g*Z^s, the transformation law with the matrix
+    [[1, 0], [a, g]] gives the rewriting.  f must vanish at the origin and
+    not be divisible by W; l <= s + t - 1 because f lies in (Z, W).
+    """
+    assert s >= 1 and t >= 1
+    if f.at_origin() or f.eval_w0().is_zero():
+        raise NotApplicable("f must lie in (Z,W) and not be divisible by W")
+    ell, power = 1, f
+    while not all(a >= s or b >= t for a, b in power.terms):
+        ell, power = ell + 1, power * f
+    below = {k: c for k, c in power.terms.items() if k[1] < t}
+    return BivarPoly(below, f.field).shift((-s, 0)), ell
 
 
 def h2_canonical_fraction(can, field=QQ):

@@ -5,7 +5,9 @@ no series inversion.  The oracle compares two-slot fractions [w / x1, x2]
 over k[Z,W] localized at the origin; a four-slot H^4 fraction is checked on
 its (Z,W) part.  Equality is decided through the Cech presentation: a
 fraction vanishes iff (x1 x2)^s * w lies in (x1^{s+1}, x2^{s+1}) locally
-for some s >= 0.
+for some s >= 0.  Two fractions are compared over coprime slot products,
+reached by swapping or shearing the second fraction's slots with a det-1
+matrix: the transformation law, applied by polynomial arithmetic alone.
 
 Membership in the localization at the origin is decided two ways:
 
@@ -25,6 +27,8 @@ from .linalg import _axpy
 
 # the largest s tried in the Cech criterion
 MAX_S = 3
+# the largest c tried in the shears of _slot_arrangements
+MAX_SHEAR = 3
 
 
 class _Span:
@@ -119,33 +123,36 @@ def local_membership(target, gens):
     return span.contains(dict(target.terms))
 
 
+def _slot_arrangements(b):
+    """Slot pairs (sign, x1, x2) with b = sign * [w / x1, x2] for b's
+    numerator w: b's own slots, their swap (which negates), then the det-1
+    shears (x1 + c*x2, x2) and (x1, x2 + c*x1) of the transformation law."""
+    (gb1, eb1), (gb2, eb2) = b.denominators
+    x1, x2 = gb1 ** eb1, gb2 ** eb2
+    yield 1, x1, x2
+    yield -1, x2, x1
+    for c in range(1, MAX_SHEAR + 1):
+        yield 1, x1 + x2 * c, x2
+        yield 1, x1, x2 + x1 * c
+
+
 def cech_equal(a, b):
     """Decide equality of two generalized fractions [w / x1^i1, x2^i2] over
     k[Z,W] localized at the origin, via the Cech presentation.  Slot
-    products across the two fractions must be coprime (up to an automatic
-    slot swap of b); raises ValueError when they cannot be made so."""
+    products across the two fractions must be coprime: b's slots are
+    swapped or sheared until they are; raises ValueError when no
+    arrangement tried makes them so."""
     (ga1, ea1), (ga2, ea2) = a.denominators
+    xa1, xa2 = ga1 ** ea1, ga2 ** ea2
     na, ua = a.num_den()
     nb, ub = b.num_den()
-
-    def difference(bden):
-        (gb1, eb1), (gb2, eb2) = bden
-        d1 = ga1 ** ea1 * gb1 ** eb1
-        d2 = ga2 ** ea2 * gb2 ** eb2
-        if not bivar_gcd(d1, d2).is_constant():
-            return None
-        t = (na * ub * gb1 ** eb1 * gb2 ** eb2
-             - nb * ua * ga1 ** ea1 * ga2 ** ea2)
-        return t, d1, d2
-
-    got = difference(b.denominators)
-    if got is None:
-        # try the swapped slots of b, which negates b
-        nb = -nb
-        got = difference([b.denominators[1], b.denominators[0]])
-        if got is None:
-            raise ValueError("cannot arrange coprime denominator slots")
-    t, d1, d2 = got
+    for sign, xb1, xb2 in _slot_arrangements(b):
+        d1, d2 = xa1 * xb1, xa2 * xb2
+        if bivar_gcd(d1, d2).is_constant():
+            break
+    else:
+        raise ValueError("cannot arrange coprime denominator slots")
+    t = na * ub * xb1 * xb2 - nb * ua * xa1 * xa2 * sign
     if t.is_zero():
         return True
     for s in range(MAX_S + 1):

@@ -16,7 +16,7 @@ pi0, pi11, pi12 which precompose with argument multiplications.
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
                    normalize_monic, resultant_bezout, DegenerateResultant)
-from .gfrac import H4Canonical, H1Class, reduce_h2, lemma_onto_rewrite
+from .gfrac import H4Canonical, H1Class, reduce_h2, minimal_onto_rewrite
 from .hulls import (E0Element, EfElement, EZWElement, act, act_series, omega,
                     omega_zw, h4_to_ezw, BadLocus)
 from .linalg import Apart, SparseVector
@@ -312,8 +312,10 @@ def iota0(g, field=QQ):
 
 def surjectivity_witness(prime, s, t, field=QQ):
     """An element w at the given height-one prime with
-    d1_f(w) = Omega^0(Z^s W^t); requires s, t <= 0.  The caller checks
-    d1_f(w) against its target."""
+    d1_f(w) = Omega^0(Z^s W^t); requires s, t <= 0.  At an irreducible f
+    the class comes from minimal_onto_rewrite, so its f-exponent is the
+    least l with f^l in (W^(1-t), Z^(1-s)).  The caller checks d1_f(w)
+    against its target."""
     if s > 0 or t > 0:
         raise BadLocus("only socle targets with s, t <= 0 are hit this way")
     mono = RationalFunction.monomial(s, t, field)
@@ -322,7 +324,7 @@ def surjectivity_witness(prime, s, t, field=QQ):
     elif prime.kind == "W":
         w = omega("W", 0, mono, field)
     elif prime.kind == "irr":
-        g, ell = lemma_onto_rewrite(prime.f, 1 - s, 1 - t)
+        g, ell = minimal_onto_rewrite(prime.f, 1 - s, 1 - t)
         num = -(g * BivarPoly.var("Z", field))
         den = BivarPoly.mono((0, -t), 1, field)
         w = EfElement(prime.f, {0: H1Class(prime.f, num, den, ell)}, field)

@@ -31,9 +31,11 @@ def _report(n, text):
 
 def test_criterion_01_ext_powers_of_the_maximal_ideal():
     t0 = time.monotonic()
-    dims = [len(ext_power_of_max(n)) for n in range(1, 9)]
+    results = [ext_power_of_max(n) for n in range(1, 9)]
     elapsed = time.monotonic() - t0
+    dims = [len(basis) for basis, _ in results]
     assert dims == [n * (n + 1) // 2 for n in range(1, 9)], dims
+    assert all(sealed for _, sealed in results)
     assert elapsed < 5.0, f"budget exceeded: {elapsed:.1f}s"
     _report(1, f"Ext^2 against powers of the maximal ideal has dims {dims} "
                f"for n=1..8 ({elapsed:.2f}s)")

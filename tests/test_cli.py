@@ -30,6 +30,13 @@ def test_reduce_example():
     assert out.endswith("PASS\n")
 
 
+def test_reduce_base_with_both_axis_factors():
+    # the oracle shears the canonical form's slots to decide this base
+    code, out = run(["reduce", "[1 / (Z+W)^1, (Z*W)^1]"])
+    assert code == 0, out
+    assert "[ok] oracle: independent membership check" in out
+
+
 def test_reduce_zero_class():
     code, out = run(["reduce", "[Z^5 / Z^2, W]"])
     assert code == 0
@@ -254,3 +261,14 @@ def test_exit_code_reflects_failures(monkeypatch):
     code, out = run(["ext-power", "--n", "1"])
     assert code == 1
     assert out.endswith("FAIL\n")
+
+
+def test_ext_power_leak_is_a_fail_line(monkeypatch):
+    # an action that kills everything lets the neighbouring indices leak
+    # through the annihilator conditions; the basis line reports it
+    from injres import cohomology
+    monkeypatch.setattr(cohomology, "act", lambda q, e: e - e)
+    code, out = run(["ext-power", "--n", "2"])
+    assert code == 1, out
+    assert "  [FAIL] basis: " in out, out
+    assert "  [ok] dimension: 3 = 2(2+1)/2" in out, out

@@ -17,7 +17,8 @@ P = lambda t: parse_poly(t)
 
 def test_ext_power_of_max_dimensions():
     for n in range(1, 7):
-        basis = ext_power_of_max(n)
+        basis, sealed = ext_power_of_max(n)
+        assert sealed
         assert 2 * len(basis) == n * (n + 1)
         assert all(s <= 0 and t <= 0 and s + t + n > 0 for s, t in basis)
 

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injres.ring import BivarPoly, LocalFraction, parse_poly, QQ
+from injres.ring import BivarPoly, Field, LocalFraction, parse_poly, QQ
 from injres.gfrac import (GeneralizedFraction, H1Class, H2Canonical,
                           reduce_h2, h4_reduce, apply_transformation,
-                          split_zw, lemma_onto_rewrite, h2_canonical_fraction,
-                          NotSystemOfParameters)
+                          split_zw, lemma_onto_rewrite, minimal_onto_rewrite,
+                          h2_canonical_fraction, NotSystemOfParameters,
+                          NotApplicable)
 
 
 P = lambda t: parse_poly(t)
@@ -110,7 +111,7 @@ def test_split_zw_postcondition():
         wpow = BivarPoly.mono((0, v), 1)
         assert f0 * zpow + f1 * wpow == f
         assert u >= 1 and v >= 1
-        assert not f0.at_origin() == 0 or True
+        assert f0.at_origin()
         assert f0.degree_in("W") == 0 and f0.order_in("Z") == 0
 
 
@@ -123,6 +124,30 @@ def test_onto_rewrite_postcondition(ftext):
             lhs = reduce_h2(g, (P("W"), t), (f, ell))
             rhs = reduce_h2(P("1"), (P("W"), t), (P("Z"), s))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("char", [0, 3, 5, 7, 32003],
+                         ids=["Q", "F3", "F5", "F7", "F32003"])
+@pytest.mark.parametrize("ftext", ["Z+W", "Z+W^2", "W-Z^2", "Z^2+W^3",
+                                   "Z+W+Z*W"])
+def test_minimal_onto_rewrite_postcondition(ftext, char):
+    field = Field(char) if char else QQ
+    f, w = parse_poly(ftext, field=field), parse_poly("W", field=field)
+    z, one = parse_poly("Z", field=field), parse_poly("1", field=field)
+    for s in range(1, 5):
+        for t in range(1, 5):
+            g, ell = minimal_onto_rewrite(f, s, t)
+            assert 1 <= ell <= s + t - 1
+            # ell is least: f^(ell-1) has a term outside (W^t, Z^s)
+            assert any(a < s and b < t for a, b in (f ** (ell - 1)).terms)
+            lhs = reduce_h2(g, (w, t), (f, ell))
+            assert lhs == reduce_h2(one, (w, t), (z, s))
+
+
+@pytest.mark.parametrize("ftext", ["W", "1+Z"])
+def test_minimal_onto_rewrite_not_applicable(ftext):
+    with pytest.raises(NotApplicable):
+        minimal_onto_rewrite(P(ftext), 2, 2)
 
 
 def test_onto_rewrite_frozen_small_case():

@@ -68,3 +68,29 @@ def test_reduction_agrees_with_oracle_on_high_powers(d1, d2, char):
     assert not can.is_zero()
     assert cech_equal(GeneralizedFraction(num, dens),
                       h2_canonical_fraction(can, field))
+
+
+@pytest.mark.parametrize("char", [0, 7], ids=["Q", "F7"])
+@pytest.mark.parametrize("num, d1, d2", [
+    ("1", ("Z+W", 1), ("Z*W", 1)),
+    ("Z", ("Z+W", 2), ("Z*W", 1)),
+    ("1+W", ("Z*W", 2), ("W-Z^2", 1)),
+], ids=["ZW-second", "ZW-second-squared", "ZW-first"])
+def test_cech_equal_shears_bases_with_both_axis_factors(num, d1, d2, char):
+    # no slot order of the axis-aligned canonical form is coprime to a base
+    # divisible by Z*W; a det-1 shear of its slots is
+    field = Field(char) if char else QQ
+    dens = [(parse_poly(b, field=field), e) for b, e in (d1, d2)]
+    gf = GeneralizedFraction(parse_poly(num, field=field), dens)
+    can = reduce_h2(gf.numerator, *dens)
+    assert cech_equal(gf, h2_canonical_fraction(can, field))
+
+
+@pytest.mark.parametrize("char", [0, 7], ids=["Q", "F7"])
+def test_cech_equal_sheared_slots_reject_a_doubled_form(char):
+    field = Field(char) if char else QQ
+    dens = [(parse_poly("Z+W", field=field), 1),
+            (parse_poly("Z*W", field=field), 1)]
+    gf = GeneralizedFraction(parse_poly("1", field=field), dens)
+    can = reduce_h2(gf.numerator, *dens)
+    assert not cech_equal(gf, h2_canonical_fraction(can + can, field))

@@ -104,7 +104,7 @@ def test_differential_is_nontrivial_on_random_chains():
     assert hit > 10
 
 
-@pytest.mark.parametrize("ftext", ["Z", "W", "Z+W"])
+@pytest.mark.parametrize("ftext", ["Z", "W", "Z+W", "Z^2+W^3", "Z+W+Z*W"])
 def test_surjectivity_witnesses(ftext):
     if ftext == "Z":
         prime = PrimeIndex.prime_z()
