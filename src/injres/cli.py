@@ -12,13 +12,13 @@ import re
 import sys
 from itertools import islice
 
-from .ring import (BivarPoly, QuadPoly, LocalFraction, QQ, Field,
+from .ring import (BivarPoly, LocalFraction, QQ, Field,
                    parse_poly, format_poly, split_power, split_top)
 from .gfrac import (GeneralizedFraction, H2Canonical, reduce_h2, h4_reduce,
-                    h2_canonical_fraction, lemma_onto_rewrite,
+                    h2_canonical_fraction, minimal_onto_rewrite,
                     NotSystemOfParameters)
 from .oracle import cech_equal
-from .hulls import act, is_socle, socle_project, omega_zw
+from .hulls import is_socle, socle_project, omega_zw
 from .resolution import (PrimeIndex, delta, d0, d1_f, d0_preimage,
                          surjectivity_witness)
 from .cohomology import (CohomologyReport, local_cohomology,
@@ -209,9 +209,7 @@ def suite_resolution(field, seed, count):
         bad = 0
         for _ in range(count):
             e = samples.random_hull_element(rng, p, field)
-            by_act = act(QuadPoly.var("X", field), e).is_zero() and \
-                act(QuadPoly.var("Y", field), e).is_zero()
-            if by_act != (e == socle_project(e)) or is_socle(e) != by_act:
+            if is_socle(e) != (e == socle_project(e)):
                 bad += 1
         rep.add(f"hull at {p.kind}", f"{count - bad}/{count} samples", bad == 0)
     out.append(rep)
@@ -306,7 +304,7 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
     if "dual" in what:
         rep = CohomologyReport("dual module M' = Hom(M, E(Z,W))")
         named = dhm_mod.dhm_dual_basis(field)
-        mod = dhm_mod.dhm_module(field)
+        mod = dhm_mod.DHMModule(field)
         for name in sorted(named):
             rep.add(name, "hom conditions", named[name].is_hom(mod))
         info = dhm_mod.dhm_min_generators(field)
@@ -353,7 +351,7 @@ def suite_onto_rewrite(field):
         ok = True
         for s in range(1, 5):
             for t in range(1, 5):
-                g, ell = lemma_onto_rewrite(f, s, t)
+                g, ell = minimal_onto_rewrite(f, s, t)
                 lhs = reduce_h2(g, (BivarPoly.var("W", field), t), (f, ell))
                 rhs = reduce_h2(BivarPoly.const(1, field),
                                 (BivarPoly.var("W", field), t),

@@ -122,10 +122,6 @@ class DHMModule:
                         raise InvariantViolation(f"{x}{y} on {b} is wrong")
 
 
-def dhm_module(field=QQ):
-    return DHMModule(field)
-
-
 class DHMHom(linalg.SparseVector):
     """A homomorphism M -> E(Z,W), stored by its values on the basis: a
     sparse vector keyed by basis name."""

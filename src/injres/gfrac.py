@@ -11,10 +11,10 @@ local cohomology supported at (x1, ..., xn).  It obeys three laws:
 A fraction with any exponent <= 0 is zero.  This module reduces H^2 and H^4
 classes to their unique canonical coefficients, decides H^1 classes by
 valuations, and rewrites [1 / W^t, Z^s] over a denominator pair (W^t, f^l)
-for irreducible f in two ways: the paper's induction (lemma_onto_rewrite),
-and the minimal rewriting (minimal_onto_rewrite) that takes the least l with
-f^l in (W^t, Z^s) and splits f^l by one division.  Both name the same
-class; they differ in l and g.
+for irreducible f (minimal_onto_rewrite): the least l with f^l in
+(W^t, Z^s), and g from f^l by one division.  This witnesses the paper's
+onto-rewriting lemma; by Matlis duality any g that works is unique modulo
+(W^t, f^l).
 """
 
 from .ring import (BivarPoly, LocalFraction, RationalFunction, QQ,
@@ -223,65 +223,6 @@ def apply_transformation(gf, matrix):
     else:
         raise MatrixMismatch("matrix entries not in the local ring at the origin")
     return GeneralizedFraction(numerator, [(new[0], 1), (new[1], 1)])
-
-
-def split_zw(f):
-    """Write f = f0*Z^u + f1*W^v with f0 in k[Z], f0(0) != 0, u,v > 0,
-    and f1 not divisible by W.  Requires f in (Z,W), f not in (W)."""
-    fz = f.eval_w0()
-    if fz.is_zero():
-        raise NotApplicable("f is divisible by W")
-    u = fz.order_in("Z")
-    f0 = fz.shift((-u, 0))
-    rest = f - fz
-    if rest.is_zero():
-        raise NotApplicable("f is a polynomial in Z alone")
-    v = rest.order_in("W")
-    f1 = rest.shift((0, -v))
-    return f0, u, f1, v
-
-
-def lemma_onto_rewrite(f, s, t):
-    """Return (g, l) with [g / W^t, f^l] = [1 / W^t, Z^s] in H^2_(Z,W).
-
-    f must be irreducible, contained in (Z,W), and not associate to W.
-    Follows an induction on ceil(t/v) where f = f0*Z^u + f1*W^v.
-    """
-    assert s >= 1 and t >= 1
-    field = f.field
-    Z = BivarPoly.var("Z", field)
-    if normalize_monic(f) == normalize_monic(BivarPoly.var("W", field)):
-        raise NotApplicable("f = W has no such rewriting")
-    if normalize_monic(f) == normalize_monic(Z):
-        return BivarPoly.const(1, field), s
-
-    f0, u, f1, v = split_zw(f)
-    f0Zu = f0 * Z ** u
-    W = BivarPoly.var("W", field)
-    f1Wv = f1 * W ** v
-    q, r = divmod(s, u)
-
-    if t <= v:
-        g = f0 ** (q + 1) * Z ** (u - r)
-        return g, q + 1
-
-    n = -(-t // v) - 1  # ceil(t/v) = n + 1 with n >= 1
-    from math import comb as binom
-    F = BivarPoly.zero(field)
-    for i in range(n):
-        F = F + f0Zu ** i * (-f1Wv) ** (n - i - 1)
-    G = BivarPoly.zero(field)
-    for j in range(q + 1):
-        G = G + binom(q + 1, j) * (f0Zu ** (n * j)) * ((-f1Wv * F) ** (q - j))
-    # sanity: the two algebraic identities behind the rewriting
-    assert f * (f0Zu ** n - f1Wv * F) == f0Zu ** (n + 1) - (-f1Wv) ** (n + 1)
-    assert (f0Zu ** n - f1Wv * F) ** (q + 1) == f0Zu ** (n * (q + 1)) - f1Wv * F * G
-
-    g0, l0 = lemma_onto_rewrite(f, u * (n + 1) * (q + 1), t - v)
-    g0_div = exact_divide(g0, f0 ** (n * (q + 1)))
-    g = (f ** l0 * f0 ** (q + 1) * Z ** (u - r)
-         + f ** (q + 1) * g0_div * Z ** (u - r) * W ** v * f1 * F * G)
-    return g, l0 + q + 1
 
 
 def minimal_onto_rewrite(f, s, t):

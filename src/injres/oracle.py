@@ -8,6 +8,9 @@ fraction vanishes iff (x1 x2)^s * w lies in (x1^{s+1}, x2^{s+1}) locally
 for some s >= 0.  Two fractions are compared over coprime slot products,
 reached by swapping or shearing the second fraction's slots with a det-1
 matrix: the transformation law, applied by polynomial arithmetic alone.
+Coprime slot products that vanish at the origin form a regular sequence in
+the Cohen-Macaulay ring k[Z,W]_(Z,W), so the maps of the Cech direct system
+are injective and the test at s = 0 already decides.
 
 Membership in the localization at the origin is decided two ways:
 
@@ -15,7 +18,7 @@ Membership in the localization at the origin is decided two ways:
   for every d, and once m^D is contained in I + m^{D+1} Nakayama gives
   m^D contained in I, making the level-(D+1) test an exact decision.  This
   is complete whenever I is primary to the maximal ideal (every use through
-  cech_equal, whose ideals are powers of a system of parameters);
+  cech_equal, whose ideal is generated by a system of parameters);
 
 * a bounded certificate search u*t = sum p_i g_i with u a unit, sound for
   "true" and a semi-decision for "false", used as a fallback for ideals
@@ -25,8 +28,6 @@ Membership in the localization at the origin is decided two ways:
 from .ring import bivar_gcd
 from .linalg import _axpy
 
-# the largest s tried in the Cech criterion
-MAX_S = 3
 # the largest c tried in the shears of _slot_arrangements
 MAX_SHEAR = 3
 
@@ -141,7 +142,8 @@ def cech_equal(a, b):
     k[Z,W] localized at the origin, via the Cech presentation.  Slot
     products across the two fractions must be coprime: b's slots are
     swapped or sheared until they are; raises ValueError when no
-    arrangement tried makes them so."""
+    arrangement tried makes them so.  The difference vanishes iff its
+    numerator lies in (d1, d2) locally: the Cech test at s = 0."""
     (ga1, ea1), (ga2, ea2) = a.denominators
     xa1, xa2 = ga1 ** ea1, ga2 ** ea2
     na, ua = a.num_den()
@@ -153,10 +155,4 @@ def cech_equal(a, b):
     else:
         raise ValueError("cannot arrange coprime denominator slots")
     t = na * ub * xb1 * xb2 - nb * ua * xa1 * xa2 * sign
-    if t.is_zero():
-        return True
-    for s in range(MAX_S + 1):
-        tt = t * (d1 * d2) ** s
-        if local_membership(tt, [d1 ** (s + 1), d2 ** (s + 1)]):
-            return True
-    return False
+    return local_membership(t, [d1, d2])

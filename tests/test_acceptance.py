@@ -10,7 +10,7 @@ import time
 import pytest
 
 from injres.ring import BivarPoly, RationalFunction, parse_poly, QQ
-from injres.gfrac import (GeneralizedFraction, reduce_h2, lemma_onto_rewrite,
+from injres.gfrac import (GeneralizedFraction, reduce_h2, minimal_onto_rewrite,
                           h2_canonical_fraction)
 from injres.oracle import cech_equal
 from injres.hulls import omega, omega_zw, act, is_socle, socle_project
@@ -131,7 +131,7 @@ def test_criterion_09_onto_rewriting_lemma():
         f = P(ftext)
         for s in range(1, 5):
             for t in range(1, 5):
-                g, ell = lemma_onto_rewrite(f, s, t)
+                g, ell = minimal_onto_rewrite(f, s, t)
                 lhs = reduce_h2(g, (P("W"), t), (f, ell))
                 rhs = reduce_h2(P("1"), (P("W"), t), (P("Z"), s))
                 assert lhs == rhs, (ftext, s, t)

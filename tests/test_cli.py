@@ -159,6 +159,8 @@ def test_no_input_escapes_as_an_exception(data):
     code, out = run(argv)
     assert code in (0, 1, 2), argv
     assert out.startswith("error: ") == (code == 2), argv
+    # the oracle decides every drawn reduction, so reduce never prints FAIL
+    assert code != 1 or argv[4] != "reduce", (argv, out)
 
 
 def test_field_3_passes():
@@ -272,3 +274,20 @@ def test_ext_power_leak_is_a_fail_line(monkeypatch):
     assert code == 1, out
     assert "  [FAIL] basis: " in out, out
     assert "  [ok] dimension: 3 = 2(2+1)/2" in out, out
+
+
+def test_onto_rewrite_lines_can_fail(monkeypatch):
+    # a rewrite one f-power too high names another class; every line says so
+    import injres.cli as cli
+    from injres.ring import Field
+    rewrite = cli.minimal_onto_rewrite
+
+    def off_by_one(f, s, t):
+        g, ell = rewrite(f, s, t)
+        return g, ell + 1
+
+    monkeypatch.setattr(cli, "minimal_onto_rewrite", off_by_one)
+    [rep] = cli.suite_onto_rewrite(Field(7))
+    lines = rep.render().splitlines()[1:]
+    assert len(lines) == 3 and all(
+        line.startswith("  [FAIL] ") for line in lines), rep.render()

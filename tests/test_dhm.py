@@ -5,7 +5,7 @@ import pytest
 from injres.ring import parse_poly, QQ, Field
 from injres.resolution import PrimeIndex
 from injres import linalg
-from injres.dhm import (DHMModule, DHMHom, dhm_module, dhm_hom_space,
+from injres.dhm import (DHMModule, DHMHom, dhm_hom_space,
                         dhm_dual_basis, dhm_min_generators, dhm_ext,
                         InvariantViolation, TruncationTooSmall,
                         BASIS, W_NAMES)
@@ -15,12 +15,12 @@ P = lambda t: parse_poly(t)
 
 
 def test_module_invariants_hold():
-    mod = dhm_module()
+    mod = DHMModule()
     assert mod.dim() == 15
 
 
 def test_module_action_samples():
-    mod = dhm_module()
+    mod = DHMModule()
     assert mod.act("X", "w1") == {"v1": QQ.one}
     assert mod.act("W", "w6") == {"u5": QQ.one}
     assert mod.act("Z", "w6") == {"u3": QQ.one, "v4": QQ.one}
@@ -32,7 +32,7 @@ def test_module_action_samples():
 
 
 def test_cube_of_maximal_ideal_kills_module():
-    mod = dhm_module()
+    mod = DHMModule()
     for b in BASIS:
         for x in "XYZW":
             for y in "XYZW":

@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injres.ring import BivarPoly, Field, LocalFraction, parse_poly, QQ
+from injres.ring import Field, LocalFraction, parse_poly, QQ
 from injres.gfrac import (GeneralizedFraction, H1Class, H2Canonical,
                           reduce_h2, h4_reduce, apply_transformation,
-                          split_zw, lemma_onto_rewrite, minimal_onto_rewrite,
+                          minimal_onto_rewrite,
                           h2_canonical_fraction, NotSystemOfParameters,
                           NotApplicable)
 
@@ -103,29 +103,6 @@ def test_h4_reduce_attaches_xy_indices():
     assert got.terms == {(2, 3, 4, 5): F(1)}
 
 
-def test_split_zw_postcondition():
-    for text in ("Z+W", "Z+W^2", "W-Z^2", "Z^2+Z*W+W^3"):
-        f = P(text)
-        f0, u, f1, v = split_zw(f)
-        zpow = BivarPoly.mono((u, 0), 1)
-        wpow = BivarPoly.mono((0, v), 1)
-        assert f0 * zpow + f1 * wpow == f
-        assert u >= 1 and v >= 1
-        assert f0.at_origin()
-        assert f0.degree_in("W") == 0 and f0.order_in("Z") == 0
-
-
-@pytest.mark.parametrize("ftext", ["Z+W", "Z+W^2", "W-Z^2"])
-def test_onto_rewrite_postcondition(ftext):
-    f = P(ftext)
-    for s in range(1, 5):
-        for t in range(1, 5):
-            g, ell = lemma_onto_rewrite(f, s, t)
-            lhs = reduce_h2(g, (P("W"), t), (f, ell))
-            rhs = reduce_h2(P("1"), (P("W"), t), (P("Z"), s))
-            assert lhs == rhs
-
-
 @pytest.mark.parametrize("char", [0, 3, 5, 7, 32003],
                          ids=["Q", "F3", "F5", "F7", "F32003"])
 @pytest.mark.parametrize("ftext", ["Z+W", "Z+W^2", "W-Z^2", "Z^2+W^3",
@@ -148,11 +125,6 @@ def test_minimal_onto_rewrite_postcondition(ftext, char):
 def test_minimal_onto_rewrite_not_applicable(ftext):
     with pytest.raises(NotApplicable):
         minimal_onto_rewrite(P(ftext), 2, 2)
-
-
-def test_onto_rewrite_frozen_small_case():
-    g, ell = lemma_onto_rewrite(P("Z+W^2"), 1, 1)
-    assert (g, ell) == (P("Z"), 2)
 
 
 def test_canonical_fraction_roundtrip():

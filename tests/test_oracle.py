@@ -89,8 +89,9 @@ def test_cech_equal_shears_bases_with_both_axis_factors(num, d1, d2, char):
 @pytest.mark.parametrize("char", [0, 7], ids=["Q", "F7"])
 def test_cech_equal_sheared_slots_reject_a_doubled_form(char):
     field = Field(char) if char else QQ
-    dens = [(parse_poly("Z+W", field=field), 1),
-            (parse_poly("Z*W", field=field), 1)]
-    gf = GeneralizedFraction(parse_poly("1", field=field), dens)
-    can = reduce_h2(gf.numerator, *dens)
-    assert not cech_equal(gf, h2_canonical_fraction(can + can, field))
+    for num, d1, d2 in (("1", ("Z+W", 1), ("Z*W", 1)),
+                        ("1+W", ("Z*W", 2), ("W-Z^2", 1))):
+        dens = [(parse_poly(b, field=field), e) for b, e in (d1, d2)]
+        gf = GeneralizedFraction(parse_poly(num, field=field), dens)
+        can = reduce_h2(gf.numerator, *dens)
+        assert not cech_equal(gf, h2_canonical_fraction(can + can, field))
