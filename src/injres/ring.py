@@ -473,8 +473,38 @@ def normalize_monic(p):
 
 # --- rational functions ----------------------------------------------------
 
+def _cancel(a, b):
+    """(a/g, b/g, g) for the monic g = gcd(a, b) of nonzero a, b.  A
+    monomial c Z^i W^j needs no Euclid: its gcd with the other operand is
+    Z^min(i, ord_Z) W^min(j, ord_W), and a constant's is 1."""
+    for x, y in ((a, b), (b, a)):
+        if len(x.terms) == 1:
+            (i, j), = x.terms
+            g = BivarPoly.mono((min(i, y.order_in("Z")), min(j, y.order_in("W"))),
+                               1, a.field)
+            break
+    else:
+        g = bivar_gcd(a, b)
+    if g.is_constant():
+        return a, b, g
+    return exact_divide(a, g), exact_divide(b, g), g
+
+
 class RationalFunction:
-    """A quotient of bivariate polynomials, gcd-reduced on construction."""
+    """A quotient num/den of bivariate polynomials.
+
+    The constructor divides num and den by their monic gcd.  With
+    reduce=False it stores them as given: the value is right, but they may
+    share a factor.
+
+    +, -, * and / follow Henrici (J. ACM 3, 1956; Knuth, TAOCP vol. 2,
+    4.5.1) and take no gcd of a product.  A product cancels gcd(n1, d2) and
+    gcd(n2, d1) before it multiplies; a sum takes g = gcd(d1, d2) and
+    reduces n1*(d2/g) + n2*(d1/g) against g alone.  So the result of
+    reduced operands is reduced, and as every gcd is monic its denominator
+    has the leading coefficient lc(d1)*lc(d2).  Of an unreduced operand the
+    result has the right value but need not be reduced.
+    """
 
     def __init__(self, num, den=None, reduce=True):
         if den is None:
@@ -482,10 +512,7 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if reduce and not num.is_zero():
-            g = bivar_gcd(num, den)
-            if not g.is_constant():
-                num = exact_divide(num, g)
-                den = exact_divide(den, g)
+            num, den, _ = _cancel(num, den)
         if num.is_zero():
             den = BivarPoly.const(1, num.field)
         self.num = num
@@ -520,7 +547,13 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        (n1, d1), (n2, d2) = (self.num, self.den), (o.num, o.den)
+        e1, e2, g = _cancel(d1, d2)
+        t = n1 * e2 + n2 * e1
+        if not (g.is_constant() or t.is_zero()):
+            t, g, _ = _cancel(t, g)
+            e2 = e2 * g
+        return RationalFunction(t, e1 * e2, reduce=False)
 
     __radd__ = __add__
 
@@ -529,27 +562,43 @@ class RationalFunction:
 
     def __sub__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         return self + (-o)
 
     def __rsub__(self, other):
         return -self + other
 
+    def _times(self, n2, d2):
+        """self * (n2/d2), cancelling across the operands."""
+        n1, d1 = self.num, self.den
+        if n1.is_zero() or n2.is_zero():
+            return RationalFunction(BivarPoly.zero(n1.field))
+        n1, d2, _ = _cancel(n1, d2)
+        n2, d1, _ = _cancel(n2, d1)
+        return RationalFunction(n1 * n2, d1 * d2, reduce=False)
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return self._times(o.num, o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         if o.is_zero():
             raise ZeroDivisionError
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return self._times(o.den, o.num)
 
     def __rtruediv__(self, other):
-        return self._coerce(other) / self
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        return o / self
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from injres import ring
 from injres.ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction,
-                         Field, QQ, exact_divide, divides, f_adic_valuation,
+                         Field, Fp, QQ, exact_divide, divides, f_adic_valuation,
                          bivar_gcd, normalize_monic, resultant_bezout,
                          univar_gcd, content_in,
                          truncate, series_inverse_truncated, adic_expand,
@@ -175,3 +176,154 @@ def test_local_fraction_requires_unit_denominator():
     LocalFraction(P("Z"), P("1+W"))
     with pytest.raises(Exception):
         LocalFraction(P("Z"), P("W"))
+
+
+# --- rational-function arithmetic ------------------------------------------
+
+FIELDS = [QQ, Field(3), Field(7), Field(32003)]
+IRREDUCIBLES = ["Z+W", "Z-W", "W-Z^2", "Z+W^2", "1+Z+W"]
+
+
+@st.composite
+def field_polys(draw, field, nonzero=False):
+    """A polynomial of small_polys times some of the irreducibles and a
+    monomial, so that operands share factors."""
+    p = BivarPoly(draw(small_polys()).terms, field)
+    if nonzero and p.is_zero():
+        p = BivarPoly.const(1, field)
+    for text in draw(st.lists(st.sampled_from(IRREDUCIBLES), max_size=1)):
+        p = p * parse_poly(text, field=field)
+    exps = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    return p * BivarPoly.mono(exps, 1, field)
+
+
+@st.composite
+def denominators(draw, field):
+    """A constant, a monomial, an irreducible, or a product of these."""
+    den = BivarPoly.const(draw(st.sampled_from([1, 2, -1, -2])), field)
+    if draw(st.booleans()):
+        exps = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        den = den * BivarPoly.mono(exps, 1, field)
+    for text in draw(st.lists(st.sampled_from(IRREDUCIBLES), max_size=2)):
+        den = den * parse_poly(text, field=field)
+    return den
+
+
+def _full_gcd(a, b):
+    """The monic gcd of a and b by sympy, an implementation apart from
+    ring.bivar_gcd, whose pseudo-remainder sequence takes seconds on the
+    products of two drawn fractions."""
+    sympy = pytest.importorskip("sympy")
+    field = a.field
+    gens = sympy.symbols("Z W")
+    opts = {"modulus": field.char} if field.char else {"domain": "QQ"}
+
+    def to_sympy(p):
+        return sympy.Poly.from_dict({k: c.v if field.char else
+                                     sympy.Rational(c.numerator, c.denominator)
+                                     for k, c in p.terms.items()}, *gens, **opts)
+
+    g = to_sympy(a).gcd(to_sympy(b)).as_dict()
+    return normalize_monic(BivarPoly({k: field.of(Fraction(str(c)))
+                                      for k, c in g.items()}, field))
+
+
+def _reduced_by_full_gcd(num, den):
+    """num/den divided by the monic gcd of the whole pair: the reference
+    the arithmetic must reproduce term for term."""
+    if num.is_zero():
+        return num, BivarPoly.const(1, num.field)
+    g = _full_gcd(num, den)
+    return exact_divide(num, g), exact_divide(den, g)
+
+
+@st.composite
+def reduced_fractions(draw, field):
+    num, den = _reduced_by_full_gcd(draw(field_polys(field)), draw(denominators(field)))
+    return RationalFunction(num, den, reduce=False)
+
+
+def _assert_matches_the_reference(a, b):
+    (n1, d1), (n2, d2) = (a.num, a.den), (b.num, b.den)
+    cases = [(a + b, n1 * d2 + n2 * d1, d1 * d2),
+             (a - b, n1 * d2 - n2 * d1, d1 * d2),
+             (a * b, n1 * n2, d1 * d2)]
+    if not b.is_zero():
+        cases.append((a / b, n1 * d2, d1 * n2))
+    for got, num, den in cases:
+        num, den = _reduced_by_full_gcd(num, den)
+        assert got.num.terms == num.terms and got.den.terms == den.terms
+        if not got.is_zero():
+            assert _full_gcd(got.num, got.den) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_arithmetic_matches_the_full_gcd_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    _assert_matches_the_reference(data.draw(reduced_fractions(field)),
+                                  data.draw(reduced_fractions(field)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("a, b", [
+    # a sum or difference whose numerator cancels against gcd(d1, d2)
+    (("1", "Z*(Z+W)"), ("1", "W*(Z+W)")),
+    (("Z+2*W", "(Z+W)^2"), ("-W", "(Z+W)^2")),
+    (("Z+1", "Z^2"), ("-1", "Z^2")),
+    # a product and a quotient that cancel to a constant
+    (("Z+W", "W-Z^2"), ("W-Z^2", "Z+W")),
+])
+def test_arithmetic_cancels_like_the_reference(field, a, b):
+    a, b = (RationalFunction(parse_poly(n, field=field), parse_poly(d, field=field))
+            for n, d in (a, b))
+    _assert_matches_the_reference(a, b)
+
+
+def _assert_coefficient_types(p, field):
+    for c in p.terms.values():
+        if field.char:
+            assert type(c) is Fp and c.p == field.char, c
+        else:
+            assert type(c) is Fraction, c
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_arithmetic_keeps_coefficients_in_the_field(data):
+    # a stray int / int would store a float, which compares equal and
+    # prints differently; nothing else would catch it
+    field = data.draw(st.sampled_from(FIELDS))
+    f = data.draw(field_polys(field, nonzero=True))
+    g = data.draw(field_polys(field, nonzero=True))
+    results = [f * g, exact_divide(f * g, g)]
+    if f.degree_in("W") >= g.degree_in("W") > 0:
+        results.extend(ring._prem(f, g, "W"))
+    a = data.draw(reduced_fractions(field))
+    b = RationalFunction(g, data.draw(denominators(field)))
+    for r in (a + b, a * b, a / b):
+        results.extend((r.num, r.den))
+    for p in results:
+        _assert_coefficient_types(p, field)
+
+
+def test_monomial_and_constant_operands_take_no_gcd(monkeypatch):
+    x = RationalFunction(P("Z+W^2"), P("Z*(W-Z^2)"))
+    p = P("1 + Z + W^2")
+    def no_gcd(a, b):
+        raise AssertionError("gcd taken")
+    monkeypatch.setattr(ring, "bivar_gcd", no_gcd)
+    y = x * RationalFunction.monomial(2, -1)
+    assert (y.num, y.den) == (P("(Z+W^2)*Z"), P("(W-Z^2)*W"))
+    assert (x * 3).den == x.den
+    q = RationalFunction.monomial(2, -3) / p
+    assert (q.num, q.den) == (P("Z^2"), P("W^3") * p)
+    s = RationalFunction(P("Z+W"), P("3")) + RationalFunction(P("1+W"), P("Z^2*W"))
+    assert (s.num, s.den) == (P("Z^3*W + Z^2*W^2 + 3 + 3*W"), P("3*Z^2*W"))
+
+
+def test_foreign_operands_raise_type_error():
+    one = RationalFunction.const(1)
+    for op in (lambda: one - "x", lambda: one / "x", lambda: "x" / one):
+        with pytest.raises(TypeError):
+            op()
