@@ -8,6 +8,8 @@ minimally generated by 5 elements, and Ext^i(M, A/p) has dimensions
 Hom(M, I^*), with the differential applied through resolution.delta.
 """
 
+from functools import cache
+
 from .ring import BivarPoly, QuadPoly, RationalFunction, QQ
 from .hulls import EZWElement, act, omega, omega_zw
 from .resolution import ChainElement, PrimeIndex, delta, max_copies
@@ -122,6 +124,13 @@ class DHMModule:
                         raise InvariantViolation(f"{x}{y} on {b} is wrong")
 
 
+@cache
+def module_over(field):
+    """The module over field; the action table is verified once per field,
+    as it is a constant."""
+    return DHMModule(field)
+
+
 class DHMHom(linalg.SparseVector):
     """A homomorphism M -> E(Z,W), stored by its values on the basis: a
     sparse vector keyed by basis name."""
@@ -156,9 +165,9 @@ class DHMHom(linalg.SparseVector):
                 vec[(b, n, s, t)] = c
         return vec
 
-    def is_hom(self, module=None):
+    def is_hom(self):
         """Check Phi(x b) = x Phi(b) for all variables and basis vectors."""
-        mod = module or DHMModule(self.field)
+        mod = module_over(self.field)
         for x in _VARS:
             q = QuadPoly.var(x, self.field)
             for b in BASIS:
@@ -201,7 +210,7 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
     if truncation < 2:
         raise TruncationTooSmall("need truncation >= 2 to contain the "
                                  "m^3-torsion of the hull")
-    mod = DHMModule(field)
+    mod = module_over(field)
     if prime.kind == "max":
         box = _torsion_box(field)
         unknowns = [(b, key) for b in BASIS for key in box]
@@ -227,7 +236,7 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
                 vals[b] = vals.get(b, EZWElement.zero(field)) + \
                     omega_zw(*key, field).scale(c)
             homs.append(DHMHom(vals, field))
-        assert all(h.is_hom(mod) for h in homs)
+        assert all(h.is_hom() for h in homs)
         return len(homs), homs
     if prime.kind in ("Z", "W", "irr"):
         # pick the variable that is a unit at the prime; M is its cube's
@@ -318,11 +327,10 @@ def dhm_dual_basis(field=QQ):
                        + phi[2].monomial_act(*_XINV).monomial_act(*_XINV)
                        + phi[4].monomial_act(*_XINV).monomial_act(*_ZINV)
                        + phi[6].monomial_act(*_ZINV).monomial_act(*_ZINV))
-    mod = DHMModule(field)
     out = {}
     for name, wv in wvals.items():
         h = _extend_w_values(wv, field)
-        if not h.is_hom(mod):
+        if not h.is_hom():
             raise InvariantViolation(f"{name} violates the hom conditions")
         out[name] = h
     return out

@@ -9,12 +9,22 @@ vectors divide by 2.
 
 import re
 from fractions import Fraction
+from operator import add, sub
 
 from .linalg import _axpy
 
 
 class NotDivisible(Exception):
-    pass
+    """An exact division failed.  divides and f_adic_valuation use it for
+    control flow, so the polynomials are formatted only when the message
+    is read."""
+
+    def __init__(self, template, *polys):
+        super().__init__(template, *polys)
+        self.template, self.polys = template, polys
+
+    def __str__(self):
+        return self.template.format(*self.polys)
 
 
 class NotUnit(Exception):
@@ -152,7 +162,9 @@ class Poly:
     """Sparse polynomial: dict mapping exponent tuples to nonzero coefficients.
 
     Subclasses fix the variable names.  Arithmetic is exact; zero
-    coefficients are never stored.
+    coefficients are never stored.  Over F_p, +, -, * and exact_divide work
+    on the .v ints of the coefficients and reduce mod p once per output
+    term; .terms still holds Fp values.
     """
 
     VARS = ()
@@ -165,6 +177,15 @@ class Poly:
             if c:
                 vals[tuple(k)] = c
         self.terms = vals
+
+    @classmethod
+    def _trusted(cls, terms, field):
+        """A polynomial on terms whose coefficients are already nonzero
+        elements of field: the per-term check of __init__ is skipped."""
+        out = object.__new__(cls)
+        out.field = field
+        out.terms = terms
+        return out
 
     @classmethod
     def zero(cls, field=QQ):
@@ -233,11 +254,31 @@ class Poly:
         if isinstance(other, Poly):
             if type(other) is not type(self):
                 raise TypeError("mixed polynomial rings")
+            if other.field is not self.field and other.field != self.field:
+                raise ValueError("mixed characteristics")
             return other
         return type(self).const(self.field.of(other), self.field)
 
+    def _fp_add(self, terms, sign):
+        """self + sign*terms over F_p on the .v ints, reduced once per
+        touched term; terms of self that the other side misses are kept."""
+        p = self.field.char
+        t = dict(self.terms)
+        for k, c in terms.items():
+            if k in t:
+                v = (t[k].v + sign * c.v) % p
+                if v:
+                    t[k] = Fp(v, p)
+                else:
+                    del t[k]
+            else:
+                t[k] = c if sign > 0 else Fp(-c.v, p)
+        return type(self)._trusted(t, self.field)
+
     def __add__(self, other):
         o = self._coerce(other)
+        if self.field.char:
+            return self._fp_add(o.terms, 1)
         return type(self)(_axpy(dict(self.terms), o.terms), self.field)
 
     __radd__ = __add__
@@ -246,18 +287,37 @@ class Poly:
         return type(self)({k: -c for k, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
+        if self.field.char:
+            return self._fp_add(self._coerce(other).terms, -1)
         return self + (-self._coerce(other))
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
+        p = self.field.char
         if isinstance(other, (int, Fraction, Fp)):
+            if p:
+                v0 = self.field.of(other).v
+                if not v0:
+                    return type(self).zero(self.field)
+                return type(self)._trusted({k: Fp(c.v * v0, p)
+                                            for k, c in self.terms.items()},
+                                           self.field)
             c0 = self.field.of(other) if isinstance(other, int) else other
             return type(self)({k: c * c0 for k, c in self.terms.items()}, self.field)
         o = self._coerce(other)
-        # the product loop stays inline: it is the hottest kernel
-        # (exact_divide's quotient updates), and a helper call per term shows
+        if p:
+            # plain ints summed per output term, reduced once at the end
+            acc = {}
+            right = [(k2, c2.v) for k2, c2 in o.terms.items()]
+            for k1, c1 in self.terms.items():
+                v1 = c1.v
+                for k2, v2 in right:
+                    k = tuple(map(add, k1, k2))
+                    acc[k] = acc.get(k, 0) + v1 * v2
+            return type(self)._trusted(_fp_reduce(acc, p), self.field)
+        # Q keeps the Fraction loop until the runner keeps digests (ROADMAP item 1)
         t = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
@@ -285,7 +345,7 @@ class Poly:
     def __eq__(self, other):
         try:
             o = self._coerce(other)
-        except TypeError:
+        except (TypeError, ValueError):  # another ring or another field
             return NotImplemented
         return self.terms == o.terms
 
@@ -304,9 +364,19 @@ class Poly:
         for k, c in self.terms.items():
             nk = tuple(a + d for a, d in zip(k, deltas))
             if any(e < 0 for e in nk):
-                raise NotDivisible(f"{self!r} not divisible by the monomial shift")
+                raise NotDivisible("{!r} not divisible by the monomial shift", self)
             t[nk] = c
         return type(self)(t, self.field)
+
+
+def _fp_reduce(acc, p):
+    """The nonzero residues mod p of an {exponent: int} dict, as Fp."""
+    out = {}
+    for k, v in acc.items():
+        v %= p
+        if v:
+            out[k] = Fp(v, p)
+    return out
 
 
 class BivarPoly(Poly):
@@ -336,14 +406,35 @@ def exact_divide(g, f):
         raise ZeroDivisionError("division by the zero polynomial")
     cls = type(g)
     q = {}
-    rem = g
     lt_f = max(f.terms)
+    p = g.field.char
+    if p:
+        # one {exponent: int} remainder updated in place; an entry is
+        # reduced mod p only when it leads, and dropped if it is zero there
+        inv = pow(f.terms[lt_f].v, -1, p)
+        rest = [(k, c.v) for k, c in f.terms.items() if k != lt_f]
+        rem = {k: c.v for k, c in g.terms.items()}
+        while rem:
+            lt = max(rem)
+            c = rem.pop(lt) * inv % p
+            if not c:
+                continue
+            d = tuple(map(sub, lt, lt_f))
+            if any(e < 0 for e in d):
+                raise NotDivisible("{!r} does not divide {!r}", f, g)
+            q[d] = Fp(c, p)
+            for k, v in rest:
+                k = tuple(map(add, d, k))
+                rem[k] = rem.get(k, 0) - c * v
+        return cls._trusted(q, g.field)
+    # Q keeps the Fraction loop until the runner keeps digests (ROADMAP item 1)
+    rem = g
     cf = f.terms[lt_f]
     while rem.terms:
         lt = max(rem.terms)
         d = tuple(a - b for a, b in zip(lt, lt_f))
         if any(e < 0 for e in d):
-            raise NotDivisible(f"{f!r} does not divide {g!r}")
+            raise NotDivisible("{!r} does not divide {!r}", f, g)
         c = rem.terms[lt] / cf
         q[d] = c
         rem = rem - cls.mono(d, c, g.field) * f
@@ -606,14 +697,6 @@ class RationalFunction:
             return o
         return (self.num * o.den - o.num * self.den).is_zero()
 
-    def __hash__(self):
-        n, d = self.num, self.den
-        lead = max(d.terms, key=lambda k: (k[1], k[0]))
-        c = d.terms[lead]
-        n = n * (n.field.one / c)
-        d = d * (d.field.one / c)
-        return hash((frozenset(n.terms.items()), frozenset(d.terms.items())))
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -755,18 +838,18 @@ def adic_expand(phi, variable, order):
     n_cs = num.coeffs_in(variable)
     d_cs = den.coeffs_in(variable)
     d0 = RationalFunction(d_cs[0], reduce=False)
-    out = {}
+    zero = RationalFunction(BivarPoly.zero(num.field))
+    # cs holds the nonzero coefficients only: a zero one adds nothing to the
+    # later sums, so it is neither divided by d0 nor stored
     cs = {}
     for k in range(0, order - offset + 1):
-        acc = RationalFunction(n_cs.get(k, BivarPoly.zero(num.field)), reduce=False)
-        for j in range(k):
-            if j in cs and (k - j) in d_cs:
-                acc = acc - cs[j] * d_cs[k - j]
-        c = acc / d0
-        cs[k] = c
-        if not c.is_zero():
-            out[k + offset] = c
-    return out
+        acc = RationalFunction(n_cs[k], reduce=False) if k in n_cs else zero
+        for j, c in cs.items():
+            if k - j in d_cs:
+                acc = acc - c * d_cs[k - j]
+        if not acc.is_zero():
+            cs[k] = acc / d0
+    return {k + offset: c for k, c in cs.items()}
 
 
 # --- irreducibility --------------------------------------------------------

@@ -173,10 +173,13 @@ def test_field_3_passes():
     ("ext-self-7", ["--field", "7", "--trunc", "5", "ext-self"]),
     ("dhm-Q", ["dhm"]),
     ("dhm-7", ["--field", "7", "dhm"]),
+    ("verify-all-Q", ["verify-all"]),
+    ("verify-all-7", ["--field", "7", "verify-all"]),
 ])
 def test_report_matches_golden_text(name, argv):
     # tests/golden/<name>.txt is the text report `injres <argv>` printed
-    # before Ext was read off resolution.delta
+    # before Ext was read off resolution.delta (ext-self, dhm) and before
+    # the F_p ring kernel moved to machine integers (verify-all)
     code, out = run(argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()

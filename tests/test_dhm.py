@@ -4,7 +4,7 @@ import pytest
 
 from injres.ring import parse_poly, QQ, Field
 from injres.resolution import PrimeIndex
-from injres import linalg
+from injres import dhm, linalg
 from injres.dhm import (DHMModule, DHMHom, dhm_hom_space,
                         dhm_dual_basis, dhm_min_generators, dhm_ext,
                         InvariantViolation, TruncationTooSmall,
@@ -17,6 +17,19 @@ P = lambda t: parse_poly(t)
 def test_module_invariants_hold():
     mod = DHMModule()
     assert mod.dim() == 15
+
+
+def test_corrupt_action_table_is_refused(monkeypatch):
+    # X w1 = v2 instead of v1, so X^2 w1 = u2, not the listed survivor u1
+    monkeypatch.setitem(dhm._ACTION, "X", {**dhm._ACTION["X"], "w1": {"v2": 1}})
+    with pytest.raises(InvariantViolation):
+        DHMModule(Field(7))
+
+
+def test_module_is_verified_once_per_field():
+    assert dhm.module_over(Field(7)) is dhm.module_over(Field(7))
+    assert dhm.module_over(Field(7)).field == Field(7)
+    assert dhm.module_over(QQ) is not dhm.module_over(Field(7))
 
 
 def test_module_action_samples():

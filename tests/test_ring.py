@@ -52,6 +52,19 @@ def test_divides_negative_case():
         exact_divide(P("Z^2+W"), P("Z+W"))
 
 
+def test_not_divisible_message_names_both_polynomials():
+    with pytest.raises(NotDivisible) as exc:
+        exact_divide(P("Z^2+W"), P("Z+W"))
+    assert str(exc.value) == "Z + W does not divide Z^2 + W"
+    F7 = Field(7)
+    with pytest.raises(NotDivisible) as exc:
+        exact_divide(parse_poly("Z^2+W", field=F7), parse_poly("Z+W", field=F7))
+    assert str(exc.value) == "Z + W does not divide Z^2 + W"
+    with pytest.raises(NotDivisible) as exc:
+        P("Z+W").shift((-1, 0))
+    assert str(exc.value) == "Z + W not divisible by the monomial shift"
+
+
 def test_parse_format_roundtrip():
     for text in ["Z", "W^3", "Z+W", "-Z^2+W", "1/2*Z*W - 3", "Z^2*W^2 + 7"]:
         p = P(text)
@@ -162,6 +175,22 @@ def test_adic_expansion_reconstructs():
             BivarPoly.mono((max(-m, 0), 0), 1))
     diff = phi - acc
     assert diff.num.is_zero() or diff.num.order_in("Z") > 3
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=repr)
+def test_adic_expansion_with_gaps(field):
+    # the numerator skips Z^1, Z^2 and Z^4, and 1/(1 - Z^3) has only every
+    # third coefficient: the expansion must still carry the Z^3 terms
+    # through the zero coefficients in between
+    num = parse_poly("W + Z^3 + Z^5*W^2", field=field)
+    den = parse_poly("1 - Z^3", field=field)
+    exp = adic_expand(RationalFunction(num, den, reduce=False), "Z", 9)
+    F = lambda t: RationalFunction(parse_poly(t, field=field))
+    assert exp == {0: F("W"), 3: F("W + 1"), 5: F("W^2"),
+                   6: F("W + 1"), 8: F("W^2"), 9: F("W + 1")}
+    shifted = adic_expand(RationalFunction(num, den * parse_poly("Z^2", field=field)),
+                          "Z", 4)
+    assert shifted == {m - 2: c for m, c in exp.items() if m <= 6}
 
 
 def test_irreducibility_checks():
@@ -281,11 +310,12 @@ def test_arithmetic_cancels_like_the_reference(field, a, b):
 
 
 def _assert_coefficient_types(p, field):
+    # Poly stores nonzero coefficients only
     for c in p.terms.values():
         if field.char:
-            assert type(c) is Fp and c.p == field.char, c
+            assert type(c) is Fp and c.p == field.char and 0 < c.v < c.p, c
         else:
-            assert type(c) is Fraction, c
+            assert type(c) is Fraction and c != 0, c
 
 
 @settings(max_examples=40, deadline=None)
@@ -296,7 +326,8 @@ def test_arithmetic_keeps_coefficients_in_the_field(data):
     field = data.draw(st.sampled_from(FIELDS))
     f = data.draw(field_polys(field, nonzero=True))
     g = data.draw(field_polys(field, nonzero=True))
-    results = [f * g, exact_divide(f * g, g)]
+    results = [f * g, exact_divide(f * g, g), f + g, f - g, f - f, f + (-f),
+               f * 3, f * Fraction(-1, 2), f * field.of(5), f * field.char]
     if f.degree_in("W") >= g.degree_in("W") > 0:
         results.extend(ring._prem(f, g, "W"))
     a = data.draw(reduced_fractions(field))
@@ -305,6 +336,64 @@ def test_arithmetic_keeps_coefficients_in_the_field(data):
         results.extend((r.num, r.den))
     for p in results:
         _assert_coefficient_types(p, field)
+
+
+def _int_polys(nvars):
+    """Polynomials with integer coefficients, as {exponent tuple: int}."""
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exps, st.integers(-10 ** 6, 10 ** 6), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 7, 32003]), st.sampled_from([BivarPoly, QuadPoly]),
+       st.data())
+def test_fp_kernels_agree_with_integer_arithmetic(p, cls, data):
+    # a and b over Z, reduced mod p after the integer operation and before it
+    field = Field(p)
+    a, b = (data.draw(_int_polys(len(cls.VARS))) for _ in range(2))
+
+    def mod_p(terms):
+        return cls({k: c % p for k, c in terms.items()}, field)
+
+    product, total, difference = {}, dict(a), dict(a)
+    for (k1, c1), (k2, c2) in itertools.product(a.items(), b.items()):
+        k = tuple(x + y for x, y in zip(k1, k2))
+        product[k] = product.get(k, 0) + c1 * c2
+    for k, c in b.items():
+        total[k] = total.get(k, 0) + c
+        difference[k] = difference.get(k, 0) - c
+    a_p, b_p = mod_p(a), mod_p(b)
+    assert mod_p(product).terms == (a_p * b_p).terms
+    assert mod_p(total).terms == (a_p + b_p).terms
+    assert mod_p(difference).terms == (a_p - b_p).terms
+    c = data.draw(st.integers(-10 ** 6, 10 ** 6))
+    assert mod_p({k: v * c for k, v in a.items()}).terms == (a_p * c).terms
+    for r in (a_p * b_p, a_p + b_p, a_p - b_p, a_p * c):
+        _assert_coefficient_types(r, field)
+    if not b_p.is_zero():
+        q = exact_divide(a_p * b_p, b_p)
+        assert q.terms == a_p.terms
+        _assert_coefficient_types(q, field)
+
+
+def test_mixed_fields_are_refused():
+    for a, b in ((P("Z+1"), parse_poly("Z+1", field=Field(7))),
+                 (parse_poly("Z+1", field=Field(7)), parse_poly("Z+1", field=Field(5)))):
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+            with pytest.raises(ValueError):
+                op()
+        assert a != b and not a == b
+
+
+def test_equal_rational_functions_are_not_hashed_apart():
+    # equal values may be stored unreduced in different forms, so no hash
+    # of the stored num and den can agree with ==; the class is unhashable
+    a = RationalFunction(P("Z*W"), P("Z"), reduce=False)
+    b = RationalFunction(P("W"))
+    assert a == b
+    for x in (a, b):
+        with pytest.raises(TypeError):
+            hash(x)
 
 
 def test_monomial_and_constant_operands_take_no_gcd(monkeypatch):
