@@ -8,6 +8,8 @@ fraction vanishes iff (x1 x2)^s * w lies in (x1^{s+1}, x2^{s+1}) locally
 for some s >= 0.  Two fractions are compared over coprime slot products,
 reached by swapping or shearing the second fraction's slots with a det-1
 matrix: the transformation law, applied by polynomial arithmetic alone.
+The ring's gcd only chooses that arrangement, run on the slot bases rather
+than their powers; the verdict comes from the membership test below.
 Coprime slot products that vanish at the origin form a regular sequence in
 the Cohen-Macaulay ring k[Z,W]_(Z,W), so the maps of the Cech direct system
 are injective and the test at s = 0 already decides.
@@ -125,16 +127,19 @@ def local_membership(target, gens):
 
 
 def _slot_arrangements(b):
-    """Slot pairs (sign, x1, x2) with b = sign * [w / x1, x2] for b's
-    numerator w: b's own slots, their swap (which negates), then the det-1
-    shears (x1 + c*x2, x2) and (x1, x2 + c*x1) of the transformation law."""
+    """Slot pairs (sign, (y1, f1), (y2, f2)) with b = sign * [w / y1^f1,
+    y2^f2] for b's numerator w: b's own slots, their swap (which negates),
+    then the det-1 shears (x1 + c*x2, x2) and (x1, x2 + c*x1) of the
+    transformation law, with x1, x2 b's powered slots.  A sheared slot is a
+    base of exponent 1; the powers for the shears are built only when the
+    first two arrangements fail."""
     (gb1, eb1), (gb2, eb2) = b.denominators
+    yield 1, (gb1, eb1), (gb2, eb2)
+    yield -1, (gb2, eb2), (gb1, eb1)
     x1, x2 = gb1 ** eb1, gb2 ** eb2
-    yield 1, x1, x2
-    yield -1, x2, x1
     for c in range(1, MAX_SHEAR + 1):
-        yield 1, x1 + x2 * c, x2
-        yield 1, x1, x2 + x1 * c
+        yield 1, (x1 + x2 * c, 1), (gb2, eb2)
+        yield 1, (gb1, eb1), (x2 + x1 * c, 1)
 
 
 def cech_equal(a, b):
@@ -142,17 +147,20 @@ def cech_equal(a, b):
     k[Z,W] localized at the origin, via the Cech presentation.  Slot
     products across the two fractions must be coprime: b's slots are
     swapped or sheared until they are; raises ValueError when no
-    arrangement tried makes them so.  The difference vanishes iff its
-    numerator lies in (d1, d2) locally: the Cech test at s = 0."""
+    arrangement tried makes them so.  Coprimality is tested on the bases,
+    gcd(ga1 * yb1, ga2 * yb2), since with positive exponents gcd(p^m, q^n)
+    is constant exactly when gcd(p, q) is; the powers are built once, for
+    the arrangement chosen.  The difference vanishes iff its numerator lies
+    in (d1, d2) locally: the Cech test at s = 0."""
     (ga1, ea1), (ga2, ea2) = a.denominators
-    xa1, xa2 = ga1 ** ea1, ga2 ** ea2
-    na, ua = a.num_den()
-    nb, ub = b.num_den()
-    for sign, xb1, xb2 in _slot_arrangements(b):
-        d1, d2 = xa1 * xb1, xa2 * xb2
-        if bivar_gcd(d1, d2).is_constant():
+    for sign, (yb1, fb1), (yb2, fb2) in _slot_arrangements(b):
+        if bivar_gcd(ga1 * yb1, ga2 * yb2).is_constant():
             break
     else:
         raise ValueError("cannot arrange coprime denominator slots")
+    xa1, xa2 = ga1 ** ea1, ga2 ** ea2
+    xb1, xb2 = yb1 ** fb1, yb2 ** fb2
+    na, ua = a.num_den()
+    nb, ub = b.num_den()
     t = na * ub * xb1 * xb2 - nb * ua * xa1 * xa2 * sign
-    return local_membership(t, [d1, d2])
+    return local_membership(t, [xa1 * xb1, xa2 * xb2])

@@ -115,6 +115,7 @@ class Field:
             if char < 2 or any(char % q == 0 for q in range(2, int(char ** 0.5) + 1)):
                 raise ValueError(f"{char} is not prime")
         self.char = char
+        self.zero, self.one = self.of(0), self.of(1)
 
     def of(self, x):
         if self.char == 0:
@@ -136,14 +137,6 @@ class Field:
         if isinstance(x, str):
             return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into F_{self.char}")
-
-    @property
-    def zero(self):
-        return self.of(0)
-
-    @property
-    def one(self):
-        return self.of(1)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -189,22 +182,23 @@ class Poly:
 
     @classmethod
     def zero(cls, field=QQ):
-        return cls({}, field)
+        return cls._trusted({}, field)
 
     @classmethod
     def const(cls, c, field=QQ):
-        return cls({(0,) * len(cls.VARS): c}, field)
+        return cls.mono((0,) * len(cls.VARS), c, field)
 
     @classmethod
     def mono(cls, exps, c=1, field=QQ):
-        return cls({tuple(exps): c}, field)
+        c = field.of(c)
+        return cls._trusted({tuple(exps): c} if c else {}, field)
 
     @classmethod
     def var(cls, name, field=QQ):
         i = cls.VARS.index(name)
         e = [0] * len(cls.VARS)
         e[i] = 1
-        return cls({tuple(e): 1}, field)
+        return cls._trusted({tuple(e): field.one}, field)
 
     def is_zero(self):
         return not self.terms
@@ -248,7 +242,7 @@ class Poly:
             e = rest[i]
             rest[i] = 0
             out.setdefault(e, {})[tuple(rest)] = c
-        return {e: type(self)(t, self.field) for e, t in out.items()}
+        return {e: type(self)._trusted(t, self.field) for e, t in out.items()}
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -284,7 +278,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()}, self.field)
+        return type(self)._trusted({k: -c for k, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
         if self.field.char:
@@ -317,7 +311,7 @@ class Poly:
                     k = tuple(map(add, k1, k2))
                     acc[k] = acc.get(k, 0) + v1 * v2
             return type(self)._trusted(_fp_reduce(acc, p), self.field)
-        # Q keeps the Fraction loop until the runner keeps digests (ROADMAP item 1)
+        # Q keeps the Fraction loop until the benchmark runner keeps report digests
         t = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in o.terms.items():
@@ -366,7 +360,7 @@ class Poly:
             if any(e < 0 for e in nk):
                 raise NotDivisible("{!r} not divisible by the monomial shift", self)
             t[nk] = c
-        return type(self)(t, self.field)
+        return type(self)._trusted(t, self.field)
 
 
 def _fp_reduce(acc, p):
@@ -383,7 +377,8 @@ class BivarPoly(Poly):
     VARS = ("Z", "W")
 
     def to_quad(self):
-        return QuadPoly({(0, 0, z, w): c for (z, w), c in self.terms.items()}, self.field)
+        return QuadPoly._trusted({(0, 0, z, w): c for (z, w), c in self.terms.items()},
+                                 self.field)
 
     def eval_w0(self):
         """Set W = 0."""
@@ -427,7 +422,7 @@ def exact_divide(g, f):
                 k = tuple(map(add, d, k))
                 rem[k] = rem.get(k, 0) - c * v
         return cls._trusted(q, g.field)
-    # Q keeps the Fraction loop until the runner keeps digests (ROADMAP item 1)
+    # Q keeps the Fraction loop until the benchmark runner keeps report digests
     rem = g
     cf = f.terms[lt_f]
     while rem.terms:
@@ -506,7 +501,15 @@ def content_in(p, name):
 
 
 def bivar_gcd(a, b):
-    """Gcd of two bivariate polynomials, normalized monic in lex order W > Z."""
+    """Gcd of two bivariate polynomials, normalized monic in lex order W > Z.
+
+    The primitive parts in k[Z][W] run through the subresultant remainder
+    sequence (_subresultant_prs), which keeps the Z-degrees of the
+    remainders bounded.  When it ends on a zero remainder, the primitive
+    part of the last nonzero one is the gcd of the primitive parts; when it
+    reaches degree 0 in W, they are coprime.  The gcd of the contents, in
+    k[Z], multiplies the result.
+    """
     if a.is_zero():
         return normalize_monic(b)
     if b.is_zero():
@@ -514,23 +517,45 @@ def bivar_gcd(a, b):
     if a.degree_in("W") == 0 and b.degree_in("W") == 0:
         return univar_gcd(a, b, "Z")
     ca, cb = content_in(a, "W"), content_in(b, "W")
-    pa = exact_divide(a, ca) if not ca.is_zero() else a
-    pb = exact_divide(b, cb) if not cb.is_zero() else b
-    # primitive-part Euclid over k(Z)[W] by clearing denominators each step
-    x, y = pa, pb
-    while not y.is_zero() and y.degree_in("W") > 0:
-        dx, dy = x.degree_in("W"), y.degree_in("W")
-        if dx < dy:
-            x, y = y, x
-            continue
-        x, y = y, _prem(x, y, "W")[1]
-    if not y.is_zero():
-        g = type(a).const(1, a.field)  # primitive parts are coprime in k(Z)[W]
-    else:
-        cx = content_in(x, "W")
-        g = exact_divide(x, cx)
-    g = g * univar_gcd(ca, cb, "Z")
+    r, = _subresultant_prs((exact_divide(a, ca),), (exact_divide(b, cb),), "W")
+    g = univar_gcd(ca, cb, "Z")
+    if r.degree_in("W") > 0:
+        g = g * exact_divide(r, content_in(r, "W"))
     return normalize_monic(g)
+
+
+def _subresultant_prs(f, g, x):
+    """The subresultant remainder sequence of two rows in k[other][x]
+    (Collins, J. ACM 14, 1967; Brown and Traub, J. ACM 18, 1971).
+
+    A row is a polynomial followed by its cofactors, if any, with respect
+    to the two inputs: (u, 1, 0) and (v, 0, 1) carry the identity r = a*u
+    + b*v down the sequence, (u,) and (v,) carry nothing.  Each step takes
+    the pseudo-remainder of the last two polynomials, updates the cofactors
+    alike, and divides the new row exactly by the subresultant factor beta,
+    so every row stays polynomial with no gcd inside the loop.  Returns the
+    last row whose polynomial is nonzero: of degree 0 in x when the inputs
+    are coprime in k(other)[x], of positive degree (their gcd up to a
+    factor in k[other]) when the next remainder is zero.
+    """
+    cls, field = type(f[0]), f[0].field
+    if f[0].degree_in(x) < g[0].degree_in(x):
+        f, g = g, f
+    lc, psi = cls.const(1, field), cls.const(-1, field)
+    while g[0].degree_in(x) > 0:
+        dg = g[0].degree_in(x)
+        d = f[0].degree_in(x) - dg
+        q, rem = _prem(f[0], g[0], x)
+        if rem.is_zero():
+            break
+        beta = -lc * psi ** d
+        lc = g[0].coeffs_in(x)[dg]
+        scale = lc ** (d + 1)
+        h = (rem,) + tuple(scale * fi - q * gi for fi, gi in zip(f[1:], g[1:]))
+        f, g = g, tuple(exact_divide(p, beta) for p in h)
+        if d:
+            psi = exact_divide((-lc) ** d, psi ** (d - 1))
+    return g
 
 
 def _prem(f, g, name):
@@ -735,50 +760,28 @@ def resultant_bezout(u, v, eliminate):
     remaining variable alone.  Raises DegenerateResultant when u and v share
     a factor involving the eliminated variable.
 
-    The identity comes from the extended subresultant remainder sequence of
-    u and v in k[other][eliminate] (Collins, J. ACM 14, 1967; Brown and
-    Traub, J. ACM 18, 1971): each step takes a pseudo-remainder and divides
-    it, with its two cofactors, exactly by the subresultant factor beta, so
-    remainders and cofactors stay polynomial with no gcd inside the loop.
-    The last remainder lies in k[other]; when no degree is skipped it is
-    the resultant up to sign.  A zero remainder of positive degree means
-    a common factor.  The identity is then
-    made primitive, dividing (r, a, b) by gcd(r, content(a), content(b)) in
-    k[other], and scaled so r is monic.  The cofactors have degree below
-    deg v and deg u in the eliminated variable, so a/r and b/r are the
-    unique such cofactors over k(other), and the primitive r is the monic
-    generator of the polynomials that clear their denominators: no identity
-    with degree-bounded cofactors has an r of lower degree or order, which
-    keeps the exponents alpha, beta of reduce_h2 and its truncation box
-    minimal.
+    The identity comes from _subresultant_prs, the subresultant remainder
+    sequence of u and v in k[other][eliminate], run on the rows (u, 1, 0)
+    and (v, 0, 1) so that both cofactors ride along.  Its last row lies in
+    k[other]; when no degree is skipped it is the resultant up to sign.  A
+    last row of positive degree means the next remainder vanished: a common
+    factor.  The identity is then made primitive, dividing (r, a, b) by
+    gcd(r, content(a), content(b)) in k[other], and scaled so r is monic.
+    The cofactors have degree below deg v and deg u in the eliminated
+    variable, so a/r and b/r are the unique such cofactors over k(other),
+    and the primitive r is the monic generator of the polynomials that
+    clear their denominators: no identity with degree-bounded cofactors has
+    an r of lower degree or order, which keeps the exponents alpha, beta of
+    reduce_h2 and its truncation box minimal.
     """
     if u.is_zero() or v.is_zero():
         raise DegenerateResultant("zero input")
     field = u.field
     other = next(x for x in BivarPoly.VARS if x != eliminate)
     one, zero = BivarPoly.const(1, field), BivarPoly.zero(field)
-
-    # rows (remainder, cofactor of u, cofactor of v); f has the higher degree
-    f, g = (u, one, zero), (v, zero, one)
-    if u.degree_in(eliminate) < v.degree_in(eliminate):
-        f, g = g, f
-    lc, psi = one, -one
-    while g[0].degree_in(eliminate) > 0:
-        dg = g[0].degree_in(eliminate)
-        d = f[0].degree_in(eliminate) - dg
-        beta = -lc * psi ** d
-        lc = g[0].coeffs_in(eliminate)[dg]
-        q, rem = _prem(f[0], g[0], eliminate)
-        scale = lc ** (d + 1)
-        h = (rem, scale * f[1] - q * g[1], scale * f[2] - q * g[2])
-        h = tuple(exact_divide(p, beta) for p in h)
-        if h[0].is_zero():
-            raise DegenerateResultant("common factor in the eliminated variable")
-        if d:
-            psi = exact_divide((-lc) ** d, psi ** (d - 1))
-        f, g = g, h
-
-    r, a, b = g
+    r, a, b = _subresultant_prs((u, one, zero), (v, zero, one), eliminate)
+    if r.degree_in(eliminate) > 0:
+        raise DegenerateResultant("common factor in the eliminated variable")
     common = r
     for p in (a, b):
         common = univar_gcd(common, content_in(p, eliminate), other)
@@ -794,8 +797,8 @@ def resultant_bezout(u, v, eliminate):
 
 def truncate(p, boundZ, boundW):
     """Drop monomials with Z-degree >= boundZ or W-degree >= boundW."""
-    return BivarPoly({k: c for k, c in p.terms.items()
-                      if k[0] < boundZ and k[1] < boundW}, p.field)
+    return BivarPoly._trusted({k: c for k, c in p.terms.items()
+                               if k[0] < boundZ and k[1] < boundW}, p.field)
 
 
 def series_inverse_truncated(q, boundZ, boundW):

@@ -37,6 +37,14 @@ def test_reduce_base_with_both_axis_factors():
     assert "[ok] oracle: independent membership check" in out
 
 
+def test_reduce_cusp_cubed_against_a_parabola_cubed():
+    # the oracle's slot products have degree 16 and 18 here; its
+    # coprimality test runs on the bases, of degree 3 and 2
+    code, out = run(["reduce", "[2*Z^3 + W^2 + 1 / (Z^2+W^3)^3, (Z+W^2)^3]"])
+    assert code == 0, out
+    assert "[ok] oracle: independent membership check" in out
+
+
 def test_reduce_zero_class():
     code, out = run(["reduce", "[Z^5 / Z^2, W]"])
     assert code == 0

@@ -1,11 +1,13 @@
 """The independent membership oracle and its agreement with reduction."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from injres.ring import BivarPoly, Field, QQ, parse_poly
+from injres.ring import BivarPoly, Field, QQ, parse_poly, bivar_gcd
 from injres.gfrac import (GeneralizedFraction, reduce_h2,
                           h2_canonical_fraction)
-from injres.oracle import local_membership, cech_equal
+from injres.oracle import (local_membership, cech_equal, _slot_arrangements,
+                           MAX_SHEAR)
 from injres import samples
 
 
@@ -95,3 +97,32 @@ def test_cech_equal_sheared_slots_reject_a_doubled_form(char):
         gf = GeneralizedFraction(parse_poly(num, field=field), dens)
         can = reduce_h2(gf.numerator, *dens)
         assert not cech_equal(gf, h2_canonical_fraction(can + can, field))
+
+
+SLOT_BASES = ["Z", "W", "Z+W", "Z-W", "W-Z^2", "Z+W^2", "Z^2+W^3", "Z*W",
+              "Z*(Z+W)"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([QQ, Field(3), Field(7)]),
+       st.lists(st.tuples(st.sampled_from(SLOT_BASES), st.integers(1, 3)),
+                min_size=4, max_size=4))
+def test_base_and_powered_coprimality_agree(field, slots):
+    # cech_equal tests coprimality on the slot bases; on every arrangement
+    # it must agree with the test on the powered slot products, and the
+    # arrangements, powered, must be b's slots, their swap and the shears
+    (ga1, ea1), (ga2, ea2), db1, db2 = [(parse_poly(b, field=field), e)
+                                        for b, e in slots]
+    b = GeneralizedFraction(BivarPoly.const(1, field), [db1, db2])
+    x1, x2 = db1[0] ** db1[1], db2[0] ** db2[1]
+    powered_slots = [(1, x1, x2), (-1, x2, x1)]
+    for c in range(1, MAX_SHEAR + 1):
+        powered_slots += [(1, x1 + x2 * c, x2), (1, x1, x2 + x1 * c)]
+    arrangements = list(_slot_arrangements(b))
+    assert len(arrangements) == len(powered_slots)
+    for (sign, (yb1, fb1), (yb2, fb2)), (s, xb1, xb2) in zip(arrangements,
+                                                             powered_slots):
+        assert (sign, yb1 ** fb1, yb2 ** fb2) == (s, xb1, xb2)
+        on_bases = bivar_gcd(ga1 * yb1, ga2 * yb2).is_constant()
+        powered = bivar_gcd(ga1 ** ea1 * xb1, ga2 ** ea2 * xb2).is_constant()
+        assert on_bases == powered

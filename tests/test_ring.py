@@ -101,6 +101,19 @@ def test_bivar_gcd_and_monic_normalization():
     assert normalize_monic(P("3*W - 3*Z^2")) == P("W - Z^2")
 
 
+# pairs with a common factor and coprime pairs, the first ones of degree 10
+# or more: a W-content, a cusp against a parabola, and the slot products of
+# the reduce query [2*Z^3 + W^2 + 1 / (Z^2+W^3)^3, (Z+W^2)^3]
+GCD_PAIRS = [
+    ("(Z+W^2)^2*(W-Z^2)^3*(1+Z+W)", "(Z+W^2)^2*(Z-W)^4*(1+Z^2*W)"),
+    ("(Z^2+1)*(Z+W)^4*(W^2-Z)^3", "(Z^2+1)*Z^3*(Z+W)^2*(W^2+Z)^3"),
+    ("(Z^2+W^3)^4", "(Z+W^2)^5"),
+    ("(Z^2+W^3)^3*Z^6", "(Z+W^2)^3*W^3"),
+    ("Z+W", "Z-W"),
+    ("2*Z^2", "-4*Z*W^2"),
+]
+
+
 def _checked_bezout(u, v, var):
     """resultant_bezout with its contract checked: r = a*u + b*v, r free of
     var and monic, and the identity primitive."""
@@ -240,8 +253,7 @@ def denominators(draw, field):
 
 def _full_gcd(a, b):
     """The monic gcd of a and b by sympy, an implementation apart from
-    ring.bivar_gcd, whose pseudo-remainder sequence takes seconds on the
-    products of two drawn fractions."""
+    ring.bivar_gcd."""
     sympy = pytest.importorskip("sympy")
     field = a.field
     gens = sympy.symbols("Z W")
@@ -255,6 +267,23 @@ def _full_gcd(a, b):
     g = to_sympy(a).gcd(to_sympy(b)).as_dict()
     return normalize_monic(BivarPoly({k: field.of(Fraction(str(c)))
                                       for k, c in g.items()}, field))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("a, b", GCD_PAIRS)
+def test_bivar_gcd_matches_the_sympy_reference(field, a, b):
+    a, b = parse_poly(a, field=field), parse_poly(b, field=field)
+    assert bivar_gcd(a, b).terms == _full_gcd(a, b).terms
+    assert bivar_gcd(b, a).terms == _full_gcd(a, b).terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bivar_gcd_of_drawn_pairs_matches_the_sympy_reference(data):
+    field = data.draw(st.sampled_from(FIELDS))
+    f, g, h = (data.draw(field_polys(field, nonzero=True)) for _ in range(3))
+    for a, b in ((f, g), (f * h, g * h)):
+        assert bivar_gcd(a, b).terms == _full_gcd(a, b).terms
 
 
 def _reduced_by_full_gcd(num, den):
@@ -334,8 +363,20 @@ def test_arithmetic_keeps_coefficients_in_the_field(data):
     b = RationalFunction(g, data.draw(denominators(field)))
     for r in (a + b, a * b, a / b):
         results.extend((r.num, r.den))
+    # the constructors that skip the per-term check of Poly.__init__
+    c = data.draw(st.sampled_from([1, -2, 3, Fraction(-1, 2), field.of(5)]))
+    exps = data.draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+    results += [f.shift(exps), -f, truncate(f, 2, 2), f.to_quad(),
+                BivarPoly.const(c, field), BivarPoly.mono(exps, c, field),
+                BivarPoly.var("Z", field), QuadPoly.var("X", field),
+                BivarPoly.zero(field)]
+    results += list(f.coeffs_in("W").values()) + list(f.coeffs_in("Z").values())
     for p in results:
         _assert_coefficient_types(p, field)
+    assert BivarPoly.mono(exps, 0, field).is_zero()
+    assert BivarPoly.const(field.char, field).is_zero()
+    assert field.one is field.one and field.zero is field.zero
+    assert field.one == 1 and field.zero == 0 and not field.zero
 
 
 def _int_polys(nvars):
