@@ -48,8 +48,9 @@ def _parse_field(text):
 
 
 def _structural_slash(text, last=False):
-    """Index of the fraction bar: a top-level '/' not between two digits
-    (those belong to rational coefficients)."""
+    """Index of the fraction bar: a top-level '/' that digits do not touch
+    on both sides (those belong to rational coefficients, as in 1/2*Z; a
+    spaced '1 / 2*Z' is a fraction bar)."""
     found = -1
     depth = 0
     for i, ch in enumerate(text):
@@ -58,9 +59,7 @@ def _structural_slash(text, last=False):
         elif ch == ")":
             depth -= 1
         elif ch == "/" and depth == 0:
-            left = text[:i].rstrip()
-            right = text[i + 1:].lstrip()
-            if left[-1:].isdigit() and right[:1].isdigit():
+            if text[i - 1:i].isdigit() and text[i + 1:i + 2].isdigit():
                 continue
             found = i
             if not last:

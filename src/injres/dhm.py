@@ -341,8 +341,7 @@ def dhm_min_generators(field=QQ):
     named = dhm_dual_basis(field)
     red = linalg.Reducer()
     for name in DUAL_NAMES:
-        dep = red.add(named[name].coords(), label=name)
-        if dep is not None:
+        if not red.add(named[name].coords()):
             raise InvariantViolation(f"{name} is dependent")
     total = red.rank
     mred = linalg.Reducer()
@@ -352,8 +351,7 @@ def dhm_min_generators(field=QQ):
     sub = mred.rank
     gens = ["phi14", "phi25", "phi36", "phi135", "phi246"]
     for g in gens:
-        grew = mred.add(named[g].coords()) is None
-        if not grew:
+        if not mred.add(named[g].coords()):
             raise InvariantViolation(f"{g} lies in m M'")
     if mred.rank != total:
         raise InvariantViolation("the named complement does not generate")

@@ -5,14 +5,12 @@ term of the resolution, of Hom(M, E(Z,W)) and every canonical H^2/H^4
 coefficient map is a finite sum of basis classes stored as a terms dict,
 and shares its +, -, scale and == with the others.
 
-The row reduction below works on plain dicts mapping hashable, mutually
-comparable coordinate keys to nonzero field elements.  Used for
-kernel/image computations on truncated coordinate boxes of hull elements.
+Reducer is the package's one row reducer.  It works on plain dicts mapping
+hashable, mutually comparable coordinate keys to nonzero field elements.
+It serves the kernel/image computations on truncated coordinate boxes of
+hull elements, and the oracle's Cech membership test, which stays
+independent of resultants and series inversion.
 """
-
-
-def _lead(vec):
-    return max(vec)
 
 
 def _axpy(out, vec, c=None):
@@ -96,63 +94,59 @@ class SparseVector:
 
 
 class Reducer:
-    """Incremental row reduction with tracked combinations of the inputs."""
+    """Incremental row reduction: rows maps each lead key (the largest key
+    of a row) to its row, scaled to 1 there."""
 
     def __init__(self):
-        self.rows = {}   # lead key -> (vector, combination)
-        self.count = 0
+        self.rows = {}
 
-    def reduce(self, vec, comb=None):
+    def reduce(self, vec):
+        """The remainder of vec modulo the rows."""
         vec = dict(vec)
-        comb = dict(comb or {})
         while vec:
-            lead = _lead(vec)
-            got = self.rows.get(lead)
-            if got is None:
-                return vec, comb
-            row, rcomb = got
-            c = -vec[lead]
-            _axpy(vec, row, c)
-            _axpy(comb, rcomb, c)
-        return vec, comb
+            lead = max(vec)
+            row = self.rows.get(lead)
+            if row is None:
+                break
+            _axpy(vec, row, -vec[lead])
+        return vec
 
-    def add(self, vec, label=None):
-        """Insert a vector; returns None if it grew the span, else the
-        combination of previously inserted labels that produces it."""
-        comb = {label if label is not None else ("#", self.count): 1}
-        self.count += 1
-        vec, comb = self.reduce(vec, comb)
-        if not vec:
-            # the inserted vector is dependent; comb sums to zero over the
-            # original vectors, i.e. it is a kernel element
-            return comb
-        lead = _lead(vec)
-        c = vec[lead]
-        self.rows[lead] = ({k: v / c for k, v in vec.items()},
-                           {k: v / c for k, v in comb.items()})
-        return None
+    def add(self, vec):
+        """Insert a vector; returns its remainder, which is nonzero (true)
+        exactly when the span grew."""
+        vec = self.reduce(vec)
+        if vec:
+            lead = max(vec)
+            c = vec[lead]
+            self.rows[lead] = {k: v / c for k, v in vec.items()}
+        return vec
+
+    def contains(self, vec):
+        return not self.reduce(vec)
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def solve(self, vec):
-        """Coefficients of inserted vectors producing vec, or None."""
-        vec, comb = self.reduce(vec, {})
-        if vec:
-            return None
-        return {k: -v for k, v in comb.items()}
-
 
 def kernel_basis(pairs):
     """pairs: list of (label, image-vector).  Returns a basis of the kernel
-    of the induced map as a list of {label: coefficient}."""
+    of the induced map as a list of {label: coefficient}.
+
+    Each image is reduced together with its label, as in row-reducing
+    [A | I]: image keys become (1, k) and the label (0, label), so a label
+    leads only once the image part is gone, and such a remainder is a
+    kernel vector."""
     r = Reducer()
     out = []
     for label, img in pairs:
-        comb = r.add(img, label=label)
-        if comb is not None:
-            out.append(comb)
+        vec = {(1, k): v for k, v in img.items()}
+        vec[(0, label)] = 1
+        vec = r.reduce(vec)
+        if max(vec)[0]:
+            r.add(vec)
+        else:
+            out.append({k: v for (_, k), v in vec.items()})
     return out
 
 
@@ -170,13 +164,13 @@ def box_cohomology(cochains, coboundaries, generators=()):
     red = Reducer()
     for v in coboundaries:
         red.add(v)
-    independent = all(red.add(g) is None for g in generators)
+    independent = all(red.add(g) for g in generators)
     outside = 0
     for comb in kern:
         vec = {}
         for k, c in comb.items():
             _axpy(vec, cochains[k][0], c)
-        outside += red.add(vec) is None
+        outside += bool(red.add(vec))
     return len(kern), independent, outside
 
 
@@ -184,4 +178,4 @@ def in_span(vec, vectors):
     r = Reducer()
     for v in vectors:
         r.add(v)
-    return r.solve(vec) is not None
+    return r.contains(vec)

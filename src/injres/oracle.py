@@ -25,47 +25,18 @@ Membership in the localization at the origin is decided two ways:
 * a bounded certificate search u*t = sum p_i g_i with u a unit, sound for
   "true" and a semi-decision for "false", used as a fallback for ideals
   that are not primary to the origin.
+
+Both build their spans with linalg.Reducer, the package's one row reducer;
+membership in a span does not depend on the lead order.  Sharing row
+reduction keeps the oracle independent of the resultants and series
+inversion that the reduction pipeline runs on.
 """
 
 from .ring import bivar_gcd
-from .linalg import _axpy
+from .linalg import Reducer
 
 # the largest c tried in the shears of _slot_arrangements
 MAX_SHEAR = 3
-
-
-class _Span:
-    """Row-reduced span of sparse vectors keyed by monomial tuples."""
-
-    def __init__(self):
-        self.rows = {}
-
-    @staticmethod
-    def _lead(vec):
-        return max(vec, key=lambda k: (sum(k), k))
-
-    def reduce(self, vec):
-        vec = dict(vec)
-        while vec:
-            lead = self._lead(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                return vec
-            _axpy(vec, row, -vec[lead])
-        return vec
-
-    def add(self, vec):
-        """Reduce and insert; returns True if the span grew."""
-        vec = self.reduce(vec)
-        if not vec:
-            return False
-        lead = self._lead(vec)
-        c = vec[lead]
-        self.rows[lead] = {k: v / c for k, v in vec.items()}
-        return True
-
-    def contains(self, vec):
-        return not self.reduce(vec)
 
 
 def _monomials(nvars, maxdeg):
@@ -102,28 +73,26 @@ def local_membership(target, gens):
     # stage 1: truncated-quotient decision, valid when stabilization occurs
     start = max(g.total_degree() for g in gens)
     for D in range(start, bound + 1):
-        span = _Span()
+        span = Reducer()
         for g in gens:
             for m in _monomials(nvars, max(0, D - g.order_total())):
-                prod = _trunc_total(g.shift(m), D)
-                if prod:
-                    span.add(prod)
+                span.add(_trunc_total(g.shift(m), D))
         one = target.field.one
-        stable = all(not span.reduce({m: one})
+        stable = all(span.contains({m: one})
                      for m in _monomials(nvars, D) if sum(m) == D)
         if stable:
             return span.contains(_trunc_total(target, D))
 
     # stage 2: bounded certificate search (no truncation)
-    span = _Span()
+    span = Reducer()
     for g in gens:
         for m in _monomials(nvars, bound):
-            span.add(dict(g.shift(m).terms))
+            span.add(g.shift(m).terms)
     for m in _monomials(nvars, bound):
         if sum(m) == 0:
             continue
-        span.add(dict(target.shift(m).terms))
-    return span.contains(dict(target.terms))
+        span.add(target.shift(m).terms)
+    return span.contains(target.terms)
 
 
 def _slot_arrangements(b):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from injres.ring import parse_poly, LocalFraction
 from injres.cli import (run_command, parse_gfrac, UsageError,
                         _parse_denominator)
-from injres.ring import QQ
+from injres.ring import QQ, Field
 
 
 P = lambda t: parse_poly(t)
@@ -78,6 +78,21 @@ def test_gfrac_grammar():
     assert dens[1] == (P("W"), 2)
     num, dens = parse_gfrac("[1+Z / Z, W]")
     assert num == P("1+Z")
+    # a spaced bar before a denominator that starts with a digit
+    num, dens = parse_gfrac("[1 / 2*Z+W, W^2]")
+    assert num == P("1") and dens == [(P("2*Z+W"), 1), (P("W"), 2)]
+    code, spaced = run(["reduce", "[1 / 2*Z+W, W^2]"])
+    assert code == 0, spaced
+    code, paren = run(["reduce", "[1 / (2*Z+W), W^2]"])
+    assert code == 0, paren
+    canonical = [line for line in paren.splitlines() if "canonical" in line]
+    assert canonical and canonical == [line for line in spaced.splitlines()
+                                       if "canonical" in line]
+    # over F_7 the bar is found; the slot 7*Z is zero there and is refused
+    num, dens = parse_gfrac("[1 / 7*Z, W]", Field(7))
+    assert num == parse_poly("1", field=Field(7)) and dens[0][0].is_zero()
+    code, out = run(["--field", "7", "reduce", "[1 / 7*Z, W]"])
+    assert code == 2 and "missing '/'" not in out
 
 
 def test_gfrac_fractional_numerator():

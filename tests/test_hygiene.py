@@ -201,3 +201,19 @@ def test_every_public_definition_is_used_by_the_program():
                    if name not in elsewhere | imported | own | TEST_FACING]
     assert not unused, "public definitions the program never uses: " + \
         ", ".join(unused)
+
+
+def test_the_oracle_takes_only_the_gcd_and_the_row_reducer():
+    # criterion 8 means something only while the oracle shares no algorithm
+    # with the reduction pipeline: no resultant and no series inversion may
+    # reach its verdict, so from the package it takes only these two names
+    taken = set()
+    for node in ast.walk(_parse(PACKAGE / "oracle.py")):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.level or node.module.split(".")[0] == PACKAGE.name):
+            module = (node.module or "").removeprefix(PACKAGE.name + ".")
+            taken |= {f"{module}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            taken |= {alias.name for alias in node.names
+                      if alias.name.split(".")[0] == PACKAGE.name}
+    assert taken == {"ring.bivar_gcd", "linalg.Reducer"}, sorted(taken)
