@@ -328,9 +328,9 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
     return out
 
 
-def suite_bass():
+def suite_bass(field):
     rep = CohomologyReport("Bass numbers read off the resolution terms")
-    table = bass_numbers()
+    table = bass_numbers(field=field)
     want = {"p = (X,Y)": (1, 1, 0, 0, 0, 0, 0),
             "height-one primes (X,Y,f)": (0, 1, 1, 0, 0, 0, 0),
             "m = (X,Y,Z,W)": (0, 0, 1, 2, 2, 2, 2)}
@@ -489,7 +489,7 @@ def run_command(argv, stream=None):
             reports += suite_ext_self(range(8), field, min(args.trunc, 5))
             reports += suite_yoneda(field)
             reports += suite_dhm(field, 3, 7)
-            reports += suite_bass()
+            reports += suite_bass(field)
             reports += suite_onto_rewrite(field)
         else:  # pragma: no cover
             raise UsageError(args.command)

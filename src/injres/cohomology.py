@@ -10,12 +10,19 @@ of delta die on socles).  Every differential is resolution.delta itself,
 applied to socle chains: Ext is the cohomology of delta on truncated
 coordinate boxes (linalg.box_cohomology), whose sizes are controlled by
 the truncation argument.
+
+Ext against a module M of finite length takes one route, hom_ext: Hom(M, -)
+sees only the copies of E(Z,W), so Ext^i(M, A/p) is the cohomology of
+Hom(M, delta) on a basis of Hom(M, E(Z,W)).  The test module of dhm, A/m^n
+(whose homs form the torsion box (0 : m^n)) and k (whose Ext dimensions are
+the Bass numbers at m) all go through it.
 """
 
-from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
+from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    bivar_gcd, divides, exact_divide, normalize_monic,
                    verify_irreducible, VERIFIED)
-from .hulls import E0Element, EZWElement, act, omega, omega_zw, is_socle
+from .hulls import (E0Element, EZWElement, act, omega, omega_zw, is_socle,
+                    torsion_box)
 from .resolution import (PrimeIndex, ChainElement, d0, d1_f, pi0, delta,
                          iota0, legal_kinds, max_copies, _map_parts)
 from . import linalg
@@ -248,32 +255,74 @@ def _lc_height1(f, truncation, field):
     return rep
 
 
-# --- Ext against powers of the maximal ideal ---------------------------------
+# --- Ext against modules of finite length -------------------------------------
+
+def _hom_coords(values):
+    """Coordinates of a homomorphism M -> I^n given by its values
+    {generator: chain}."""
+    vec = {}
+    for b, chain in values.items():
+        vec.update({(b,) + k: c for k, c in chain_coords(chain).items()})
+    return vec
+
+
+def _hom_cochains(homs, degree, field):
+    """(coordinates, coordinates of the image under Hom(M, delta)) of each
+    hom in homs placed in each copy of E(Z,W) in the degree-n term."""
+    out = []
+    for copy in range(max_copies(degree)):
+        for h in homs:
+            vals = {b: ChainElement(degree, {PrimeIndex.maximal(copy): v},
+                                    field)
+                    for b, v in h.items()}
+            out.append((_hom_coords(vals), _hom_coords(
+                {b: delta(chain) for b, chain in vals.items()})))
+    return out
+
+
+def hom_ext(homs, max_i, field=QQ):
+    """[dim_k Ext^i(M, A/p) for i = 0, ..., max_i] for a module M of finite
+    length, read off delta.  homs is a basis of Hom(M, E(Z,W)) as
+    {generator: value} dicts, the values being EZWElements.
+
+    Hom(M, E(0)) and Hom(M, E(f)) vanish (the hulls at primes of height
+    below two carry no m-torsion), so Hom(M, I^n) is a copy of
+    Hom(M, E(Z,W)) for each copy of E(Z,W) in I^n, and Hom(M, delta)
+    applies delta to the value of a homomorphism at each generator.  Each
+    degree's map is computed once, for its kernel, and reused as the next
+    degree's image."""
+    dims, images = [], []
+    for degree in range(max_i + 1):
+        cochains = _hom_cochains(homs, degree, field)
+        dims.append(linalg.box_cohomology(cochains, images)[2])
+        images = [img for _, img in cochains]
+    return dims
+
 
 def ext_power_of_max(n, field=QQ):
-    """Ext^2(A/m^n, A/p): basis {Omega^0(Z^s W^t) : s,t <= 0, s+t+n > 0},
-    found by solving the annihilator conditions in EZW coordinates.
-    Returns (basis, sealed); sealed is False when some neighbouring index
-    is killed by every degree-n monomial too, i.e. the conditions leak."""
+    """Ext^2(A/m^n, A/p): the kernel of Hom(A/m^n, delta) on
+    Hom(A/m^n, I^2), since Hom(A/m^n, I^1) = 0.  A/m^n is cyclic, so
+    Hom(A/m^n, E(Z,W)) is (0 : m^n), the box hulls.torsion_box(n), and I^2
+    has one copy of E(Z,W).  Returns (basis, sealed): basis the sorted
+    (s, t) of the kernel vectors Omega^0(Z^s W^t); sealed False unless each
+    variable sends every box index into torsion_box(n-1) or to zero, and
+    sends every rim index (2k - s - t = n) outside it."""
     assert n >= 1
-    xq, yq, zq, wq = (QuadPoly.var(v, field) for v in QuadPoly.VARS)
-    basis = []
-    for s in range(-n + 1, 1):
-        for t in range(-n + 1, 1):
-            if s + t + n <= 0:
-                continue
-            e = omega_zw(0, s, t, field)
-            # killed by X, Y and by every degree-n monomial in Z, W
-            if not (act(xq, e).is_zero() and act(yq, e).is_zero()):
-                continue
-            if all(act(zq ** a * wq ** (n - a), e).is_zero()
-                   for a in range(n + 1)):
-                basis.append((s, t))
-    # and nothing else: the neighbouring indices must survive some monomial
-    outside = (omega_zw(0, s, t, field) for s in range(-n, 1)
-               for t in range(-n, 1) if s + t + n <= 0)
-    sealed = all(any(not act(zq ** a * wq ** (n - a), e).is_zero()
-                     for a in range(n + 1)) for e in outside)
+    box = torsion_box(n)
+    cochains = _hom_cochains([{"1": omega_zw(*key, field)} for key in box],
+                             2, field)
+    kern = linalg.kernel_basis([(key, img) for key, (_, img)
+                                in zip(box, cochains)])
+    basis = sorted((s, t) for comb in kern for _, s, t in comb)
+    inner = set(torsion_box(n - 1))
+    xs = [QuadPoly.var(v, field) for v in QuadPoly.VARS]
+
+    def inward(key):
+        e = omega_zw(*key, field)
+        return all(k in inner for x in xs for k in act(x, e).terms)
+
+    rim = set(torsion_box(n + 1)) - set(box)
+    sealed = all(map(inward, box)) and not any(map(inward, rim))
     return basis, sealed
 
 
@@ -411,27 +460,6 @@ def _ext_self_tail(i, T, field):
                 for v in QuadPoly.VARS))
     rep.data["annihilator"] = "p + AZ + AW"
     return rep
-
-
-# --- the normal module isomorphism -------------------------------------------
-
-def normal_iso(g):
-    """Ext^1 -> Hom(p, A/p): the class Omega^0_0(g Z^2 W^2) corresponds to
-    the homomorphism X -> gZ, Y -> gW (values in A/p = k[Z,W]_(Z,W))."""
-    if isinstance(g, BivarPoly):
-        g = LocalFraction(g)
-    field = g.num.field
-    mono = RationalFunction.monomial
-    cls = omega("0", 0, g.as_rational() * mono(2, 2, field), field,
-                factors=frozenset())
-    assert pi0(cls).is_zero(), "class is not an Ext^1 kernel vector"
-    z, w = mono(1, 0, field), mono(0, 1, field)
-    vx = g.as_rational() * z
-    vy = g.as_rational() * w
-    # well-definedness: the Koszul-type relation W*X = Z*Y on p maps to
-    # W*(gZ) = Z*(gW), which holds identically
-    assert vx * w == vy * z
-    return cls, (vx, vy)
 
 
 # --- Yoneda algebra -----------------------------------------------------------
@@ -588,14 +616,18 @@ def yoneda_presentation_check(field=QQ):
 
 # --- Bass numbers -------------------------------------------------------------
 
-def bass_numbers(max_degree=6):
-    """mu_i at each prime in the support: the number of copies of its hull in
-    the degree-i term of the resolution.  E(0) is the hull at p, E(f) (with
-    E(Z), E(W)) the hull at a height-one prime (X,Y,f), and E(Z,W) at m."""
+def bass_numbers(max_degree=6, field=QQ):
+    """mu_i at each prime in the support.  At p and at the height-one primes
+    (X,Y,f) it is the number of copies of the hull in the degree-i term of
+    the resolution: E(0) is the hull at p, E(f) (with E(Z), E(W)) the hull
+    at a height-one prime.  At m it is computed as dim Ext^i(k, A/p), which
+    equals mu_i(m) exactly when delta kills the socle Omega^0(1) of every
+    copy of E(Z,W)."""
     degrees = range(max_degree + 1)
     return {
         "p = (X,Y)": [int("zero" in legal_kinds(i)) for i in degrees],
         "height-one primes (X,Y,f)": [int("irr" in legal_kinds(i))
                                       for i in degrees],
-        "m = (X,Y,Z,W)": [max_copies(i) for i in degrees],
+        "m = (X,Y,Z,W)": hom_ext([{"1": omega_zw(0, 0, 0, field)}],
+                                 max_degree, field),
     }

@@ -3,17 +3,17 @@
 M has a k-basis u1..u5, v1..v4, w1..w6 with an explicit X,Y,Z,W action
 table (m^3 M = 0, and only six degree-two monomial actions survive).  The
 module of homomorphisms M' = Hom(M, E(Z,W)) is again 15-dimensional,
-minimally generated by 5 elements, and Ext^i(M, A/p) has dimensions
-0, 0, 6, 7, 0, 0, ... over the coefficient field: the cohomology of
-Hom(M, I^*), with the differential applied through resolution.delta.
+minimally generated by 5 elements; its values lie in the torsion box
+(0 : m^3) of hulls.torsion_box.  Ext^i(M, A/p) has dimensions
+0, 0, 6, 7, 0, 0, ... over the coefficient field: cohomology.hom_ext, the
+one route for modules of finite length, run on the dual basis.
 """
 
 from functools import cache
 
 from .ring import BivarPoly, QuadPoly, RationalFunction, QQ
-from .hulls import EZWElement, act, omega, omega_zw
-from .resolution import ChainElement, PrimeIndex, delta, max_copies
-from .cohomology import chain_coords
+from .hulls import EZWElement, act, omega, omega_zw, torsion_box
+from .cohomology import hom_ext
 from . import linalg
 
 
@@ -178,27 +178,6 @@ class DHMHom(linalg.SparseVector):
         return True
 
 
-def _torsion_box(field):
-    """A basis of (0 : m^3) in E(Z,W): the exact value space of any
-    homomorphism from M."""
-    out = []
-    monos3 = []
-    for a in range(4):
-        for bb in range(4 - a):
-            for c in range(4 - a - bb):
-                d = 3 - a - bb - c
-                monos3.append(QuadPoly.mono((a, bb, c, d), 1, field))
-    for n in range(0, 3):
-        for s in range(n - 2, n + 1):
-            for t in range(n - 2, n + 1):
-                e = omega_zw(n, s, t, field)
-                if e.is_zero():
-                    continue
-                if all(act(m, e).is_zero() for m in monos3):
-                    out.append((n, s, t))
-    return out
-
-
 def dhm_hom_space(prime, truncation=8, field=QQ):
     """Hom(M, E(q)) for the hull at the given PrimeIndex.
 
@@ -212,7 +191,7 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
                                  "m^3-torsion of the hull")
     mod = module_over(field)
     if prime.kind == "max":
-        box = _torsion_box(field)
+        box = torsion_box(3)
         unknowns = [(b, key) for b in BASIS for key in box]
         # constraint rows indexed by (variable, basis vector, EZW coordinate)
         pairs = []
@@ -277,20 +256,13 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
 
 def _extend_w_values(h, field):
     """Derive the u and v values of a hom from its w values through the
-    action."""
-    X = QuadPoly.var("X", field)
-    Y = QuadPoly.var("Y", field)
-    Wq = QuadPoly.var("W", field)
+    action: Phi(b) = x Phi(w) for the first x, w of _ACTION with x w = b."""
     vals = dict(h.terms)
-    vals["v1"] = act(X, h.value("w1"))
-    vals["v2"] = act(X, h.value("w2"))
-    vals["v3"] = act(X, h.value("w3"))
-    vals["v4"] = act(X, h.value("w4"))
-    vals["u1"] = act(Wq, h.value("w1"))
-    vals["u2"] = act(Wq, h.value("w2"))
-    vals["u3"] = act(Y, h.value("w1"))
-    vals["u4"] = act(Y, h.value("w2"))
-    vals["u5"] = act(Y, h.value("w3"))
+    for x, table in _ACTION.items():
+        for w, image in table.items():
+            b = next(iter(image))
+            if w in W_NAMES and image == {b: 1} and b not in vals:
+                vals[b] = act(QuadPoly.var(x, field), h.value(w))
     return DHMHom(vals, field)
 
 
@@ -361,37 +333,8 @@ def dhm_min_generators(field=QQ):
 
 # --- Ext^i(M, A/p) -------------------------------------------------------------
 
-def _hom_coords(values):
-    """Coordinates of a homomorphism M -> I^n given by its values
-    {basis vector: chain}."""
-    vec = {}
-    for b, chain in values.items():
-        vec.update({(b,) + k: c for k, c in chain_coords(chain).items()})
-    return vec
-
-
 def dhm_ext(max_i, field=QQ):
-    """[dim_k Ext^i(M, A/p) for i = 0, ..., max_i], read off resolution.delta.
-
-    Hom(M, E(0)) and Hom(M, E(f)) vanish (the hulls at primes of height
-    below two carry no m^3-torsion), so Hom(M, I^n) is a copy of M' for each
-    copy of E(Z,W) in I^n, spanned by the dual basis, and Hom(M, delta)
-    applies delta to the value of a homomorphism at each basis vector of M.
-    The dual basis is built and verified once; each degree's map is
-    computed once, for its kernel, and reused as the next degree's image.
-    """
+    """[dim_k Ext^i(M, A/p) for i = 0, ..., max_i]: cohomology.hom_ext on the
+    dual basis, which is built and verified once."""
     named = dhm_dual_basis(field)
-    basis = [named[n] for n in DUAL_NAMES]
-    dims, images = [], []
-    for degree in range(max_i + 1):
-        cochains = []
-        for copy in range(max_copies(degree)):
-            for h in basis:
-                vals = {b: ChainElement(degree, {PrimeIndex.maximal(copy): v},
-                                        field)
-                        for b, v in h.terms.items()}
-                cochains.append((_hom_coords(vals), _hom_coords(
-                    {b: delta(chain) for b, chain in vals.items()})))
-        dims.append(linalg.box_cohomology(cochains, images)[2])
-        images = [img for _, img in cochains]
-    return dims
+    return hom_ext([named[n].terms for n in DUAL_NAMES], max_i, field)

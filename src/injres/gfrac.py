@@ -152,6 +152,8 @@ def reduce_h2(num, d1, d2):
     """
     g1, e1 = d1
     g2, e2 = d2
+    if g1.is_zero() or g2.is_zero():
+        raise NotSystemOfParameters("a denominator is zero")
     if e1 <= 0 or e2 <= 0:
         return H2Canonical()
     if isinstance(num, BivarPoly):

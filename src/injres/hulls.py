@@ -209,6 +209,18 @@ class EZWElement(SparseVector):
         return self._like(out)
 
 
+def torsion_box(r):
+    """The basis indices of (0 : m^r) in E(Z,W), sorted: the valid (n, s, t)
+    with 2n - s - t < r.  The action sends basis vectors to basis vectors
+    injectively, and the monomial of largest degree that keeps
+    Omega^n(Z^s W^t) nonzero is the one that sends it to Omega^0(1), of
+    degree 2n - s - t.  The box has r(r+1)(2r+1)/6 indices, the length of
+    A/m^r."""
+    return [(n, s, t) for n in range(r)
+            for s in range(n - r + 1, n + 1) for t in range(n - r + 1, n + 1)
+            if _valid_index(n, s, t) and 2 * n - s - t < r]
+
+
 def omega_zw(n, s, t, field=QQ, c=1):
     """Omega^n(Z^s W^t); the zero element when the index is out of range."""
     if not _valid_index(n, s, t):

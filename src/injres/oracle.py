@@ -5,14 +5,16 @@ no series inversion.  The oracle compares two-slot fractions [w / x1, x2]
 over k[Z,W] localized at the origin; a four-slot H^4 fraction is checked on
 its (Z,W) part.  Equality is decided through the Cech presentation: a
 fraction vanishes iff (x1 x2)^s * w lies in (x1^{s+1}, x2^{s+1}) locally
-for some s >= 0.  Two fractions are compared over coprime slot products,
-reached by swapping or shearing the second fraction's slots with a det-1
-matrix: the transformation law, applied by polynomial arithmetic alone.
-The ring's gcd only chooses that arrangement, run on the slot bases rather
-than their powers; the verdict comes from the membership test below.
-Coprime slot products that vanish at the origin form a regular sequence in
-the Cohen-Macaulay ring k[Z,W]_(Z,W), so the maps of the Cech direct system
-are injective and the test at s = 0 already decides.
+for some s >= 0.  Two fractions are compared over slot products with no
+common factor through the origin, reached by swapping or shearing the
+second fraction's slots with a det-1 matrix: the transformation law,
+applied by polynomial arithmetic alone.  The ring's gcd only chooses that
+arrangement, run on the slot bases rather than their powers; the verdict
+comes from the membership test below.  A common factor that is a unit of
+k[Z,W]_(Z,W) does not matter there, so slot products that vanish at the
+origin and share no other factor form a regular sequence in that
+Cohen-Macaulay ring; the maps of the Cech direct system are then injective
+and the test at s = 0 already decides.
 
 Membership in the localization at the origin is decided two ways:
 
@@ -114,16 +116,17 @@ def _slot_arrangements(b):
 def cech_equal(a, b):
     """Decide equality of two generalized fractions [w / x1^i1, x2^i2] over
     k[Z,W] localized at the origin, via the Cech presentation.  Slot
-    products across the two fractions must be coprime: b's slots are
-    swapped or sheared until they are; raises ValueError when no
-    arrangement tried makes them so.  Coprimality is tested on the bases,
-    gcd(ga1 * yb1, ga2 * yb2), since with positive exponents gcd(p^m, q^n)
-    is constant exactly when gcd(p, q) is; the powers are built once, for
-    the arrangement chosen.  The difference vanishes iff its numerator lies
-    in (d1, d2) locally: the Cech test at s = 0."""
+    products across the two fractions must have no common factor through
+    the origin (a unit gcd is allowed): b's slots are swapped or sheared
+    until they have none; raises ValueError when no arrangement tried gets
+    there.  The test runs on the bases, gcd(ga1 * yb1, ga2 * yb2), since
+    with positive exponents gcd(p^m, q^n) is a unit at the origin exactly
+    when gcd(p, q) is; the powers are built once, for the arrangement
+    chosen.  The difference vanishes iff its numerator lies in (d1, d2)
+    locally: the Cech test at s = 0."""
     (ga1, ea1), (ga2, ea2) = a.denominators
     for sign, (yb1, fb1), (yb2, fb2) in _slot_arrangements(b):
-        if bivar_gcd(ga1 * yb1, ga2 * yb2).is_constant():
+        if bivar_gcd(ga1 * yb1, ga2 * yb2).at_origin():
             break
     else:
         raise ValueError("cannot arrange coprime denominator slots")

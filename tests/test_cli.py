@@ -137,6 +137,33 @@ def test_bad_input_is_a_usage_error(argv):
     assert out.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["reduce", "[1 / 0, W]"],
+    ["reduce", "[1 / Z-Z, W]"],
+    ["--field", "7", "reduce", "[1 / 7*Z, W]"],
+    ["reduce", "[1 / Z, 0*W, X, Y]"],
+], ids=["zero", "cancelled", "zero-mod-p", "four-slot"])
+def test_a_zero_slot_is_a_usage_error(argv):
+    code, out = run(argv)
+    assert code == 2
+    assert out == "error: not a system of parameters: a denominator is zero\n"
+
+
+@pytest.mark.parametrize("field", ["Q", "7"])
+@pytest.mark.parametrize("expr", [
+    "[1 / Z*(1+Z), W*(1+Z)]",
+    "[Z / Z*(1+Z)^2, W*(1+Z)]",
+    "[1 / (Z+W)*(1-W), (Z-W)*(1-W)^2]",
+    "[1 / Z*(1+W), W^2*(1+W)]",
+], ids=["unit-1+Z", "unit-squared", "unit-1-W", "unit-1+W"])
+def test_oracle_decides_slots_that_share_a_unit(expr, field):
+    # reduce_h2 divides the unit gcd out; the oracle's slot products keep
+    # it, and a common factor that is a unit at the origin does not matter
+    code, out = run(["--field", field, "reduce", expr])
+    assert code == 0, out
+    assert "[ok] oracle: independent membership check" in out
+
+
 @pytest.mark.parametrize("argv,prime", [
     (["lc", "--ideal", "Z^2"], "Z"),
     (["--field", "7", "lc", "--ideal", "Z^3+3*Z^2*W+3*Z*W^2+W^3"], "Z + W"),
@@ -198,11 +225,15 @@ def test_field_3_passes():
     ("dhm-7", ["--field", "7", "dhm"]),
     ("verify-all-Q", ["verify-all"]),
     ("verify-all-7", ["--field", "7", "verify-all"]),
+    ("ext-power-Q-8", ["ext-power", "--n", "8"]),
+    ("ext-power-7-8", ["--field", "7", "ext-power", "--n", "8"]),
 ])
 def test_report_matches_golden_text(name, argv):
     # tests/golden/<name>.txt is the text report `injres <argv>` printed
-    # before Ext was read off resolution.delta (ext-self, dhm) and before
-    # the F_p ring kernel moved to machine integers (verify-all)
+    # before Ext was read off resolution.delta (ext-self, dhm), before
+    # the F_p ring kernel moved to machine integers (verify-all) and before
+    # Ext^2(A/m^n, A/p) became the kernel of delta on a torsion box
+    # (ext-power)
     code, out = run(argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()

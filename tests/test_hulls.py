@@ -10,6 +10,7 @@ from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
                          QQ)
 from injres.hulls import (E0Element, EZElement, EWElement, EfElement,
                           EZWElement, omega, omega_zw, act, act_series,
+                          torsion_box,
                           socle_project, is_socle, ezw_to_h4,
                           h4_to_ezw, ez_to_h3, NotInEZW, BadLocus)
 from injres.gfrac import H4Canonical
@@ -39,6 +40,21 @@ def test_zw_index_constraint():
     assert not omega_zw(0, -2, -3).is_zero()
     with pytest.raises(NotInEZW):
         EZWElement({(1, 1, 1): QQ.one}, QQ)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_torsion_box_is_the_annihilator_of_a_power_of_m(r):
+    # brute force on a window wider than the box: the indices whose basis
+    # vector every degree-r monomial kills
+    monos = [QuadPoly.mono(e, 1, QQ) for a in range(r + 1)
+             for b in range(r + 1 - a) for c in range(r + 1 - a - b)
+             for e in [(a, b, c, r - a - b - c)]]
+    window = range(-r - 2, r + 3)
+    killed = [(n, s, t) for n in range(r + 3) for s in window for t in window
+              if not omega_zw(n, s, t).is_zero()
+              and all(act(m, omega_zw(n, s, t)).is_zero() for m in monos)]
+    assert torsion_box(r) == killed
+    assert len(killed) == r * (r + 1) * (2 * r + 1) // 6
 
 
 def test_hypersurface_relation_kills_every_hull():

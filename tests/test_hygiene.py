@@ -15,7 +15,7 @@ PACKAGE = ROOT / "src" / "injres"
 BENCH = ROOT / "perfbench"
 
 # claim checks that only the tests call
-TEST_FACING = {"normal_iso", "apply_transformation", "ez_to_h3"}
+TEST_FACING = {"apply_transformation", "ez_to_h3"}
 
 
 def _parse(path):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injres.ring import BivarPoly, Field, QQ, parse_poly, bivar_gcd
-from injres.gfrac import (GeneralizedFraction, reduce_h2,
+from injres.gfrac import (GeneralizedFraction, H2Canonical, reduce_h2,
                           h2_canonical_fraction)
 from injres.oracle import (local_membership, cech_equal, _slot_arrangements,
                            MAX_SHEAR)
@@ -97,6 +97,27 @@ def test_cech_equal_sheared_slots_reject_a_doubled_form(char):
         gf = GeneralizedFraction(parse_poly(num, field=field), dens)
         can = reduce_h2(gf.numerator, *dens)
         assert not cech_equal(gf, h2_canonical_fraction(can + can, field))
+
+
+@pytest.mark.parametrize("char", [0, 7], ids=["Q", "F7"])
+def test_cech_equal_with_a_unit_common_factor(char):
+    # Z*(1+W) and W^2*(1+W) share only 1+W, a unit at the origin: the
+    # oracle decides the canonical form and rejects two wrong ones
+    field = Field(char) if char else QQ
+    dens = [(parse_poly(b, field=field), 1) for b in ("Z*(1+W)", "W^2*(1+W)")]
+    gf = GeneralizedFraction(BivarPoly.const(1, field), dens)
+    can = reduce_h2(gf.numerator, *dens)
+    assert cech_equal(gf, h2_canonical_fraction(can, field))
+    one, two = field.of(1), field.of(2)
+    for wrong in ({(1, 2): one}, {(1, 1): two, (1, 2): one}):
+        assert not cech_equal(gf, h2_canonical_fraction(H2Canonical(wrong),
+                                                        field))
+
+
+def test_cech_equal_refuses_a_common_factor_through_the_origin():
+    gf = GF("1", ("Z*(Z+W)", 1), ("W*(Z+W)", 1))
+    with pytest.raises(ValueError):
+        cech_equal(gf, gf)
 
 
 SLOT_BASES = ["Z", "W", "Z+W", "Z-W", "W-Z^2", "Z+W^2", "Z^2+W^3", "Z*W",
