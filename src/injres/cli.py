@@ -329,7 +329,9 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
 
 
 def suite_bass(field):
-    rep = CohomologyReport("Bass numbers read off the resolution terms")
+    rep = CohomologyReport("Bass numbers: at p and the height-one primes "
+                           "from the resolution terms, at m as "
+                           "dim Ext^i(k, A/p)")
     table = bass_numbers(field=field)
     want = {"p = (X,Y)": (1, 1, 0, 0, 0, 0, 0),
             "height-one primes (X,Y,f)": (0, 1, 1, 0, 0, 0, 0),

@@ -76,11 +76,7 @@ class DHMModule:
 
     def __init__(self, field=QQ):
         self.field = field
-        self.basis = list(BASIS)
         self._verify()
-
-    def dim(self):
-        return len(self.basis)
 
     def act(self, x, vec):
         if isinstance(vec, str):

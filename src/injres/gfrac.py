@@ -17,7 +17,7 @@ onto-rewriting lemma; by Matlis duality any g that works is unique modulo
 (W^t, f^l).
 """
 
-from .ring import (BivarPoly, LocalFraction, RationalFunction, QQ,
+from .ring import (BivarPoly, LocalFraction, QQ,
                    bivar_gcd, exact_divide, divides, f_adic_valuation,
                    normalize_monic, resultant_bezout, series_inverse_truncated,
                    truncate, DegenerateResultant)
@@ -25,10 +25,6 @@ from .linalg import SparseVector
 
 
 class NotSystemOfParameters(Exception):
-    pass
-
-
-class MatrixMismatch(Exception):
     pass
 
 
@@ -189,42 +185,6 @@ def reduce_h2(num, d1, d2):
     n = truncate(npoly * det * inv, alpha, beta)
     return H2Canonical({(alpha - c, beta - d): coef
                         for (c, d), coef in n.terms.items()})
-
-
-def apply_transformation(gf, matrix):
-    """Transformation law: from [w / x1, x2] and a 2x2 matrix r over the
-    local ring, return [det(r)*w / x1', x2'] with x_i' = sum_j r_ij x_j.
-
-    The new denominators must come out polynomial; otherwise MatrixMismatch.
-    """
-    if len(gf.denominators) != 2:
-        raise MatrixMismatch("only 2x2 transformations supported")
-    xs = [RationalFunction(b ** e, reduce=False) for b, e in gf.denominators]
-
-    def as_rf(v):
-        if isinstance(v, RationalFunction):
-            return v
-        if isinstance(v, LocalFraction):
-            return v.as_rational()
-        if isinstance(v, BivarPoly):
-            return RationalFunction(v, reduce=False)
-        return RationalFunction.const(v)
-
-    r = [[as_rf(v) for v in row] for row in matrix]
-    new = []
-    for i in range(2):
-        xi = r[i][0] * xs[0] + r[i][1] * xs[1]
-        if not xi.den.is_constant():
-            raise MatrixMismatch("transformed denominator is not polynomial")
-        new.append(exact_divide(xi.num, xi.den))
-    det = r[0][0] * r[1][1] - r[0][1] * r[1][0]
-    npoly, nden = gf.num_den()
-    num = det * RationalFunction(npoly, nden, reduce=False)
-    if num.den.at_origin():
-        numerator = LocalFraction(num.num, num.den)
-    else:
-        raise MatrixMismatch("matrix entries not in the local ring at the origin")
-    return GeneralizedFraction(numerator, [(new[0], 1), (new[1], 1)])
 
 
 def minimal_onto_rewrite(f, s, t):

@@ -315,45 +315,12 @@ def ezw_to_h4(e):
 
 
 def h4_to_ezw(c, field=QQ):
-    """Invert ezw_to_h4; raises NotInEZW when c is not in the image."""
-    zero = field.zero
-    # relation check a_{i(j+1)(k+1)l} = a_{(i+1)jk(l+1)}
-    for (i, j, k, l), v in c.terms.items():
-        if j >= 2 and k >= 2:
-            w = c.terms.get((i + 1, j - 1, k - 1, l + 1), zero)
-            if v != w:
-                raise NotInEZW("coefficient relation fails")
-    cands = {}
-    for (i, j, k, l), v in c.terms.items():
-        if k == 1:
-            # family t <= 0, witness at i_w = 0
-            n, s, t = l - 1, l - i, 1 - j
-            if t > 0:
-                continue
-        elif j == 1 and k >= 2:
-            # family t > 0, witness at i_w = t
-            t = k - 1
-            n = l + k - 2
-            s = n + 1 - (k - 1) - i
-        else:
-            continue
-        if not _valid_index(n, s, t):
-            raise NotInEZW(f"witness index {(n, s, t)} out of range")
-        cands[(n, s, t)] = v
-    e = EZWElement(cands, field)
+    """Invert ezw_to_h4; raises NotInEZW when c is not in the image.  The
+    H4 index (i, j, k, l) comes only from the expansion of Omega^n(Z^s W^t)
+    with (n, s, t) = (k+l-2, l-i, k-j), so each term names its basis
+    vector, and the re-expansion checks that c holds every term of each."""
+    e = EZWElement({(k + l - 2, l - i, k - j): v
+                    for (i, j, k, l), v in c.terms.items()}, field)
     if ezw_to_h4(e) != c:
         raise NotInEZW("re-expansion does not match the input")
     return e
-
-
-# --- cross-check embedding for the Z-axis hull -------------------------------
-
-def ez_to_h3(e):
-    """Map an EZElement to H3 canonical coordinates (zi, j, k) -> k(W),
-    denoting sum phi * [1/Z^zi, (XW)^j, Y^k].  Equality of EZElements must
-    agree with equality of these coordinate maps."""
-    out = {}
-    for (n, m), c in e.terms.items():
-        _axpy(out, {(n + 1 - i - m, i + 1, n + 1 - i): c
-                    for i in range(min(n, n - m) + 1)})
-    return out

@@ -16,19 +16,19 @@ origin and share no other factor form a regular sequence in that
 Cohen-Macaulay ring; the maps of the Cech direct system are then injective
 and the test at s = 0 already decides.
 
-Membership in the localization at the origin is decided two ways:
+Membership in the localization at the origin has one exact decision, on
+truncated quotients: t lies in I*k[[Z,W]] iff t lies in I + m^(D+1) for
+every D, and once m^D lies in I + m^(D+1), Nakayama gives m^D in I and
+the test at level D decides.  The levels run up to deg u * deg v for
+I = (u, v): when u and v vanish at the origin and share no factor through
+it, as cech_equal's slot products do, I is primary to the origin, its
+Loewy length (the least L with m^L in I) is at most the length of
+k[Z,W]_(Z,W)/I, and by Bezout's theorem that local intersection number is
+at most deg u * deg v (Fulton, Algebraic Curves, 3.3 and 5.3).  The loop
+therefore stops at max(max(deg u, deg v), L), and any other ideal is
+refused.
 
-* a truncated-quotient method: t lies in I*k[[vars]] iff t lies in I + m^d
-  for every d, and once m^D is contained in I + m^{D+1} Nakayama gives
-  m^D contained in I, making the level-(D+1) test an exact decision.  This
-  is complete whenever I is primary to the maximal ideal (every use through
-  cech_equal, whose ideal is generated by a system of parameters);
-
-* a bounded certificate search u*t = sum p_i g_i with u a unit, sound for
-  "true" and a semi-decision for "false", used as a fallback for ideals
-  that are not primary to the origin.
-
-Both build their spans with linalg.Reducer, the package's one row reducer;
+The spans are built with linalg.Reducer, the package's one row reducer;
 membership in a span does not depend on the lead order.  Sharing row
 reduction keeps the oracle independent of the resultants and series
 inversion that the reduction pipeline runs on.
@@ -60,41 +60,26 @@ def _trunc_total(p, maxdeg):
 def local_membership(target, gens):
     """Does u * target lie in (gens) for some unit u at the origin?
 
-    Exact decision when (gens) is primary to the origin; otherwise sound
-    for True and bounded for False.
+    gens must be two polynomials that vanish at the origin and share no
+    factor through it.  Raises ValueError when they are not two, or when
+    no level up to the product of their degrees is stable, which happens
+    exactly when they do not generate an ideal primary to the origin.
     """
+    if len(gens) != 2:
+        raise ValueError("membership is decided for two generators only")
     if target.is_zero():
         return True
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return False
-    nvars = len(target.VARS)
-    bound = 2 * max([target.total_degree()] +
-                    [g.total_degree() for g in gens]) + 4
-
-    # stage 1: truncated-quotient decision, valid when stabilization occurs
-    start = max(g.total_degree() for g in gens)
-    for D in range(start, bound + 1):
+    nvars, one = len(target.VARS), target.field.one
+    degrees = [g.total_degree() for g in gens]
+    for D in range(max(degrees), degrees[0] * degrees[1] + 1):
         span = Reducer()
         for g in gens:
             for m in _monomials(nvars, max(0, D - g.order_total())):
                 span.add(_trunc_total(g.shift(m), D))
-        one = target.field.one
-        stable = all(span.contains({m: one})
-                     for m in _monomials(nvars, D) if sum(m) == D)
-        if stable:
+        if all(span.contains({m: one})
+               for m in _monomials(nvars, D) if sum(m) == D):
             return span.contains(_trunc_total(target, D))
-
-    # stage 2: bounded certificate search (no truncation)
-    span = Reducer()
-    for g in gens:
-        for m in _monomials(nvars, bound):
-            span.add(g.shift(m).terms)
-    for m in _monomials(nvars, bound):
-        if sum(m) == 0:
-            continue
-        span.add(target.shift(m).terms)
-    return span.contains(target.terms)
+    raise ValueError("the generators are not primary to the origin")
 
 
 def _slot_arrangements(b):

@@ -389,11 +389,6 @@ class BivarPoly(Poly):
 class QuadPoly(Poly):
     VARS = ("X", "Y", "Z", "W")
 
-    def as_bivar(self):
-        if any(k[0] or k[1] for k in self.terms):
-            raise ValueError("polynomial involves X or Y")
-        return BivarPoly({(k[2], k[3]): c for k, c in self.terms.items()}, self.field)
-
 
 def exact_divide(g, f):
     """Return q with g = q*f, or raise NotDivisible.  f must be nonzero."""

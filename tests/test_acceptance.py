@@ -170,8 +170,8 @@ def test_criterion_12_bass_numbers():
     assert table["p = (X,Y)"] == [1, 1, 0, 0, 0, 0, 0]
     assert table["height-one primes (X,Y,f)"] == [0, 1, 1, 0, 0, 0, 0]
     assert table["m = (X,Y,Z,W)"] == [0, 0, 1, 2, 2, 2, 2]
-    _report(12, "Bass numbers (1,1,0,..), (0,1,1,0,..), (0,0,1,2,2,..) "
-                "read off the resolution")
+    _report(12, "Bass numbers (1,1,0,..), (0,1,1,0,..) read off the "
+                "resolution, (0,0,1,2,2,..) as dim Ext^i(k, A/p)")
 
 
 def test_criterion_13_surjectivity_witnesses():

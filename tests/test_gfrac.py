@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from injres.ring import Field, LocalFraction, parse_poly, QQ
 from injres.gfrac import (GeneralizedFraction, H1Class, H2Canonical,
-                          reduce_h2, h4_reduce, apply_transformation,
-                          minimal_onto_rewrite,
+                          reduce_h2, h4_reduce, minimal_onto_rewrite,
                           h2_canonical_fraction, NotSystemOfParameters,
                           NotApplicable)
 
@@ -72,16 +71,6 @@ def test_linearity(a, b, e1, e2):
     rhs = reduce_h2(n1, d1, d2).scale(QQ.of(a)) + \
         reduce_h2(n2, d1, d2).scale(QQ.of(b))
     assert lhs == rhs
-
-
-def test_transformation_law():
-    # (Z^2, W) = r (Z^2 - ZW, W) with r = [[1, Z], [0, 1]], det r = 1
-    gf = GeneralizedFraction(P("W"), [(P("Z^2 - Z*W"), 1), (P("W"), 1)])
-    moved = apply_transformation(gf, [[P("1"), P("Z")], [P("0"), P("1")]])
-    want = reduce_h2(P("W"), (P("Z^2 - Z*W"), 1), (P("W"), 1))
-    got = reduce_h2(moved.numerator, moved.denominators[0],
-                    moved.denominators[1])
-    assert got == want
 
 
 def test_h1_class_vanishing_by_valuation():

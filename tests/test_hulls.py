@@ -12,7 +12,7 @@ from injres.hulls import (E0Element, EZElement, EWElement, EfElement,
                           EZWElement, omega, omega_zw, act, act_series,
                           torsion_box,
                           socle_project, is_socle, ezw_to_h4,
-                          h4_to_ezw, ez_to_h3, NotInEZW, BadLocus)
+                          h4_to_ezw, NotInEZW, BadLocus)
 from injres.gfrac import H4Canonical
 from injres.resolution import PrimeIndex, ChainElement, DegreeMismatch
 from injres import samples
@@ -173,17 +173,6 @@ def test_axis_truncation_identity():
     phi = RF("Z^2*W", "1+W")
     assert omega("Z", 1, phi).is_zero()
     assert not omega("Z", 2, phi).is_zero()
-
-
-def test_ez_h3_bridge_agreement():
-    rng = samples.rng_from_seed(77)
-    for _ in range(15):
-        a = samples.random_axis(rng, "Z")
-        b = samples.random_axis(rng, "Z")
-        assert (a == b) == (ez_to_h3(a) == ez_to_h3(b))
-        assert (a - b).is_zero() == (ez_to_h3(a - b) == ez_to_h3(
-            a.zero(a.field) if False else (a - a)))  # zero map agreement
-        assert ez_to_h3(a - a) == ez_to_h3(b - b)
 
 
 def test_act_series_truncates_units():

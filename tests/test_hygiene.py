@@ -2,9 +2,9 @@
 
 Every name a module of src/injres imports must be used in that module,
 every top-level private definition (a name starting with "_") must be
-referenced somewhere in src/ or tests/, every public one by the program
-itself, every parameter with a default must be set by some call, and every
-command-line flag must be read by the CLI.
+referenced somewhere in src/ or tests/, every public one and every public
+method by the program itself, every parameter with a default must be set
+by some call, and every command-line flag must be read by the CLI.
 """
 
 import ast
@@ -13,9 +13,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "injres"
 BENCH = ROOT / "perfbench"
-
-# claim checks that only the tests call
-TEST_FACING = {"apply_transformation", "ez_to_h3"}
 
 
 def _parse(path):
@@ -171,16 +168,24 @@ def test_every_default_is_overridden_by_some_call():
 
 
 def _public_definitions(tree):
+    """(label, name, line, is a method) of every public top-level def or
+    class and every public method of a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
                 not node.name.startswith("_"):
-            yield node.name, node.lineno
+            yield node.name, node.name, node.lineno, False
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not f.name.startswith("_"):
+                    yield f"{node.name}.{f.name}", f.name, f.lineno, True
 
 
 def test_every_public_definition_is_used_by_the_program():
     # counted: an import by another module, an attribute read, a bare name
     # in the defining module, and any of these in perfbench; a bare name in
-    # another module of the package is a local variable, not a reference
+    # another module of the package is a local variable, not a reference.
+    # A method counts only when its name is read as an attribute in the
+    # package or named in perfbench
     modules = {path: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     elsewhere = set()
     for tree in modules.values():
@@ -196,9 +201,10 @@ def test_every_public_definition_is_used_by_the_program():
                     for name, _ in _imported_names(t)}
         own = {node.id for node in ast.walk(tree)
                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
-        unused += [f"{path.name}:{line} {name}"
-                   for name, line in _public_definitions(tree)
-                   if name not in elsewhere | imported | own | TEST_FACING]
+        unused += [f"{path.name}:{line} {label}"
+                   for label, name, line, method in _public_definitions(tree)
+                   if name not in (elsewhere if method
+                                   else elsewhere | imported | own)]
     assert not unused, "public definitions the program never uses: " + \
         ", ".join(unused)
 

@@ -20,12 +20,44 @@ def GF(num, *dens):
 
 def test_local_membership_basics():
     assert local_membership(P("Z^2"), [P("Z"), P("W")])
-    assert local_membership(P("Z*W + W^2"), [P("W")])
     assert not local_membership(P("Z"), [P("Z^2"), P("W")])
-    # unit multiples: (1+Z)W lies in (W)
-    assert local_membership(P("W + Z*W"), [P("W")])
-    # membership that needs the local ring, not the polynomial ring
-    assert local_membership(P("W"), [P("W + Z*W")])
+    # membership that needs the local ring, not the polynomial ring:
+    # Z = (Z+Z^2) / (1+Z)
+    assert local_membership(P("Z"), [P("W"), P("Z+Z^2")])
+    # m^D lies in (Z^3, W^3) only from D = 5, two levels above the first
+    assert not local_membership(P("Z^2*W^2"), [P("Z^3"), P("W^3")])
+    # (W, Z*W) = (W) is not primary to the origin
+    with pytest.raises(ValueError):
+        local_membership(P("Z"), [P("W"), P("Z*W")])
+
+
+# pairwise coprime irreducibles through the origin, in every characteristic
+MEMBERSHIP_BASES = ["Z", "W", "Z+W", "Z-W", "W-Z^2", "Z+W^2", "Z^2+W^3",
+                    "Z+W+Z*W"]
+small_polys = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                              st.integers(-3, 3), max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, Field(3), Field(5), Field(7), Field(32003)]),
+       st.lists(st.sampled_from(MEMBERSHIP_BASES), min_size=2, max_size=2,
+                unique=True),
+       st.integers(1, 3), st.integers(1, 3), small_polys, small_polys,
+       st.tuples(st.integers(0, 5), st.integers(0, 5)), st.booleans())
+def test_local_membership_agrees_with_reduction(field, bases, e1, e2, a, b,
+                                                mono, combine):
+    # with coprime slots, [t / u, v] = 0 exactly when t lies in (u, v) at the
+    # origin; t = a*u + b*v in half the draws, and a*u + b*v + Z^i W^j,
+    # which lies in (u, v) exactly when Z^i W^j does, in the other half
+    u = parse_poly(bases[0], field=field) ** e1
+    v = parse_poly(bases[1], field=field) ** e2
+    t = BivarPoly(a, field) * u + BivarPoly(b, field) * v
+    if not combine:
+        t = t + BivarPoly.mono(mono, 1, field)
+    member = local_membership(t, [u, v])
+    assert member == reduce_h2(t, (u, 1), (v, 1)).is_zero()
+    if combine:
+        assert member
 
 
 def test_cech_equal_detects_known_identities():

@@ -71,14 +71,6 @@ def test_parse_format_roundtrip():
         assert parse_poly(format_poly(p)) == p
 
 
-def test_quad_poly_and_hypersurface_projection():
-    q = parse_poly("X*W - Y*Z", QuadPoly)
-    with pytest.raises(ValueError):
-        q.as_bivar()
-    zw = parse_poly("Z*W", QuadPoly)
-    assert zw.as_bivar() == P("Z*W")
-
-
 def test_field_modular():
     F5 = Field(5)
     assert F5.of(7) == F5.of(2)
