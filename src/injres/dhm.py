@@ -270,9 +270,10 @@ _WINV = (0, 0, 0, -1)
 
 def dhm_dual_basis(field=QQ):
     """The 15 named homomorphisms spanning M' = Hom(M, E(Z,W)), built from
-    Phi_1..Phi_6 by Laurent operators.  Each is verified to be a hom.  A
-    composite operator is applied one factor at a time, as written, never
-    merged into a single exponent."""
+    Phi_1..Phi_6 by Laurent operators.  They are not checked here: the
+    caller checks each with DHMHom.is_hom, once.  A composite operator is
+    applied one factor at a time, as written, never merged into a single
+    exponent."""
     # Phi_i: w_j -> delta_ij Omega^0(1)
     phi = {i: DHMHom({f"w{i}": omega_zw(0, 0, 0, field)}, field)
            for i in range(1, 7)}
@@ -295,18 +296,14 @@ def dhm_dual_basis(field=QQ):
                        + phi[2].monomial_act(*_XINV).monomial_act(*_XINV)
                        + phi[4].monomial_act(*_XINV).monomial_act(*_ZINV)
                        + phi[6].monomial_act(*_ZINV).monomial_act(*_ZINV))
-    out = {}
-    for name, wv in wvals.items():
-        h = _extend_w_values(wv, field)
-        if not h.is_hom():
-            raise InvariantViolation(f"{name} violates the hom conditions")
-        out[name] = h
-    return out
+    return {name: _extend_w_values(wv, field) for name, wv in wvals.items()}
 
 
-def dhm_min_generators(field=QQ):
-    """Minimal generator count of M' with an explicit complement of m M'."""
-    named = dhm_dual_basis(field)
+def dhm_min_generators(field=QQ, named=None):
+    """Minimal generator count of M' with an explicit complement of m M',
+    on the dual basis named (built here when not given)."""
+    if named is None:
+        named = dhm_dual_basis(field)
     red = linalg.Reducer()
     for name in DUAL_NAMES:
         if not red.add(named[name].coords()):
@@ -329,8 +326,9 @@ def dhm_min_generators(field=QQ):
 
 # --- Ext^i(M, A/p) -------------------------------------------------------------
 
-def dhm_ext(max_i, field=QQ):
+def dhm_ext(max_i, field=QQ, named=None):
     """[dim_k Ext^i(M, A/p) for i = 0, ..., max_i]: cohomology.hom_ext on the
-    dual basis, which is built and verified once."""
-    named = dhm_dual_basis(field)
+    dual basis named (built here when not given)."""
+    if named is None:
+        named = dhm_dual_basis(field)
     return hom_ext([named[n].terms for n in DUAL_NAMES], max_i, field)

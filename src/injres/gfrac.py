@@ -17,6 +17,8 @@ onto-rewriting lemma; by Matlis duality any g that works is unique modulo
 (W^t, f^l).
 """
 
+from contextlib import contextmanager
+
 from .ring import (BivarPoly, LocalFraction, QQ,
                    bivar_gcd, exact_divide, divides, f_adic_valuation,
                    normalize_monic, resultant_bezout, series_inverse_truncated,
@@ -139,25 +141,35 @@ def _unit_part_w(r):
     return b, r.shift((0, -b))
 
 
-def reduce_h2(num, d1, d2):
-    """Canonical coefficients of [num / d1, d2] in H^2_(Z,W).
+# The denominator stage of each pair reduced while denominator_memo is open,
+# keyed by (g1, e1, g2, e2); None outside it.
+_stages = None
 
-    num is a BivarPoly or a LocalFraction at the origin; d1, d2 are
-    (base, exponent) pairs whose bases vanish at the origin and, after
-    removing a unit gcd, form a system of parameters.
-    """
-    g1, e1 = d1
-    g2, e2 = d2
-    if g1.is_zero() or g2.is_zero():
-        raise NotSystemOfParameters("a denominator is zero")
-    if e1 <= 0 or e2 <= 0:
-        return H2Canonical()
-    if isinstance(num, BivarPoly):
-        num = LocalFraction(num)
-    npoly, nden = num.num, num.den
-    if npoly.is_zero():
-        return H2Canonical()
 
+@contextmanager
+def denominator_memo():
+    """Within the block, reduce_h2 runs the denominator stage of each pair
+    once and reuses it for every numerator over that pair; on leaving, the
+    stages are dropped.  A block opened inside another shares its memo.
+    A pair that is not a system of parameters is not stored, so it raises
+    on every call."""
+    global _stages
+    outer = _stages
+    if outer is None:
+        _stages = {}
+    try:
+        yield
+    finally:
+        _stages = outer
+
+
+def _denominator_stage(g1, e1, g2, e2):
+    """(alpha, beta, unit, det) of the pair (g1^e1, g2^e2): the matrix
+    r = [[a1, b1], [a2, b2]] / units with (Z^alpha, W^beta) = r * (F1, F2),
+    its determinant det, and the unit every numerator's denominator is
+    multiplied by (the units of r, and the unit gcd of the bases raised to
+    e1 + e2)."""
+    unit = BivarPoly.const(1, g1.field)
     g = bivar_gcd(g1, g2)
     if not g.is_constant():
         if not g.at_origin():
@@ -165,7 +177,7 @@ def reduce_h2(num, d1, d2):
         # the gcd is a unit of the local ring; divide it out of the pair and
         # push the compensating unit into the numerator's denominator
         g1, g2 = exact_divide(g1, g), exact_divide(g2, g)
-        nden = nden * g ** (e1 + e2)
+        unit = g ** (e1 + e2)
 
     F1, F2 = g1 ** e1, g2 ** e2
     try:
@@ -177,12 +189,36 @@ def reduce_h2(num, d1, d2):
     beta, ww = _unit_part_w(rw)
     if alpha <= 0 or beta <= 0:
         raise NotSystemOfParameters("a denominator is a unit at the origin")
+    return alpha, beta, unit * wz * ww, a1 * b2 - b1 * a2
 
-    # (Z^alpha, W^beta) = r * (F1, F2) with r = [[a1, b1], [a2, b2]] / units
-    det = a1 * b2 - b1 * a2
-    unit_den = nden * wz * ww
-    inv = series_inverse_truncated(unit_den, alpha, beta)
-    n = truncate(npoly * det * inv, alpha, beta)
+
+def reduce_h2(num, d1, d2):
+    """Canonical coefficients of [num / d1, d2] in H^2_(Z,W).
+
+    num is a BivarPoly or a LocalFraction at the origin; d1, d2 are
+    (base, exponent) pairs whose bases vanish at the origin and, after
+    removing a unit gcd, form a system of parameters.  The denominator
+    stage (two eliminations) depends on the pair alone, and inside
+    denominator_memo it runs once per pair.
+    """
+    g1, e1 = d1
+    g2, e2 = d2
+    if g1.is_zero() or g2.is_zero():
+        raise NotSystemOfParameters("a denominator is zero")
+    if e1 <= 0 or e2 <= 0:
+        return H2Canonical()
+    if isinstance(num, BivarPoly):
+        num = LocalFraction(num)
+    if num.num.is_zero():
+        return H2Canonical()
+
+    memo = {} if _stages is None else _stages
+    key = (g1, e1, g2, e2)
+    if key not in memo:
+        memo[key] = _denominator_stage(g1, e1, g2, e2)
+    alpha, beta, unit, det = memo[key]
+    inv = series_inverse_truncated(num.den * unit, alpha, beta)
+    n = truncate(num.num * det * inv, alpha, beta)
     return H2Canonical({(alpha - c, beta - d): coef
                         for (c, d), coef in n.terms.items()})
 

@@ -118,7 +118,10 @@ class Reducer:
         if vec:
             lead = max(vec)
             c = vec[lead]
-            self.rows[lead] = {k: v / c for k, v in vec.items()}
+            # a row led by 1 is stored as it is, so the int 1 of a kernel
+            # label never becomes the float 1 / 1
+            self.rows[lead] = (vec if c == 1 else
+                               {k: v / c for k, v in vec.items()})
         return vec
 
     def contains(self, vec):

@@ -833,6 +833,13 @@ def adic_expand(phi, variable, order):
     sh[i] = -vd
     den = den.shift(tuple(sh))
     offset = vn - vd
+    if len(num.terms) == 1 and len(den.terms) == 1:
+        # a Laurent monomial in variable: the loop below would give exactly
+        # its one coefficient at offset
+        if order < offset:
+            return {}
+        return {offset: RationalFunction(num, reduce=False)
+                / RationalFunction(den, reduce=False)}
     n_cs = num.coeffs_in(variable)
     d_cs = den.coeffs_in(variable)
     d0 = RationalFunction(d_cs[0], reduce=False)

@@ -348,3 +348,82 @@ def test_onto_rewrite_lines_can_fail(monkeypatch):
     lines = rep.render().splitlines()[1:]
     assert len(lines) == 3 and all(
         line.startswith("  [FAIL] ") for line in lines), rep.render()
+
+
+def test_a_dual_basis_member_that_is_no_hom_fails_its_line(monkeypatch):
+    # phi13, the one member with values on w1 and w3 alone, gets a wrong
+    # value on v1: its line fails and the request still ends in a report
+    from injres import dhm
+    extend = dhm._extend_w_values
+
+    def corrupt(h, field):
+        out = extend(h, field)
+        if set(h.terms) == {"w1", "w3"}:
+            out.terms["v1"] = out.value("v1").scale(field.of(2))
+        return out
+
+    monkeypatch.setattr(dhm, "_extend_w_values", corrupt)
+    code, out = run(["--field", "7", "dhm", "--dual"])
+    assert code == 1, out
+    fails = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert fails == ["  [FAIL] phi13: hom conditions"], out
+
+
+def test_the_ext_line_rests_on_the_hom_checks(monkeypatch):
+    from injres import dhm
+    monkeypatch.setattr(dhm.DHMHom, "is_hom", lambda self: False)
+    code, out = run(["dhm", "--ext"])
+    assert code == 1, out
+    assert "  [FAIL] dims: 0,0,6,7,0,0,0,0\n" in out, out
+
+
+def test_one_dhm_request_builds_the_dual_basis_once(monkeypatch):
+    from injres import dhm
+    build, is_hom, calls = dhm.dhm_dual_basis, dhm.DHMHom.is_hom, []
+    monkeypatch.setattr(dhm, "dhm_dual_basis",
+                        lambda field: calls.append("basis") or build(field))
+    monkeypatch.setattr(dhm.DHMHom, "is_hom",
+                        lambda self: calls.append("hom") or is_hom(self))
+    code, out = run(["--field", "7", "dhm"])
+    assert code == 0, out
+    # 15 checks in the report, and 15 on the solved basis of dhm_hom_space
+    assert calls.count("basis") == 1 and calls.count("hom") == 30
+
+
+def test_the_denominator_memo_lives_for_one_request(monkeypatch):
+    import injres.cli as cli
+    from injres import gfrac
+    bezout, calls = gfrac.resultant_bezout, []
+    monkeypatch.setattr(gfrac, "resultant_bezout",
+                        lambda *a: calls.append(a) or bezout(*a))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        code, _ = run(["--field", "7", "--samples", "2", "resolution-check"])
+        assert code == 0 and gfrac._stages is None
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    # usage errors, from the parser and from a suite
+    with pytest.raises(SystemExit) as exc:
+        run(["--no-such-flag", "reduce", "[1 / Z, W]"])
+    assert exc.value.code == 2 and gfrac._stages is None
+    assert run(["reduce", "[1 / Z, Z]"])[0] == 2 and gfrac._stages is None
+
+    def broken(expr, field):
+        assert gfrac._stages == {}
+        raise RuntimeError("broken suite")
+
+    monkeypatch.setattr(cli, "suite_reduce", broken)
+    with pytest.raises(RuntimeError):
+        run(["reduce", "[1 / Z, W]"])
+    assert gfrac._stages is None
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    import injres.cli as cli
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", None)
+    assert run(["ext-power", "--n", "1"])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["ext-power"])
+    assert exc.value.code == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from injres import gfrac
 from injres.ring import Field, LocalFraction, parse_poly, QQ
 from injres.gfrac import (GeneralizedFraction, H1Class, H2Canonical,
                           reduce_h2, h4_reduce, minimal_onto_rewrite,
@@ -121,3 +122,41 @@ def test_canonical_fraction_roundtrip():
     gf = h2_canonical_fraction(can)
     back = reduce_h2(gf.numerator, gf.denominators[0], gf.denominators[1])
     assert back == can
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7)], ids=repr)
+def test_the_denominator_memo_changes_no_result(field, monkeypatch):
+    # each pair is reduced against several numerators; with the memo open
+    # its two eliminations run once, and a pair that is no system of
+    # parameters is not stored, so it eliminates and raises every time
+    Pf = lambda t: parse_poly(t, field=field)
+    pairs = [(("Z", 2), ("W", 1)), (("W-Z^2", 1), ("Z", 2)),
+             (("Z*(1+Z)", 1), ("W*(1+Z)", 2)), (("Z+W", 2), ("Z-W", 1)),
+             (("Z", 2), ("W", 3))]
+    nums = ["1", "Z+W^2", "1+Z*W", "Z^2-W"]
+    bezout, calls = gfrac.resultant_bezout, []
+    monkeypatch.setattr(gfrac, "resultant_bezout",
+                        lambda *a: calls.append(a) or bezout(*a))
+
+    def reduce_all():
+        return [reduce_h2(Pf(n), (Pf(b1), e1), (Pf(b2), e2))
+                for (b1, e1), (b2, e2) in pairs for n in nums]
+
+    plain = reduce_all()
+    assert len(calls) == 2 * len(pairs) * len(nums)
+    # most classes are nonzero, [1 / Z*(1+Z), W^2*(1+Z)^2] among them
+    assert plain[2 * len(nums)] and sum(map(bool, plain)) > len(plain) // 2
+    calls.clear()
+    with gfrac.denominator_memo():
+        assert reduce_all() == plain
+        assert len(calls) == 2 * len(pairs)
+        with gfrac.denominator_memo():
+            assert reduce_all() == plain
+        assert len(calls) == 2 * len(pairs) and gfrac._stages
+        # the zero numerator returns before the memo is consulted
+        assert reduce_h2(Pf("0"), (Pf("1+Z"), 1), (Pf("W"), 1)) == H2Canonical()
+        for count in (1, 2):
+            with pytest.raises(NotSystemOfParameters):
+                reduce_h2(Pf("1"), (Pf("1+Z"), 1), (Pf("W"), 1))
+            assert len(calls) == 2 * len(pairs) + 2 * count
+    assert gfrac._stages is None

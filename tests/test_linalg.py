@@ -73,6 +73,23 @@ def test_kernel_basis_is_a_basis_of_the_kernel(field, seed):
     red = Reducer()
     assert all(red.add(comb) for comb in kern)
     assert len(kern) == len(rows) - _sympy_rank(rows, field) > 0
+    assert not any(isinstance(v, float)
+                   for row in red.rows.values() for v in row.values())
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_a_kernel_vector_feeds_back_into_a_reducer(field):
+    # the kernel vector b - a carries its label's coefficient 1; as the
+    # lead of a row it must stay an exact 1, not become 1 / 1 = 1.0
+    one = field.one
+    kern = kernel_basis([("a", {"x": one}), ("b", {"x": one})])
+    assert len(kern) == 1
+    red = Reducer()
+    assert red.add(kern[0])
+    assert not any(isinstance(v, float)
+                   for row in red.rows.values() for v in row.values())
+    assert red.reduce({"b": one}) == {"a": one}
+    assert red.contains({"a": -one, "b": one})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

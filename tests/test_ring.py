@@ -198,6 +198,29 @@ def test_adic_expansion_with_gaps(field):
     assert shifted == {m - 2: c for m, c in exp.items() if m <= 6}
 
 
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=repr)
+@pytest.mark.parametrize("variable", ["Z", "W"])
+def test_adic_expansion_of_a_laurent_monomial(field, variable):
+    # a single-term num / den takes the short path; times (1 + var) over
+    # (1 + var), unreduced, it takes the general loop, which divides the
+    # same two terms at the offset and finds every later coefficient zero
+    unit = BivarPoly.const(1, field) + BivarPoly.var(variable, field)
+    exps = [(0, 0), (2, 0), (0, 3), (1, 2), (3, 1)]
+    for (a, c), (b, d) in itertools.product(zip(exps, (1, -2, 3, 5, -1)),
+                                            zip(exps[::-1], (4, 1, -3, 2, 1))):
+        num, den = BivarPoly.mono(a, c, field), BivarPoly.mono(b, d, field)
+        offset = num.order_in(variable) - den.order_in(variable)
+        for order in range(offset - 2, offset + 3):
+            short = adic_expand(RationalFunction(num, den, reduce=False),
+                                variable, order)
+            loop = adic_expand(RationalFunction(num * unit, den * unit,
+                                                reduce=False), variable, order)
+            assert list(short) == list(loop) == \
+                ([offset] if order >= offset else [])
+            assert [(r.num, r.den) for r in short.values()] == \
+                [(r.num, r.den) for r in loop.values()]
+
+
 def test_irreducibility_checks():
     from injres.ring import VERIFIED, REDUCIBLE
     assert verify_irreducible(P("Z+W")) == VERIFIED
