@@ -301,7 +301,7 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
         hom_ok = {name: h.is_hom() for name, h in named.items()}
     if "ext" in what:
         rep = CohomologyReport("Ext^i(M, A/p) dimensions")
-        dims = dhm_mod.dhm_ext(max_i, field, named)
+        dims = dhm_mod.dhm_ext(max_i, named, field)
         want = [0, 0, 6, 7] + [0] * max(0, max_i - 3)
         rep.add("dims", ",".join(str(d) for d in dims),
                 all(hom_ok.values()) and dims == want[:max_i + 1])
@@ -311,7 +311,7 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
         rep = CohomologyReport("dual module M' = Hom(M, E(Z,W))")
         for name in sorted(named):
             rep.add(name, "hom conditions", hom_ok[name])
-        info = dhm_mod.dhm_min_generators(field, named)
+        info = dhm_mod.dhm_min_generators(named)
         rep.add("dimension", info["dim"], info["dim"] == 15)
         rep.add("minimal generators",
                 f"{info['min_generators']} ({' '.join(info['generators'])})",
@@ -398,7 +398,9 @@ def _jsonable(x):
     return str(x)
 
 
+@cache
 def build_parser():
+    """The command-line parser, built on the first request, not at import."""
     ap = argparse.ArgumentParser(
         prog="injres",
         description="exact verification suites for the injective resolution "
@@ -441,12 +443,6 @@ def build_parser():
 
     sub.add_parser("verify-all", help="every suite at reduced sample counts")
     return ap
-
-
-@cache
-def _parser():
-    """The parser, built on the first request rather than at import."""
-    return build_parser()
 
 
 def _check_flags(args):
@@ -504,7 +500,7 @@ def run_command(argv, stream=None):
     """Run one request.  Its reductions share one denominator memo, which
     ends with the request."""
     stream = stream or sys.stdout
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_flags(args)
         field = _parse_field(args.field)

@@ -299,11 +299,9 @@ def dhm_dual_basis(field=QQ):
     return {name: _extend_w_values(wv, field) for name, wv in wvals.items()}
 
 
-def dhm_min_generators(field=QQ, named=None):
+def dhm_min_generators(named):
     """Minimal generator count of M' with an explicit complement of m M',
-    on the dual basis named (built here when not given)."""
-    if named is None:
-        named = dhm_dual_basis(field)
+    on the dual basis named (as dhm_dual_basis returns it)."""
     red = linalg.Reducer()
     for name in DUAL_NAMES:
         if not red.add(named[name].coords()):
@@ -326,9 +324,7 @@ def dhm_min_generators(field=QQ, named=None):
 
 # --- Ext^i(M, A/p) -------------------------------------------------------------
 
-def dhm_ext(max_i, field=QQ, named=None):
+def dhm_ext(max_i, named, field):
     """[dim_k Ext^i(M, A/p) for i = 0, ..., max_i]: cohomology.hom_ext on the
-    dual basis named (built here when not given)."""
-    if named is None:
-        named = dhm_dual_basis(field)
+    dual basis named (as dhm_dual_basis returns it over field)."""
     return hom_ext([named[n].terms for n in DUAL_NAMES], max_i, field)

@@ -118,9 +118,9 @@ class Reducer:
         if vec:
             lead = max(vec)
             c = vec[lead]
-            # a row led by 1 is stored as it is, so the int 1 of a kernel
+            # a row led by 1 is stored unscaled, so the int 1 of a kernel
             # label never becomes the float 1 / 1
-            self.rows[lead] = (vec if c == 1 else
+            self.rows[lead] = (dict(vec) if c == 1 else
                                {k: v / c for k, v in vec.items()})
         return vec
 

@@ -18,7 +18,8 @@ from injres.resolution import (PrimeIndex, ChainElement, delta, d1_f, pi0,
                                surjectivity_witness)
 from injres.cohomology import (ext_power_of_max, local_cohomology,
                                yoneda_product, yoneda_rep, bass_numbers)
-from injres.dhm import (dhm_ext, dhm_hom_space, dhm_min_generators)
+from injres.dhm import (dhm_dual_basis, dhm_ext, dhm_hom_space,
+                        dhm_min_generators)
 from injres import samples
 
 
@@ -43,7 +44,9 @@ def test_criterion_01_ext_powers_of_the_maximal_ideal():
 
 def test_criterion_02_ext_dimensions_of_the_test_module():
     t0 = time.monotonic()
-    dims = dhm_ext(7)
+    named = dhm_dual_basis()
+    assert all(h.is_hom() for h in named.values())
+    dims = dhm_ext(7, named, QQ)
     elapsed = time.monotonic() - t0
     assert dims == [0, 0, 6, 7, 0, 0, 0, 0], dims
     assert elapsed < 30.0, f"budget exceeded: {elapsed:.1f}s"
@@ -65,7 +68,9 @@ def test_criterion_03_no_homs_into_height_one_hulls():
 
 
 def test_criterion_04_dual_module_size_and_generators():
-    info = dhm_min_generators()
+    named = dhm_dual_basis()
+    assert all(h.is_hom() for h in named.values())
+    info = dhm_min_generators(named)
     assert info["dim"] == 15, info
     assert info["min_generators"] == 5, info
     _report(4, "dim M' = 15 with 5 minimal generators")

@@ -419,10 +419,9 @@ def test_the_denominator_memo_lives_for_one_request(monkeypatch):
     assert gfrac._stages is None
 
 
-def test_the_parser_is_built_once(monkeypatch):
+def test_the_parser_is_built_once():
     import injres.cli as cli
-    cli._parser()
-    monkeypatch.setattr(cli, "build_parser", None)
+    assert cli.build_parser() is cli.build_parser()
     assert run(["ext-power", "--n", "1"])[0] == 0
     with pytest.raises(SystemExit) as exc:
         run(["ext-power"])

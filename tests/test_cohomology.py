@@ -178,7 +178,8 @@ def test_ext_is_read_off_delta(monkeypatch):
 
     monkeypatch.setattr(coh, "delta", truncated)
     assert not ext_self(3, truncation=3).passed
-    assert dhm.dhm_ext(7) != [0, 0, 6, 7, 0, 0, 0, 0]
+    assert (dhm.dhm_ext(7, dhm.dhm_dual_basis(), QQ)
+            != [0, 0, 6, 7, 0, 0, 0, 0])
 
 
 def test_generator_and_coboundary_lines_can_fail(monkeypatch):

@@ -53,14 +53,24 @@ def test_cube_of_maximal_ideal_kills_module():
                     assert mod.act(x, mod.act(y, mod.act(z, b))) == {}
 
 
+def checked_basis(field=QQ):
+    """The dual basis over field, each member checked to be a hom, as
+    cli.suite_dhm checks it before its Ext and generator lines."""
+    named = dhm_dual_basis(field)
+    assert all(h.is_hom() for h in named.values())
+    return named
+
+
 def test_dual_basis_members_are_homs_and_independent():
-    named = dhm_dual_basis()
-    assert len(named) == 15
-    red = linalg.Reducer()
-    for h in named.values():
-        assert h.is_hom()
-        assert red.add(h.coords())
-    assert red.rank == 15
+    # over every field the suites and tests use
+    for field in (QQ, Field(3), Field(5), Field(7)):
+        named = dhm_dual_basis(field)
+        assert len(named) == 15
+        red = linalg.Reducer()
+        for h in named.values():
+            assert h.is_hom(), field
+            assert red.add(h.coords())
+        assert red.rank == 15
 
 
 def test_hom_space_at_the_maximal_prime():
@@ -89,7 +99,7 @@ def test_truncation_guard():
 
 
 def test_minimal_generators():
-    info = dhm_min_generators()
+    info = dhm_min_generators(checked_basis())
     assert info["dim"] == 15
     assert info["m_span"] == 10
     assert info["min_generators"] == 5
@@ -98,7 +108,7 @@ def test_minimal_generators():
 
 
 def test_ext_dimensions():
-    assert dhm_ext(7) == [0, 0, 6, 7, 0, 0, 0, 0]
+    assert dhm_ext(7, checked_basis(), QQ) == [0, 0, 6, 7, 0, 0, 0, 0]
 
 
 def test_ext2_kernel_is_spanned_by_the_elementary_homs():
@@ -126,6 +136,7 @@ def test_hom_values_respect_annihilators():
 
 def test_modular_coefficients():
     F5 = Field(5)
-    assert dhm_ext(7, F5) == [0, 0, 6, 7, 0, 0, 0, 0]
-    info = dhm_min_generators(F5)
+    named = checked_basis(F5)
+    assert dhm_ext(7, named, F5) == [0, 0, 6, 7, 0, 0, 0, 0]
+    info = dhm_min_generators(named)
     assert info["min_generators"] == 5

@@ -85,7 +85,9 @@ def test_a_kernel_vector_feeds_back_into_a_reducer(field):
     kern = kernel_basis([("a", {"x": one}), ("b", {"x": one})])
     assert len(kern) == 1
     red = Reducer()
-    assert red.add(kern[0])
+    rem = red.add(kern[0])
+    assert rem
+    rem.clear()  # the remainder is the caller's; the row is not
     assert not any(isinstance(v, float)
                    for row in red.rows.values() for v in row.values())
     assert red.reduce({"b": one}) == {"a": one}
