@@ -315,7 +315,7 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
         rep.add("dimension", info["dim"], info["dim"] == 15)
         rep.add("minimal generators",
                 f"{info['min_generators']} ({' '.join(info['generators'])})",
-                info["min_generators"] == 5)
+                info["min_generators"] == 5 and info["complement"])
         out.append(rep)
     if "hom" in what:
         rep = CohomologyReport("Hom(M, E(q)) at height-one primes",

@@ -18,7 +18,10 @@ the argument, X sends Omega^n(phi) to Omega^{n-1}(phi/W), Y to
 Omega^{n-1}(phi/Z); on EZW coordinates X^a Y^b Z^c W^d moves (n,s,t) to
 (n-a-b, s+c-b, t+d-a).  Laurent division operators (monomial_act with
 negative exponents) extend the same index arithmetic to negative powers
-without being inverse to multiplication.
+without being inverse to multiplication.  A monomial acts by moving
+indices and exponents, never by re-expanding: act sums the monomial
+actions of a polynomial into one dict, and an axis element's mul_arg by a
+Laurent monomial is monomial_act.
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ, adic_expand,
@@ -105,7 +108,13 @@ class _AxisElement(SparseVector):
         return out
 
     def mul_arg(self, rf):
-        """Multiply every argument by a rational function and re-expand."""
+        """Multiply every argument by a rational function and re-expand.  A
+        Laurent monomial c Z^a W^b only moves the expansion: monomial_act."""
+        if len(rf.num.terms) == 1 and len(rf.den.terms) == 1:
+            ((p, q), cn), = rf.num.terms.items()
+            ((r, s), cd), = rf.den.terms.items()
+            out = self.monomial_act(0, 0, p - r, q - s)
+            return out if cn == cd else out.scale(cn / cd)
         out = self._like({})
         for n, phi in self.representatives().items():
             out = out + type(self).from_argument(n, phi * rf, self.field)
@@ -263,10 +272,11 @@ def act(r, e):
         r = r.to_quad()
     if not isinstance(r, QuadPoly):
         r = QuadPoly.const(e.field.of(r), e.field)
-    out = e._like({})
+    out = {}
     for (a, b, c, d), coef in r.terms.items():
-        out = out + e.monomial_act(a, b, c, d).scale(coef)
-    return out
+        _axpy(out, e.monomial_act(a, b, c, d).terms,
+              None if coef == 1 else coef)
+    return e._like(out)
 
 
 def act_series(phi, e):

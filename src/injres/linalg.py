@@ -14,12 +14,12 @@ independent of resultants and series inversion.
 
 
 def _axpy(out, vec, c=None):
-    """out += c * vec in place (out += vec when c is omitted, with no
+    """out += vec * c in place (out += vec when c is omitted, with no
     multiplication at all); keys whose value becomes zero are dropped.
     Returns out."""
     for k, v in vec.items():
         if c is not None:
-            v = c * v
+            v = v * c
         if k in out:
             v = out[k] + v
         if v:

@@ -157,7 +157,9 @@ class Poly:
     Subclasses fix the variable names.  Arithmetic is exact; zero
     coefficients are never stored.  Over F_p, +, -, * and exact_divide work
     on the .v ints of the coefficients and reduce mod p once per output
-    term; .terms still holds Fp values.
+    term; .terms still holds Fp values.  A product with a one-term side is
+    a monomial acting by shifting exponents (shift): no sums are formed,
+    and coefficients are scaled only when the monomial's is not one.
     """
 
     VARS = ()
@@ -301,6 +303,12 @@ class Poly:
             c0 = self.field.of(other) if isinstance(other, int) else other
             return type(self)({k: c * c0 for k, c in self.terms.items()}, self.field)
         o = self._coerce(other)
+        for mono, rest in ((o, self), (self, o)):
+            if len(mono.terms) == 1:
+                # a monomial moves the other side's exponents; the keys keep
+                # that side's order, as in the general loop
+                (k0, c0), = mono.terms.items()
+                return rest.shift(k0, c0)
         if p:
             # plain ints summed per output term, reduced once at the end
             acc = {}
@@ -352,15 +360,20 @@ class Poly:
     def __repr__(self):
         return format_poly(self)
 
-    def shift(self, deltas):
-        """Multiply by a (Laurent) monomial; all resulting exponents must be >= 0."""
-        t = {}
-        for k, c in self.terms.items():
-            nk = tuple(a + d for a, d in zip(k, deltas))
-            if any(e < 0 for e in nk):
-                raise NotDivisible("{!r} not divisible by the monomial shift", self)
-            t[nk] = c
-        return type(self)._trusted(t, self.field)
+    def shift(self, deltas, c0=None):
+        """Multiply by the (Laurent) monomial c0 * x^deltas, c0 a nonzero
+        field element (1 when omitted): the exponents move, and the
+        coefficients are scaled only when c0 is not one.  All resulting
+        exponents must be >= 0."""
+        keys = [tuple(map(add, k, deltas)) for k in self.terms]
+        if min(deltas) < 0 and any(min(k) < 0 for k in keys):
+            raise NotDivisible("{!r} not divisible by the monomial shift", self)
+        vals = self.terms.values()
+        if c0 is not None and c0 != self.field.one:
+            p = self.field.char
+            vals = [Fp(c.v * c0.v, p) for c in vals] if p else \
+                [c * c0 for c in vals]
+        return type(self)._trusted(dict(zip(keys, vals)), self.field)
 
 
 def _fp_reduce(acc, p):
@@ -614,7 +627,11 @@ class RationalFunction:
     reduces n1*(d2/g) + n2*(d1/g) against g alone.  So the result of
     reduced operands is reduced, and as every gcd is monic its denominator
     has the leading coefficient lc(d1)*lc(d2).  Of an unreduced operand the
-    result has the right value but need not be reduced.
+    result has the right value but need not be reduced.  A Laurent monomial
+    c Z^a W^b acts by shifting exponents: both gcds of the product are
+    monomials, read off the orders in Z and W, so the numerator and the
+    denominator only move and take the monomial's coefficients, with no
+    gcd, division or product run.
     """
 
     def __init__(self, num, den=None, reduce=True):
@@ -685,6 +702,15 @@ class RationalFunction:
         n1, d1 = self.num, self.den
         if n1.is_zero() or n2.is_zero():
             return RationalFunction(BivarPoly.zero(n1.field))
+        if len(n2.terms) == 1 and len(d2.terms) == 1:
+            # a Laurent monomial: both gcds below are monomials, read off
+            # the orders, so n1 and d1 only shift and take one coefficient
+            ((p, q), a), = n2.terms.items()
+            ((r, s), b), = d2.terms.items()
+            gz = min(n1.order_in("Z"), r) + min(p, d1.order_in("Z"))
+            gw = min(n1.order_in("W"), s) + min(q, d1.order_in("W"))
+            return RationalFunction(n1.shift((p - gz, q - gw), a),
+                                    d1.shift((r - gz, s - gw), b), reduce=False)
         n1, d2, _ = _cancel(n1, d2)
         n2, d1, _ = _cancel(n2, d1)
         return RationalFunction(n1 * n2, d1 * d2, reduce=False)

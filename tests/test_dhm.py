@@ -1,10 +1,14 @@
 """The 15-dimensional test module, its dual, and its Ext dimensions."""
 
+import io
+
 import pytest
 
 from injres.ring import parse_poly, QQ, Field
 from injres.resolution import PrimeIndex
 from injres import dhm, linalg
+from injres.cli import run_command
+from injres.hulls import omega_zw
 from injres.dhm import (DHMModule, DHMHom, dhm_hom_space,
                         dhm_dual_basis, dhm_min_generators, dhm_ext,
                         InvariantViolation, TruncationTooSmall,
@@ -105,6 +109,35 @@ def test_minimal_generators():
     assert info["min_generators"] == 5
     assert set(info["generators"]) == {"phi14", "phi25", "phi36",
                                        "phi135", "phi246"}
+
+
+def test_generator_verdicts_are_returned_not_raised():
+    named = dict(checked_basis())
+    assert dhm_min_generators(named)["complement"]
+    # phi1 = X phi13 lies in m M', so it cannot stand in for phi14
+    named["phi14"] = named["phi1"]
+    info = dhm_min_generators(named)
+    assert info["dim"] == 14 and not info["complement"]
+
+
+def test_a_dependent_dual_basis_fails_its_lines_without_a_traceback(monkeypatch):
+    # phi13 takes the values of phi1: every member is still a hom, but the
+    # 15 are dependent, which the dimension and generator lines must show
+    extend = dhm._extend_w_values
+
+    def phi13_is_phi1(h, field):
+        if set(h.terms) == {"w1", "w3"}:  # the w-values of phi13
+            h = DHMHom({"w1": omega_zw(0, 0, 0, field)}, field)
+        return extend(h, field)
+
+    monkeypatch.setattr(dhm, "_extend_w_values", phi13_is_phi1)
+    for argv in (["dhm", "--dual"], ["--field", "7", "dhm"]):
+        buf = io.StringIO()
+        assert run_command(argv, stream=buf) == 1
+        out = buf.getvalue()
+        assert "[FAIL] dimension: 14" in out
+        assert "[FAIL] minimal generators: 4 " in out
+        assert "[ok] phi13: hom conditions" in out and "Traceback" not in out
 
 
 def test_ext_dimensions():

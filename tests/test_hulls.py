@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
-                         QQ)
+                         QQ, Field)
 from injres.hulls import (E0Element, EZElement, EWElement, EfElement,
                           EZWElement, omega, omega_zw, act, act_series,
                           torsion_box,
@@ -231,3 +231,48 @@ def test_mismatched_state_is_refused():
         c3 + c4
     with pytest.raises(NotInEZW):
         EZWElement({(1, 1, 1): QQ.zero}, QQ)
+
+
+FIELDS = [QQ, Field(3), Field(7)]
+
+
+def _reexpanded(e, rf):
+    """e.mul_arg(rf) by the general route: every stored truncation times rf,
+    reduced by the full gcd, and expanded again."""
+    out = e._like({})
+    for n, phi in e.representatives().items():
+        arg = RationalFunction(phi.num * rf.num, phi.den * rf.den)
+        out = out + type(e).from_argument(n, arg, e.field)
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("axis", ["Z", "W"])
+def test_axis_mul_arg_by_a_monomial_equals_the_reexpansion(field, axis):
+    rng = samples.rng_from_seed(17)
+    elements = [samples.random_axis(rng, axis, field) for _ in range(6)]
+    # arguments with a pole along the axis, so the expansion starts below 0
+    num, unit = (parse_poly(t, field=field) for t in ("Z-2*W", "1+Z+W"))
+    pole = BivarPoly.var(axis, field) ** 2 * unit
+    elements.append(omega(axis, 3, RationalFunction(num, pole), field))
+    for e in elements:
+        for a, b, c in [(1, 0, 1), (-2, 1, 1), (0, -1, 3), (2, 2, -1),
+                        (-1, -3, Fraction(1, 2))]:
+            m = RationalFunction.monomial(a, b, field) * field.of(c)
+            assert e.mul_arg(m) == _reexpanded(e, m), (e, a, b, c)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("kind", ["zero", "Z", "W", "irr", "max"])
+def test_act_is_the_sum_of_its_monomial_actions(field, kind):
+    rng = samples.rng_from_seed(23)
+    prime = PrimeIndex(kind, f=samples.irr_pool(field)[0])
+    for r in (Q("X"), Q("Z*W - 3*Y"), Q("1 + X*Y - Z^2 + 2*W + X*W - Y*Z"),
+              Q("-1/2*Y^2*W + Z")):
+        r = QuadPoly(r.terms, field)
+        for _ in range(3):
+            e = samples.random_hull_element(rng, prime, field)
+            want = e._like({})
+            for (a, b, c, d), coef in r.terms.items():
+                want = want + e.monomial_act(a, b, c, d).scale(coef)
+            assert act(r, e) == want

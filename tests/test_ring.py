@@ -353,6 +353,39 @@ def test_arithmetic_cancels_like_the_reference(field, a, b):
     _assert_matches_the_reference(a, b)
 
 
+@st.composite
+def laurent_monomials(draw, field):
+    """c Z^a W^b in lowest terms, exponents of either sign; the numerator's
+    coefficient is not one, the denominator's may be."""
+    a, b = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    coeffs = st.sampled_from([1, 2, -1, 5, Fraction(-1, 2)]).map(field.of)
+    cn = draw(coeffs.filter(lambda c: c and c != 1))
+    cd = draw(coeffs.filter(bool))
+    return RationalFunction(BivarPoly.mono((max(a, 0), max(b, 0)), cn, field),
+                            BivarPoly.mono((max(-a, 0), max(-b, 0)), cd, field),
+                            reduce=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_laurent_monomial_products_shift_like_the_full_gcd_reference(data):
+    # x * m and x / m shift x's num and den, with no gcd and no division;
+    # m * x and m / x take the general route; all match the reference
+    field = data.draw(st.sampled_from([QQ, Field(3), Field(7)]))
+    x = data.draw(reduced_fractions(field))
+    m = data.draw(laurent_monomials(field))
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("bivar_gcd", "exact_divide", "_cancel"):
+            mp.setattr(ring, name, lambda *args: pytest.fail("not a shift"))
+        shifted = (x * m, x / m)
+    for got, num, den in zip(shifted, (x.num * m.num, x.num * m.den),
+                             (x.den * m.den, x.den * m.num)):
+        num, den = _reduced_by_full_gcd(num, den)
+        assert got.num.terms == num.terms and got.den.terms == den.terms
+    _assert_matches_the_reference(x, m)
+    _assert_matches_the_reference(m, x)
+
+
 def _assert_coefficient_types(p, field):
     # Poly stores nonzero coefficients only
     for c in p.terms.values():
@@ -395,9 +428,13 @@ def test_arithmetic_keeps_coefficients_in_the_field(data):
 
 
 def _int_polys(nvars):
-    """Polynomials with integer coefficients, as {exponent tuple: int}."""
+    """Polynomials with integer coefficients, as {exponent tuple: int}; one
+    in two has a single term, so that products often take the monomial
+    branch, and small coefficients make units (coefficient one) common."""
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
-    return st.dictionaries(exps, st.integers(-10 ** 6, 10 ** 6), max_size=6)
+    coeffs = st.one_of(st.integers(-2, 2), st.integers(-10 ** 6, 10 ** 6))
+    return st.one_of(st.dictionaries(exps, coeffs, min_size=1, max_size=1),
+                     st.dictionaries(exps, coeffs, max_size=6))
 
 
 @settings(max_examples=60, deadline=None)
@@ -405,11 +442,22 @@ def _int_polys(nvars):
        st.data())
 def test_fp_kernels_agree_with_integer_arithmetic(p, cls, data):
     # a and b over Z, reduced mod p after the integer operation and before it
-    field = Field(p)
+    _assert_kernels_agree_with_integer_arithmetic(Field(p), cls, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([BivarPoly, QuadPoly]), st.data())
+def test_q_kernels_agree_with_integer_arithmetic(cls, data):
+    # the same over Q, where the image of an integer polynomial is itself
+    _assert_kernels_agree_with_integer_arithmetic(QQ, cls, data)
+
+
+def _assert_kernels_agree_with_integer_arithmetic(field, cls, data):
     a, b = (data.draw(_int_polys(len(cls.VARS))) for _ in range(2))
 
-    def mod_p(terms):
-        return cls({k: c % p for k, c in terms.items()}, field)
+    def image(terms):
+        # Poly's constructor reduces ints mod p over F_p
+        return cls(terms, field)
 
     product, total, difference = {}, dict(a), dict(a)
     for (k1, c1), (k2, c2) in itertools.product(a.items(), b.items()):
@@ -418,12 +466,16 @@ def test_fp_kernels_agree_with_integer_arithmetic(p, cls, data):
     for k, c in b.items():
         total[k] = total.get(k, 0) + c
         difference[k] = difference.get(k, 0) - c
-    a_p, b_p = mod_p(a), mod_p(b)
-    assert mod_p(product).terms == (a_p * b_p).terms
-    assert mod_p(total).terms == (a_p + b_p).terms
-    assert mod_p(difference).terms == (a_p - b_p).terms
+    a_p, b_p = image(a), image(b)
+    assert image(product).terms == (a_p * b_p).terms
+    assert image(total).terms == (a_p + b_p).terms
+    assert image(difference).terms == (a_p - b_p).terms
+    if len(a_p.terms) == 1 or len(b_p.terms) == 1:
+        # a monomial only moves keys, which keep the general loop's order
+        assert list((a_p * b_p).terms) == [tuple(x + y for x, y in zip(k1, k2))
+                                           for k1 in a_p.terms for k2 in b_p.terms]
     c = data.draw(st.integers(-10 ** 6, 10 ** 6))
-    assert mod_p({k: v * c for k, v in a.items()}).terms == (a_p * c).terms
+    assert image({k: v * c for k, v in a.items()}).terms == (a_p * c).terms
     for r in (a_p * b_p, a_p + b_p, a_p - b_p, a_p * c):
         _assert_coefficient_types(r, field)
     if not b_p.is_zero():
