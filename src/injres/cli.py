@@ -327,9 +327,10 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
             dims = [dhm_mod.dhm_hom_space(p, truncation=T, field=field)[0]
                     for T in (trunc, trunc + 1)]
             rep.add(label, f"dims {dims[0]}, {dims[1]}", dims == [0, 0])
-        d, _ = dhm_mod.dhm_hom_space(PrimeIndex.maximal(), truncation=trunc,
-                                     field=field)
-        rep.add("maximal", f"dim {d}", d == 15)
+        d, homs = dhm_mod.dhm_hom_space(PrimeIndex.maximal(), truncation=trunc,
+                                        field=field)
+        rep.add("maximal", f"dim {d}",
+                d == 15 and all(h.is_hom() for h in homs))
         out.append(rep)
     return out
 

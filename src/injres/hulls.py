@@ -272,10 +272,10 @@ def act(r, e):
         r = r.to_quad()
     if not isinstance(r, QuadPoly):
         r = QuadPoly.const(e.field.of(r), e.field)
-    out = {}
+    out, one = {}, e.field.one
     for (a, b, c, d), coef in r.terms.items():
         _axpy(out, e.monomial_act(a, b, c, d).terms,
-              None if coef == 1 else coef)
+              None if coef == one else coef)
     return e._like(out)
 
 

@@ -16,7 +16,8 @@ pi0, pi11, pi12 which precompose with argument multiplications.
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
                    normalize_monic, resultant_bezout, DegenerateResultant)
-from .gfrac import H4Canonical, H1Class, reduce_h2, minimal_onto_rewrite
+from .gfrac import (H4Canonical, H1Class, denominator_memo, reduce_h2,
+                    minimal_onto_rewrite)
 from .hulls import (E0Element, EfElement, EZWElement, act, act_series, omega,
                     omega_zw, h4_to_ezw, BadLocus)
 from .linalg import Apart, SparseVector
@@ -186,20 +187,21 @@ def _d1_axis(el, axis):
 
 
 def _d1_irr(el):
-    """d1 on E(f): slotwise reduction against the pair
-    (h * W^{i+1} * Z^{n+1-i}, f^s), reassembled through H4 coordinates."""
-    field = el.field
-    Z = BivarPoly.var("Z", field)
-    W = BivarPoly.var("W", field)
+    """d1 on E(f): slotwise reduction of [g / h * Z^{n+1-i} * W^{i+1}, f^s]
+    for i = 0..n, reassembled through H4 coordinates.  By the
+    transformation law with det = Z^i * W^{n-i} each of these is
+    [Z^i * W^{n-i} * g / h * (Z*W)^{n+1}, f^s], so the n + 1 reductions of
+    a graded part share one denominator pair, eliminated once."""
     h4 = H4Canonical()
-    for n, cls in el.terms.items():
-        g, h, f, s = cls.g, cls.h, cls.f, cls.s
-        for i in range(n + 1):
-            d1base = h * W ** (i + 1) * Z ** (n + 1 - i)
-            h2 = reduce_h2(g, (d1base, 1), (f, s))
-            h4 = h4 + H4Canonical({(zi, wj, i + 1, n + 1 - i): c
-                                   for (zi, wj), c in h2.terms.items()})
-    return h4_to_ezw(h4, field)
+    with denominator_memo():
+        for n, cls in el.terms.items():
+            g, f, s = cls.g, cls.f, cls.s
+            base = cls.h.shift((n + 1, n + 1))
+            for i in range(n + 1):
+                h2 = reduce_h2(g.shift((i, n - i)), (base, 1), (f, s))
+                h4 = h4 + H4Canonical({(zi, wj, i + 1, n + 1 - i): c
+                                       for (zi, wj), c in h2.terms.items()})
+    return h4_to_ezw(h4, el.field)
 
 
 def d1_f(prime, el):

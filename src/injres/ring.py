@@ -159,7 +159,11 @@ class Poly:
     on the .v ints of the coefficients and reduce mod p once per output
     term; .terms still holds Fp values.  A product with a one-term side is
     a monomial acting by shifting exponents (shift): no sums are formed,
-    and coefficients are scaled only when the monomial's is not one.
+    and coefficients are scaled only when the monomial's is not one.  An
+    exact division by a one-term divisor c*x^k is the shift by the inverse
+    monomial x^-k / c, refused (NotDivisible) when an exponent would turn
+    negative.  Values are never changed in place, so an operation may
+    return one of its operands (p ** 1, normalize_monic of a monic p).
     """
 
     VARS = ()
@@ -334,13 +338,22 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        """Right-to-left binary powering (Knuth, TAOCP vol. 2, 4.6.3,
+        Algorithm A): the first factor starts the product, and the base is
+        squared only while bits of e remain."""
         assert isinstance(e, int) and e >= 0
-        out = type(self).const(1, self.field)
+        if not e:
+            return type(self).const(1, self.field)
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        out = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
         return out
 
@@ -404,9 +417,19 @@ class QuadPoly(Poly):
 
 
 def exact_divide(g, f):
-    """Return q with g = q*f, or raise NotDivisible.  f must be nonzero."""
+    """Return q with g = q*f, or raise NotDivisible.  f must be nonzero.
+    A one-term f divides by shifting; otherwise long division runs on the
+    lex-leading terms."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
+    if len(f.terms) == 1:
+        # a monomial divisor c*x^k: the quotient is g shifted by x^-k and
+        # scaled by 1/c, the loop's quotient with no remainder to update
+        (k, c), = f.terms.items()
+        try:
+            return g.shift(tuple(-e for e in k), g.field.one / c)
+        except NotDivisible:
+            raise NotDivisible("{!r} does not divide {!r}", f, g) from None
     cls = type(g)
     q = {}
     lt_f = max(f.terms)
@@ -588,11 +611,13 @@ def _prem(f, g, name):
 
 
 def normalize_monic(p):
-    """Scale so the lex-leading coefficient (W > Z) is 1."""
+    """Scale so the lex-leading coefficient (W > Z) is 1; p itself when it
+    already is (a Poly is never changed in place)."""
     if p.is_zero():
         return p
-    lead = max(p.terms, key=lambda k: (k[1], k[0]))
-    return p * (p.field.one / p.terms[lead])
+    lc = p.terms[max(p.terms, key=lambda k: (k[1], k[0]))]
+    one = p.field.one
+    return p if lc == one else p * (one / lc)
 
 
 # --- rational functions ----------------------------------------------------
@@ -653,8 +678,8 @@ class RationalFunction:
     @classmethod
     def monomial(cls, a, b, field=QQ):
         """The Laurent monomial Z^a W^b, exponents of either sign."""
-        num = BivarPoly.mono((max(a, 0), max(b, 0)), 1, field)
-        den = BivarPoly.mono((max(-a, 0), max(-b, 0)), 1, field)
+        num = BivarPoly.mono((max(a, 0), max(b, 0)), field.one, field)
+        den = BivarPoly.mono((max(-a, 0), max(-b, 0)), field.one, field)
         return cls(num, den, reduce=False)
 
     def is_zero(self):
@@ -803,10 +828,16 @@ def resultant_bezout(u, v, eliminate):
     r, a, b = _subresultant_prs((u, one, zero), (v, zero, one), eliminate)
     if r.degree_in(eliminate) > 0:
         raise DegenerateResultant("common factor in the eliminated variable")
+    # gcd(r, content(a), content(b)), one coefficient at a time from r,
+    # stopping once it is a unit
     common = r
-    for p in (a, b):
-        common = univar_gcd(common, content_in(p, eliminate), other)
-    r, a, b = (exact_divide(p, common) for p in (r, a, b))
+    coeffs = (c for p in (a, b) for c in p.coeffs_in(eliminate).values())
+    for c in coeffs:
+        if common.is_constant():
+            break
+        common = univar_gcd(common, c, other)
+    if not common.is_constant():
+        r, a, b = (exact_divide(p, common) for p in (r, a, b))
     inv = field.one / r.terms[max(r.terms)]
     r, a, b = r * inv, a * inv, b * inv
     assert a * u + b * v == r

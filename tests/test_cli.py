@@ -377,6 +377,25 @@ def test_the_ext_line_rests_on_the_hom_checks(monkeypatch):
     assert "  [FAIL] dims: 0,0,6,7,0,0,0,0\n" in out, out
 
 
+def test_hom_space_verdicts_fail_lines_instead_of_raising(monkeypatch):
+    from injres import dhm, hulls
+    # an E(f) argument multiplication that drops its argument: the left
+    # inverse fails at every irreducible slot, and only there
+    monkeypatch.setattr(hulls.EfElement, "mul_arg",
+                        lambda self, rf: self._like({}))
+    code, out = run(["--field", "7", "dhm", "--hom"])
+    assert code == 1, out
+    fails = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert fails == ["  [FAIL] irr Z + W: dims None, None",
+                     "  [FAIL] irr 6*Z^2 + W: dims None, None"], out
+    monkeypatch.undo()
+    monkeypatch.setattr(dhm.DHMHom, "is_hom", lambda self: False)
+    code, out = run(["dhm", "--hom"])
+    assert code == 1, out
+    fails = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert fails == ["  [FAIL] maximal: dim 15"], out
+
+
 def test_one_dhm_request_builds_the_dual_basis_once(monkeypatch):
     from injres import dhm
     build, is_hom, calls = dhm.dhm_dual_basis, dhm.DHMHom.is_hom, []

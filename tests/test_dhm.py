@@ -79,7 +79,7 @@ def test_dual_basis_members_are_homs_and_independent():
 
 def test_hom_space_at_the_maximal_prime():
     dim, homs = dhm_hom_space(PrimeIndex.maximal(), truncation=3)
-    assert dim == 15
+    assert dim == 15 and all(h.is_hom() for h in homs)
     dim2, _ = dhm_hom_space(PrimeIndex.maximal(), truncation=4)
     assert dim2 == 15  # stable across truncations
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
-                         QQ)
-from injres.hulls import omega, omega_zw, act, socle_project
+                         QQ, Field)
+from injres.hulls import omega, omega_zw, act, socle_project, h4_to_ezw
+from injres.gfrac import H4Canonical, reduce_h2
+from injres import gfrac
 from injres.resolution import (PrimeIndex, ChainElement, legal_kinds,
                                DegreeMismatch, d0, d1_f, pi0, pi11_pi12,
                                delta, iota0, surjectivity_witness,
@@ -57,6 +59,48 @@ def test_d1_irreducible_frozen_vector():
     el = omega(f, 0, RF("1", "Z+W"))
     got = d1_f(PrimeIndex.irr(f), el)
     assert got.terms == {(0, -1, 0): Fraction(-1), (0, 0, -1): Fraction(1)}
+
+
+def _d1_irr_per_slot_pair(el):
+    """d1 on E(f) as defined: one denominator pair
+    (h * Z^{n+1-i} * W^{i+1}, f^s) for each i = 0..n."""
+    field = el.field
+    Z, W = BivarPoly.var("Z", field), BivarPoly.var("W", field)
+    h4 = H4Canonical()
+    for n, cls in el.terms.items():
+        for i in range(n + 1):
+            base = cls.h * W ** (i + 1) * Z ** (n + 1 - i)
+            h2 = reduce_h2(cls.g, (base, 1), (cls.f, cls.s))
+            h4 = h4 + H4Canonical({(zi, wj, i + 1, n + 1 - i): c
+                                   for (zi, wj), c in h2.terms.items()})
+    return h4_to_ezw(h4, field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7)], ids=repr)
+@pytest.mark.parametrize("ftext", ["Z+W", "W-Z^2", "Z+W^2"])
+def test_d1_irr_shares_one_pair_per_graded_part(monkeypatch, field, ftext):
+    f = parse_poly(ftext, field=field)
+    parts = [("1", "1"), ("Z - 2*W^2", "Z"), ("1 + W", "(1+Z)*W^2"),
+             ("Z^2*W + 3", "Z*(1-W)")]
+    el = None
+    for n, (num, h) in enumerate(parts):
+        s = 1 + n % 2
+        part = omega(f, n, RationalFunction(
+            parse_poly(num, field=field), parse_poly(h, field=field) * f ** s,
+            reduce=False), field)
+        assert part, (n, num, h)
+        want = _d1_irr_per_slot_pair(part)
+        assert d1_f(PrimeIndex.irr(f), part).terms == want.terms, n
+        el = part if el is None else el + part
+    assert sorted(el.terms) == [0, 1, 2, 3]
+    bezout, calls = gfrac.resultant_bezout, []
+    monkeypatch.setattr(gfrac, "resultant_bezout",
+                        lambda *a: calls.append(a) or bezout(*a))
+    got = d1_f(PrimeIndex.irr(f), el)
+    # one pair per graded part, two eliminations each, not one per i
+    assert len(calls) == 2 * len(parts)
+    monkeypatch.undo()
+    assert got.terms == _d1_irr_per_slot_pair(el).terms
 
 
 def test_d0_preserves_arguments_and_pi0_shifts():

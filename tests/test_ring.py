@@ -63,6 +63,12 @@ def test_not_divisible_message_names_both_polynomials():
     with pytest.raises(NotDivisible) as exc:
         P("Z+W").shift((-1, 0))
     assert str(exc.value) == "Z + W not divisible by the monomial shift"
+    # a one-term divisor divides by shifting, with the loop's message
+    for field in (QQ, F7):
+        with pytest.raises(NotDivisible) as exc:
+            exact_divide(parse_poly("Z^2+W", field=field),
+                         parse_poly("2*Z", field=field))
+        assert str(exc.value) == "2*Z does not divide Z^2 + W"
 
 
 def test_parse_format_roundtrip():
@@ -524,3 +530,68 @@ def test_foreign_operands_raise_type_error():
     for op in (lambda: one - "x", lambda: one / "x", lambda: "x" / one):
         with pytest.raises(TypeError):
             op()
+
+
+POWER_FIELDS = [QQ, Field(3), Field(7)]
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=repr)
+@pytest.mark.parametrize("base", ["-2*Z^2*W", "Z", "Z+W", "1 + 2*Z - W^2*Z"])
+def test_power_is_the_repeated_product_with_no_product_past_the_last_bit(
+        monkeypatch, field, base):
+    p = parse_poly(base, field=field)
+    want = [BivarPoly.const(1, field)]
+    for _ in range(6):
+        want.append(want[-1] * p)
+    count = []
+    mul = ring.Poly.__mul__
+    monkeypatch.setattr(ring.Poly, "__mul__",
+                        lambda a, b: count.append(1) or mul(a, b))
+    for e in range(7):
+        count.clear()
+        got = p ** e
+        assert got.terms == want[e].terms, (base, e)
+        _assert_coefficient_types(got, field)
+        # right-to-left binary: one squaring per bit after the lowest, one
+        # product per set bit after the first
+        products = e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0
+        assert len(count) == products, (base, e, len(count))
+
+
+DIVISORS = ["-2*Z^2", "4/5*W", "5*Z*W^2", "2"]
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=repr)
+@pytest.mark.parametrize("divisor", DIVISORS)
+def test_division_by_a_monomial_is_the_general_division(field, divisor):
+    # (1+Z) makes the divisor a binomial, which the long division takes
+    f = parse_poly(divisor, field=field)
+    unit = parse_poly("1+Z", field=field)
+    for text in ["Z^3*W^2 - 2*Z^2*W^3 + 4*Z*W^2", "Z^2*W^2", "0",
+                 "Z^3*W^3 + Z*W^2 + 3*Z^2*W^4"]:
+        q = parse_poly(text, field=field)
+        g = q * f
+        got = exact_divide(g, f)
+        assert got.terms == exact_divide(g * unit, f * unit).terms == q.terms
+        _assert_coefficient_types(got, field)
+    for text in ["Z + W^2", "Z*W + 1", "Z^2*W - Z*W^2"]:
+        g = parse_poly(text, field=field)
+        if not divides(f, g):
+            with pytest.raises(NotDivisible) as general:
+                exact_divide(g * unit, f * unit)
+            with pytest.raises(NotDivisible) as exc:
+                exact_divide(g, f)
+            assert str(exc.value) == f"{f!r} does not divide {g!r}"
+            assert exc.value.template == general.value.template
+
+
+@pytest.mark.parametrize("field", POWER_FIELDS, ids=repr)
+def test_normalize_monic_keeps_monic_input_and_scales_the_rest(field):
+    for text in ["W^2 + 2*Z*W - 3", "W - Z^2", "Z^3 + 2", "1"]:
+        p = parse_poly(text, field=field)
+        got = normalize_monic(p)
+        assert got is p
+        _assert_coefficient_types(got, field)
+    got = normalize_monic(parse_poly("2*W - Z", field=field))
+    assert got == parse_poly("W - 1/2*Z", field=field)
+    _assert_coefficient_types(got, field)
