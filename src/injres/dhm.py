@@ -72,15 +72,21 @@ def _act_vec(x, vec, field):
 
 class DHMModule:
     """The module M with its action table; invariants are verified on
-    construction."""
+    construction.  The action of each variable on each basis vector and
+    the variables as QuadPoly are computed once, here."""
 
     def __init__(self, field=QQ):
         self.field = field
+        self.table = {x: {b: _act_vec(x, {b: field.one}, field) for b in BASIS}
+                      for x in _VARS}
+        self.var = {x: QuadPoly.var(x, field) for x in _VARS}
         self._verify()
 
     def act(self, x, vec):
+        """x times a basis vector (its entry of the table, shared: never
+        change it in place) or a coefficient vector {basis: c}."""
         if isinstance(vec, str):
-            vec = {vec: self.field.one}
+            return self.table[x][vec]
         return _act_vec(x, vec, self.field)
 
     def _verify(self):
@@ -165,10 +171,9 @@ class DHMHom(linalg.SparseVector):
         """Check Phi(x b) = x Phi(b) for all variables and basis vectors."""
         mod = module_over(self.field)
         for x in _VARS:
-            q = QuadPoly.var(x, self.field)
             for b in BASIS:
                 lhs = self.apply(mod.act(x, b))
-                rhs = act(q, self.value(b))
+                rhs = act(mod.var[x], self.value(b))
                 if not (lhs - rhs).is_zero():
                     return False
         return True
@@ -192,6 +197,10 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
     if prime.kind == "max":
         box = torsion_box(3)
         unknowns = [(b, key) for b in BASIS for key in box]
+        # (x, b) -> {b': coefficient of b in x b'}
+        preimages = {(x, b): {b2: c for b2 in BASIS
+                              if (c := mod.act(x, b2).get(b))}
+                     for x in _VARS for b in BASIS}
         # constraint rows indexed by (variable, basis vector, EZW coordinate)
         pairs = []
         for b, key in unknowns:
@@ -199,12 +208,12 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
             e = omega_zw(*key, field)
             for x in _VARS:
                 # -x * Phi(b) lands in the rows of (x, b)
-                xe = act(QuadPoly.var(x, field), e)
+                xe = act(mod.var[x], e)
                 linalg._axpy(col, {(x, b, k2): c
                                    for k2, c in xe.terms.items()}, -1)
                 # +Phi(x b') wherever b appears in x b'
-                linalg._axpy(col, {(x, b2, key): mod.act(x, b2).get(b, 0)
-                                   for b2 in BASIS})
+                linalg._axpy(col, {(x, b2, key): c
+                                   for b2, c in preimages[x, b].items()})
             pairs.append(((b, key), col))
         kern = linalg.kernel_basis(pairs)
         homs = []

@@ -172,7 +172,7 @@ class Poly:
         self.field = field
         vals = {}
         for k, c in (terms or {}).items():
-            c = c if isinstance(c, Fp) and field.char else field.of(c)
+            c = c if isinstance(c, Fp) and c.p == field.char else field.of(c)
             if c:
                 vals[tuple(k)] = c
         self.terms = vals
@@ -490,45 +490,86 @@ def f_adic_valuation(g, f):
 
 # --- univariate and bivariate gcd -----------------------------------------
 
-def _univar_divmod(a, b, name):
-    """Division with remainder for polynomials univariate in `name`."""
-    cls = type(a)
+def _dense(f, i):
+    """The coefficients of f, univariate in its i-th variable, as a list
+    from degree 0 up: ints mod p over F_p, Fractions over Q, and 0 at a
+    missing degree."""
+    out = [0] * (max((k[i] for k in f.terms), default=-1) + 1)
+    p = f.field.char
+    for k, c in f.terms.items():
+        out[k[i]] = c.v if p else c
+    return out
+
+
+def _monic(a, p):
+    """A nonzero dense list scaled so that its leading entry is 1."""
+    if a[-1] == 1:
+        return a
+    if p:
+        inv = pow(a[-1], -1, p)
+        return [c * inv % p for c in a]
+    inv = Fraction(1) / a[-1]
+    return [c * inv for c in a]
+
+
+def _dense_rem(a, b, p):
+    """The remainder of a by the monic b, as dense lists; the remainder has
+    no leading zero.  Each quotient coefficient is used once, not kept."""
+    a = list(a)
+    db = len(b) - 1
+    lower = [(j, c) for j, c in enumerate(b[:db]) if c]
+    for top in range(len(a) - 1, db - 1, -1):
+        c = a[top] % p if p else a[top]
+        if c:
+            for j, bj in lower:
+                a[top - db + j] -= c * bj
+    r = [c % p for c in a[:db]] if p else a[:db]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _gcd_of(polys, name, like):
+    """The monic gcd of polynomials univariate in `name`, in the ring and
+    field of `like`: Euclid's algorithm for polynomials over a field (Knuth,
+    TAOCP vol. 2, 4.6.1) on dense coefficient lists, folding in one
+    polynomial at a time.  The loop keeps remainders only and stops once
+    the gcd is a unit; one Poly is built at the end, zero when every input
+    is zero."""
+    cls, field = type(like), like.field
+    p = field.char
     i = cls.VARS.index(name)
-    db = b.degree_in(name)
-    lb = b.coeffs_in(name)[db].at_origin()
-    q = cls.zero(a.field)
-    r = a
-    while not r.is_zero() and r.degree_in(name) >= db:
-        dr = r.degree_in(name)
-        lr = r.coeffs_in(name)[dr].at_origin()
-        e = [0] * len(cls.VARS)
-        e[i] = dr - db
-        t = cls.mono(tuple(e), lr / lb, a.field)
-        q = q + t
-        r = r - t * b
-    return q, r
+    g = []
+    for f in polys:
+        b = _dense(f, i)
+        while b:
+            if len(b) == 1:
+                g = [1 if p else Fraction(1)]
+                break
+            b = _monic(b, p)
+            g, b = b, _dense_rem(g, b, p)
+        # g is the last divisor, so it is monic (or zero)
+        if len(g) == 1:
+            break
+    e = [0] * len(cls.VARS)
+    terms = {}
+    for d, c in enumerate(g):
+        if c:
+            e[i] = d
+            terms[tuple(e)] = Fp(c, p) if p else c
+    return cls._trusted(terms, field)
 
 
 def univar_gcd(a, b, name):
     """Monic gcd of two polynomials univariate in `name`."""
-    while not b.is_zero():
-        a, b = b, _univar_divmod(a, b, name)[1]
-    if a.is_zero():
-        return a
-    lc = a.coeffs_in(name)[a.degree_in(name)].at_origin()
-    return a * (a.field.one / lc)
+    return _gcd_of((a, b), name, a)
 
 
 def content_in(p, name):
     """Gcd of the coefficients of p viewed as a polynomial in `name`
     (a polynomial in the remaining variable; bivariate input only)."""
     other = next(v for v in p.VARS if v != name)
-    g = type(p).zero(p.field)
-    for c in p.coeffs_in(name).values():
-        g = univar_gcd(g, c, other)
-        if g.is_constant() and not g.is_zero():
-            break
-    return g
+    return _gcd_of(p.coeffs_in(name).values(), other, p)
 
 
 def bivar_gcd(a, b):
@@ -576,7 +617,7 @@ def _subresultant_prs(f, g, x):
     while g[0].degree_in(x) > 0:
         dg = g[0].degree_in(x)
         d = f[0].degree_in(x) - dg
-        q, rem = _prem(f[0], g[0], x)
+        q, rem = _prem(f[0], g[0], x, quotient=len(f) > 1)
         if rem.is_zero():
             break
         beta = -lc * psi ** d
@@ -589,9 +630,10 @@ def _subresultant_prs(f, g, x):
     return g
 
 
-def _prem(f, g, name):
+def _prem(f, g, name, quotient=True):
     """Pseudo-division in `name`: (q, r) with lc(g)^(deg f - deg g + 1) * f
-    = q*g + r and deg r < deg g; needs deg f >= deg g."""
+    = q*g + r and deg r < deg g; needs deg f >= deg g.  With quotient=False
+    q is not built and None is returned in its place."""
     cls = type(f)
     i = cls.VARS.index(name)
     dg = g.degree_in(name)
@@ -603,11 +645,12 @@ def _prem(f, g, name):
         sh = [0] * len(cls.VARS)
         sh[i] = dr - dg
         t = r.coeffs_in(name)[dr].shift(tuple(sh))
-        q = q * lg + t
+        if quotient:
+            q = q * lg + t
         r = r * lg - t * g
         e -= 1
     lg_e = lg ** e
-    return q * lg_e, r * lg_e
+    return (q * lg_e if quotient else None), r * lg_e
 
 
 def normalize_monic(p):
@@ -830,12 +873,8 @@ def resultant_bezout(u, v, eliminate):
         raise DegenerateResultant("common factor in the eliminated variable")
     # gcd(r, content(a), content(b)), one coefficient at a time from r,
     # stopping once it is a unit
-    common = r
-    coeffs = (c for p in (a, b) for c in p.coeffs_in(eliminate).values())
-    for c in coeffs:
-        if common.is_constant():
-            break
-        common = univar_gcd(common, c, other)
+    common = _gcd_of((r, *a.coeffs_in(eliminate).values(),
+                      *b.coeffs_in(eliminate).values()), other, r)
     if not common.is_constant():
         r, a, b = (exact_divide(p, common) for p in (r, a, b))
     inv = field.one / r.terms[max(r.terms)]
@@ -859,6 +898,9 @@ def series_inverse_truncated(q, boundZ, boundW):
     if not c0:
         raise NotUnit("constant term is zero")
     inv0 = q.field.one / c0
+    if len(q.terms) == 1:
+        # a constant: its inverse, with no product to truncate
+        return BivarPoly.const(inv0, q.field)
     r = truncate(BivarPoly.const(1, q.field) - q * inv0, boundZ, boundW)
     out = BivarPoly.const(1, q.field)
     term = BivarPoly.const(1, q.field)

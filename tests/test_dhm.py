@@ -84,6 +84,22 @@ def test_hom_space_at_the_maximal_prime():
     assert dim2 == 15  # stable across truncations
 
 
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=repr)
+def test_hom_space_and_hom_checks_read_the_action_table(monkeypatch, field):
+    mod = dhm.module_over(field)
+    calls = []
+    act_vec = dhm._act_vec
+    monkeypatch.setattr(dhm, "_act_vec",
+                        lambda *args: calls.append(args) or act_vec(*args))
+    dim, homs = dhm_hom_space(PrimeIndex.maximal(), truncation=3, field=field)
+    assert dim == 15 and calls == []
+    assert all(h.is_hom() for h in homs) and calls == []
+    # the table is the action on each basis vector
+    for x in "XYZW":
+        for b in BASIS:
+            assert mod.act(x, b) == act_vec(x, {b: field.one}, field)
+
+
 @pytest.mark.parametrize("ftext", ["Z", "W", "Z+W", "W-Z^2"])
 def test_hom_space_vanishes_at_height_one(ftext):
     if ftext == "Z":

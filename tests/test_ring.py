@@ -307,6 +307,49 @@ def test_bivar_gcd_of_drawn_pairs_matches_the_sympy_reference(data):
         assert bivar_gcd(a, b).terms == _full_gcd(a, b).terms
 
 
+# pairs of polynomials in one variable, written in Z: zero, constant,
+# coprime and shared-factor inputs
+UNIVAR_PAIRS = [
+    ("0", "0"), ("0", "3*Z^2 - Z"), ("-2", "0"), ("5", "Z^3 + 1"),
+    ("Z^2 + 1", "Z - 2"), ("Z^3 + 2*Z + 1", "Z^2 + Z + 3"),
+    ("(Z-1)^2*(Z+2)", "(Z-1)*(Z^2+3)"),
+    ("2*(Z^2+Z+1)^2*(Z-3)", "4*(Z^2+Z+1)*(Z-3)^2*Z"),
+    ("Z^4", "Z^6 + Z^4"), ("3*Z^5 - 3*Z", "Z^4 - 1"),
+]
+CONTENT_CASES = ["0", "-3", "(Z^2+1)*(W^2+Z*W+1)", "(Z-1)^2*W^3 + (Z-1)*(Z+2)*W",
+                 "Z*W + W^2", "(2*Z+4)*W^2 - (Z+2)^2", "Z^3*W^2 + Z*W",
+                 "(W-2)*(Z^2+W)*(Z+1)"]
+
+
+def _reference_gcd(polys, field):
+    """The monic gcd of polys by sympy, folded one at a time."""
+    g = BivarPoly.zero(field)
+    for p in polys:
+        g = _full_gcd(g, p)
+    return g
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("name", ["Z", "W"])
+@pytest.mark.parametrize("a, b", UNIVAR_PAIRS)
+def test_univar_gcd_matches_the_sympy_reference(field, name, a, b):
+    a, b = (parse_poly(t.replace("Z", name), field=field) for t in (a, b))
+    want = _reference_gcd((a, b), field)
+    for got in (univar_gcd(a, b, name), univar_gcd(b, a, name)):
+        assert got.terms == want.terms
+        _assert_coefficient_types(got, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+@pytest.mark.parametrize("name", ["Z", "W"])
+@pytest.mark.parametrize("text", CONTENT_CASES)
+def test_content_in_matches_the_sympy_reference(field, name, text):
+    p = parse_poly(text, field=field)
+    got = content_in(p, name)
+    assert got.terms == _reference_gcd(p.coeffs_in(name).values(), field).terms
+    _assert_coefficient_types(got, field)
+
+
 def _reduced_by_full_gcd(num, den):
     """num/den divided by the monic gcd of the whole pair: the reference
     the arithmetic must reproduce term for term."""
@@ -425,6 +468,10 @@ def test_arithmetic_keeps_coefficients_in_the_field(data):
                 BivarPoly.var("Z", field), QuadPoly.var("X", field),
                 BivarPoly.zero(field)]
     results += list(f.coeffs_in("W").values()) + list(f.coeffs_in("Z").values())
+    # the gcds in one variable, built from dense coefficient lists
+    cs = list(f.coeffs_in("W").values()) + list(g.coeffs_in("W").values())
+    results += [univar_gcd(cs[0], cs[-1], "Z"), univar_gcd(cs[-1], cs[0], "Z"),
+                content_in(f, "W"), content_in(f * g, "Z"), bivar_gcd(f, g)]
     for p in results:
         _assert_coefficient_types(p, field)
     assert BivarPoly.mono(exps, 0, field).is_zero()
@@ -497,6 +544,12 @@ def test_mixed_fields_are_refused():
             with pytest.raises(ValueError):
                 op()
         assert a != b and not a == b
+    # the constructor checks the characteristic of an Fp, as Field.of does
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        BivarPoly({(1, 0): Fp(3, 5)}, Field(7))
+    with pytest.raises(TypeError):
+        BivarPoly({(1, 0): Fp(3, 5)})
+    assert BivarPoly({(1, 0): Fp(3, 7)}, Field(7)).terms == {(1, 0): Fp(3, 7)}
 
 
 def test_equal_rational_functions_are_not_hashed_apart():
@@ -595,3 +648,36 @@ def test_normalize_monic_keeps_monic_input_and_scales_the_rest(field):
     got = normalize_monic(parse_poly("2*W - Z", field=field))
     assert got == parse_poly("W - 1/2*Z", field=field)
     _assert_coefficient_types(got, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_series_inverse_of_a_constant_runs_no_product(monkeypatch, field):
+    monkeypatch.setattr(ring.Poly, "__mul__",
+                        lambda a, b: pytest.fail("product taken"))
+    for c in (1, -2, Fraction(2, 5)):
+        got = series_inverse_truncated(BivarPoly.const(c, field), 3, 4)
+        assert got.terms == BivarPoly.const(field.one / field.of(c), field).terms
+        _assert_coefficient_types(got, field)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_only_elimination_builds_the_pseudo_quotient(monkeypatch, field):
+    built = []
+    prem = ring._prem
+
+    def spy(f, g, name, quotient=True):
+        q, r = prem(f, g, name, quotient)
+        assert r.terms == prem(f, g, name)[1].terms
+        built.append(q is not None)
+        return q, r
+
+    monkeypatch.setattr(ring, "_prem", spy)
+    # bivar_gcd's sequence carries no cofactors, so it needs no quotient
+    a, b = (parse_poly(t, field=field) for t in GCD_PAIRS[0])
+    bivar_gcd(a, b)
+    assert built and not any(built)
+    # resultant_bezout's rows carry them, so every step builds it
+    built.clear()
+    _checked_bezout(parse_poly("W^2 + Z", field=field),
+                    parse_poly("W^3 - Z^2*W + 1", field=field), "W")
+    assert built and all(built)
