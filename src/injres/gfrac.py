@@ -232,7 +232,7 @@ def minimal_onto_rewrite(f, s, t):
     not be divisible by W; l <= s + t - 1 because f lies in (Z, W).
     """
     assert s >= 1 and t >= 1
-    if f.at_origin() or f.eval_w0().is_zero():
+    if f.at_origin() or f.order_in("W") != 0:
         raise NotApplicable("f must lie in (Z,W) and not be divisible by W")
     ell, power = 1, f
     while not all(a >= s or b >= t for a, b in power.terms):

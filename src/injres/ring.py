@@ -11,8 +11,6 @@ import re
 from fractions import Fraction
 from operator import add, sub
 
-from .linalg import _axpy
-
 
 class NotDivisible(Exception):
     """An exact division failed.  divides and f_adic_valuation use it for
@@ -104,6 +102,9 @@ class Fp:
     def __repr__(self):
         return f"Fp({self.v}, {self.p})"
 
+    def __str__(self):
+        return str(self.v)
+
 
 class Field:
     """Coefficient field descriptor: char 0 (exact rationals) or a prime p."""
@@ -155,15 +156,18 @@ class Poly:
     """Sparse polynomial: dict mapping exponent tuples to nonzero coefficients.
 
     Subclasses fix the variable names.  Arithmetic is exact; zero
-    coefficients are never stored.  Over F_p, +, -, * and exact_divide work
-    on the .v ints of the coefficients and reduce mod p once per output
-    term; .terms still holds Fp values.  A product with a one-term side is
-    a monomial acting by shifting exponents (shift): no sums are formed,
-    and coefficients are scaled only when the monomial's is not one.  An
-    exact division by a one-term divisor c*x^k is the shift by the inverse
-    monomial x^-k / c, refused (NotDivisible) when an exponent would turn
-    negative.  Values are never changed in place, so an operation may
-    return one of its operands (p ** 1, normalize_monic of a monic p).
+    coefficients are never stored.  +, -, * and exact_divide each run one
+    loop for both fields, on plain numbers (_plain): the residue ints over
+    F_p, the Fractions themselves over Q.  _terms turns the result back
+    into coefficients, reducing mod p once per output term, so .terms
+    holds Fp values over F_p.  A product with a one-term side, a scalar
+    among them, is a monomial acting by shifting exponents (shift): no sums
+    are formed, and coefficients are scaled only when the monomial's is
+    not one.  An exact division by a one-term divisor c*x^k is the shift by
+    the inverse monomial x^-k / c, refused (NotDivisible) when an exponent
+    would turn negative.  Values are never changed in place, so an
+    operation may return one of its operands (p ** 1, normalize_monic of a
+    monic p).
     """
 
     VARS = ()
@@ -257,29 +261,30 @@ class Poly:
             if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed characteristics")
             return other
-        return type(self).const(self.field.of(other), self.field)
+        return type(self).const(other, self.field)
 
-    def _fp_add(self, terms, sign):
-        """self + sign*terms over F_p on the .v ints, reduced once per
-        touched term; terms of self that the other side misses are kept."""
-        p = self.field.char
+    def _plus(self, other, sign):
+        """self + other (sign 1) or self - other (sign -1).  The terms the
+        two share are summed on plain numbers and normalized in place; the
+        terms of other that self misses follow, negated in a difference,
+        and the other terms of self are kept as they are."""
+        o = self._coerce(other)
         t = dict(self.terms)
-        for k, c in terms.items():
-            if k in t:
-                v = (t[k].v + sign * c.v) % p
-                if v:
-                    t[k] = Fp(v, p)
-                else:
-                    del t[k]
-            else:
-                t[k] = c if sign > 0 else Fp(-c.v, p)
+        shared = t.keys() & o.terms.keys()
+        if shared:
+            mine, theirs = _plain(self), _plain(o)
+            new = _terms({k: mine[k] + theirs[k] if sign > 0 else mine[k] - theirs[k]
+                          for k in shared}, self.field)
+            for k in shared - new.keys():
+                del t[k]
+            t.update(new)
+        for k, c in o.terms.items():
+            if k not in shared:
+                t[k] = c if sign > 0 else -c
         return type(self)._trusted(t, self.field)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if self.field.char:
-            return self._fp_add(o.terms, 1)
-        return type(self)(_axpy(dict(self.terms), o.terms), self.field)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -287,53 +292,28 @@ class Poly:
         return type(self)._trusted({k: -c for k, c in self.terms.items()}, self.field)
 
     def __sub__(self, other):
-        if self.field.char:
-            return self._fp_add(self._coerce(other).terms, -1)
-        return self + (-self._coerce(other))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -self + other
 
     def __mul__(self, other):
-        p = self.field.char
-        if isinstance(other, (int, Fraction, Fp)):
-            if p:
-                v0 = self.field.of(other).v
-                if not v0:
-                    return type(self).zero(self.field)
-                return type(self)._trusted({k: Fp(c.v * v0, p)
-                                            for k, c in self.terms.items()},
-                                           self.field)
-            c0 = self.field.of(other) if isinstance(other, int) else other
-            return type(self)({k: c * c0 for k, c in self.terms.items()}, self.field)
         o = self._coerce(other)
         for mono, rest in ((o, self), (self, o)):
             if len(mono.terms) == 1:
                 # a monomial moves the other side's exponents; the keys keep
                 # that side's order, as in the general loop
-                (k0, c0), = mono.terms.items()
+                (k0, c0), = _plain(mono).items()
                 return rest.shift(k0, c0)
-        if p:
-            # plain ints summed per output term, reduced once at the end
-            acc = {}
-            right = [(k2, c2.v) for k2, c2 in o.terms.items()]
-            for k1, c1 in self.terms.items():
-                v1 = c1.v
-                for k2, v2 in right:
-                    k = tuple(map(add, k1, k2))
-                    acc[k] = acc.get(k, 0) + v1 * v2
-            return type(self)._trusted(_fp_reduce(acc, p), self.field)
-        # Q keeps the Fraction loop until the benchmark runner keeps report digests
-        t = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in o.terms.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = t.get(k, self.field.zero) + c1 * c2
-                if s:
-                    t[k] = s
-                else:
-                    t.pop(k, None)
-        return type(self)(t, self.field)
+        # plain numbers summed per output term, normalized once at the end
+        acc = {}
+        right = list(_plain(o).items())
+        for k1, v1 in _plain(self).items():
+            for k2, v2 in right:
+                k = tuple(map(add, k1, k2))
+                s = acc.get(k)
+                acc[k] = v1 * v2 if s is None else s + v1 * v2
+        return type(self)._trusted(_terms(acc, self.field), self.field)
 
     __rmul__ = __mul__
 
@@ -373,29 +353,44 @@ class Poly:
     def __repr__(self):
         return format_poly(self)
 
-    def shift(self, deltas, c0=None):
+    def shift(self, deltas, c0=1):
         """Multiply by the (Laurent) monomial c0 * x^deltas, c0 a nonzero
-        field element (1 when omitted): the exponents move, and the
-        coefficients are scaled only when c0 is not one.  All resulting
-        exponents must be >= 0."""
+        plain number (see _plain): the exponents move, and the coefficients
+        are scaled only when c0 is not one.  All resulting exponents must
+        be >= 0."""
         keys = [tuple(map(add, k, deltas)) for k in self.terms]
         if min(deltas) < 0 and any(min(k) < 0 for k in keys):
             raise NotDivisible("{!r} not divisible by the monomial shift", self)
-        vals = self.terms.values()
-        if c0 is not None and c0 != self.field.one:
-            p = self.field.char
-            vals = [Fp(c.v * c0.v, p) for c in vals] if p else \
-                [c * c0 for c in vals]
-        return type(self)._trusted(dict(zip(keys, vals)), self.field)
+        if c0 == 1:
+            return type(self)._trusted(dict(zip(keys, self.terms.values())),
+                                       self.field)
+        vals = {k: v * c0 for k, v in zip(keys, _plain(self).values())}
+        return type(self)._trusted(_terms(vals, self.field), self.field)
 
 
-def _fp_reduce(acc, p):
-    """The nonzero residues mod p of an {exponent: int} dict, as Fp."""
+def _plain(f):
+    """The terms of f as {exponent: plain number}: the residue int of each
+    coefficient over F_p, the Fraction itself over Q (f.terms, which the
+    caller does not change)."""
+    if not f.field.char:
+        return f.terms
     out = {}
-    for k, v in acc.items():
-        v %= p
-        if v:
-            out[k] = Fp(v, p)
+    for k, c in f.terms.items():
+        out[k] = c.v
+    return out
+
+
+def _terms(vals, field):
+    """The nonzero coefficients of an {exponent: plain number} dict, in its
+    order: over F_p each number is reduced mod p and wrapped as Fp."""
+    p = field.char
+    if not p:
+        return {k: v for k, v in vals.items() if v}
+    out = {}
+    for k, v in vals.items():
+        c = Fp(v, p)
+        if c.v:
+            out[k] = c
     return out
 
 
@@ -405,11 +400,6 @@ class BivarPoly(Poly):
     def to_quad(self):
         return QuadPoly._trusted({(0, 0, z, w): c for (z, w), c in self.terms.items()},
                                  self.field)
-
-    def eval_w0(self):
-        """Set W = 0."""
-        return BivarPoly({(z, 0): c for (z, w), c in self.terms.items() if w == 0},
-                         self.field)
 
 
 class QuadPoly(Poly):
@@ -422,49 +412,40 @@ def exact_divide(g, f):
     lex-leading terms."""
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if len(f.terms) == 1:
+    p = g.field.char
+    fv = _plain(f)
+    lt_f = max(fv)
+    # the plain inverse of the leading coefficient; pow(v, -1, None) is 1/v
+    # over Q
+    inv = pow(fv[lt_f], -1, p or None)
+    if len(fv) == 1:
         # a monomial divisor c*x^k: the quotient is g shifted by x^-k and
         # scaled by 1/c, the loop's quotient with no remainder to update
-        (k, c), = f.terms.items()
         try:
-            return g.shift(tuple(-e for e in k), g.field.one / c)
+            return g.shift(tuple(-e for e in lt_f), inv)
         except NotDivisible:
             raise NotDivisible("{!r} does not divide {!r}", f, g) from None
-    cls = type(g)
+    # one {exponent: plain number} remainder updated in place; over F_p an
+    # entry is reduced mod p only when it leads, and skipped if zero there
+    rest = [(k, v) for k, v in fv.items() if k != lt_f]
+    rem = dict(_plain(g))
     q = {}
-    lt_f = max(f.terms)
-    p = g.field.char
-    if p:
-        # one {exponent: int} remainder updated in place; an entry is
-        # reduced mod p only when it leads, and dropped if it is zero there
-        inv = pow(f.terms[lt_f].v, -1, p)
-        rest = [(k, c.v) for k, c in f.terms.items() if k != lt_f]
-        rem = {k: c.v for k, c in g.terms.items()}
-        while rem:
-            lt = max(rem)
-            c = rem.pop(lt) * inv % p
-            if not c:
-                continue
-            d = tuple(map(sub, lt, lt_f))
-            if any(e < 0 for e in d):
-                raise NotDivisible("{!r} does not divide {!r}", f, g)
-            q[d] = Fp(c, p)
-            for k, v in rest:
-                k = tuple(map(add, d, k))
-                rem[k] = rem.get(k, 0) - c * v
-        return cls._trusted(q, g.field)
-    # Q keeps the Fraction loop until the benchmark runner keeps report digests
-    rem = g
-    cf = f.terms[lt_f]
-    while rem.terms:
-        lt = max(rem.terms)
-        d = tuple(a - b for a, b in zip(lt, lt_f))
+    while rem:
+        lt = max(rem)
+        c = rem.pop(lt) * inv
+        if p:
+            c %= p
+        if not c:
+            continue
+        d = tuple(map(sub, lt, lt_f))
         if any(e < 0 for e in d):
             raise NotDivisible("{!r} does not divide {!r}", f, g)
-        c = rem.terms[lt] / cf
         q[d] = c
-        rem = rem - cls.mono(d, c, g.field) * f
-    return cls(q, g.field)
+        for k, v in rest:
+            k = tuple(map(add, d, k))
+            s = rem.get(k)
+            rem[k] = -c * v if s is None else s - c * v
+    return type(g)._trusted(_terms(q, g.field), g.field)
 
 
 def divides(f, g):
@@ -492,24 +473,12 @@ def f_adic_valuation(g, f):
 
 def _dense(f, i):
     """The coefficients of f, univariate in its i-th variable, as a list
-    from degree 0 up: ints mod p over F_p, Fractions over Q, and 0 at a
-    missing degree."""
+    of plain numbers (see _plain) from degree 0 up, and 0 at a missing
+    degree."""
     out = [0] * (max((k[i] for k in f.terms), default=-1) + 1)
-    p = f.field.char
-    for k, c in f.terms.items():
-        out[k[i]] = c.v if p else c
+    for k, v in _plain(f).items():
+        out[k[i]] = v
     return out
-
-
-def _monic(a, p):
-    """A nonzero dense list scaled so that its leading entry is 1."""
-    if a[-1] == 1:
-        return a
-    if p:
-        inv = pow(a[-1], -1, p)
-        return [c * inv % p for c in a]
-    inv = Fraction(1) / a[-1]
-    return [c * inv for c in a]
 
 
 def _dense_rem(a, b, p):
@@ -543,21 +512,23 @@ def _gcd_of(polys, name, like):
     for f in polys:
         b = _dense(f, i)
         while b:
+            # make b monic, over F_p up to reduction mod p;
+            # pow(v, -1, None) is 1/v over Q
+            inv = pow(b[-1], -1, p or None)
+            b = [c * inv for c in b]
             if len(b) == 1:
-                g = [1 if p else Fraction(1)]
+                g = b
                 break
-            b = _monic(b, p)
             g, b = b, _dense_rem(g, b, p)
         # g is the last divisor, so it is monic (or zero)
         if len(g) == 1:
             break
     e = [0] * len(cls.VARS)
-    terms = {}
+    vals = {}
     for d, c in enumerate(g):
-        if c:
-            e[i] = d
-            terms[tuple(e)] = Fp(c, p) if p else c
-    return cls._trusted(terms, field)
+        e[i] = d
+        vals[tuple(e)] = c
+    return cls._trusted(_terms(vals, field), field)
 
 
 def univar_gcd(a, b, name):
@@ -734,9 +705,7 @@ class RationalFunction:
         if isinstance(other, BivarPoly):
             return RationalFunction(other, reduce=False)
         if isinstance(other, (int, Fraction, Fp)):
-            return RationalFunction.const(self.num.field.of(other)
-                                          if isinstance(other, int) else other,
-                                          self.num.field)
+            return RationalFunction.const(other, self.num.field)
         return NotImplemented
 
     def __add__(self, other):
@@ -773,8 +742,8 @@ class RationalFunction:
         if len(n2.terms) == 1 and len(d2.terms) == 1:
             # a Laurent monomial: both gcds below are monomials, read off
             # the orders, so n1 and d1 only shift and take one coefficient
-            ((p, q), a), = n2.terms.items()
-            ((r, s), b), = d2.terms.items()
+            ((p, q), a), = _plain(n2).items()
+            ((r, s), b), = _plain(d2).items()
             gz = min(n1.order_in("Z"), r) + min(p, d1.order_in("Z"))
             gw = min(n1.order_in("W"), s) + min(q, d1.order_in("W"))
             return RationalFunction(n1.shift((p - gz, q - gw), a),
@@ -815,8 +784,8 @@ class RationalFunction:
         return not self.is_zero()
 
     def __repr__(self):
-        if self.den.is_constant():
-            return repr(self.num) if self.den == 1 else f"({self.num!r})/({self.den!r})"
+        if self.den == 1:
+            return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
 

@@ -30,6 +30,19 @@ def test_reduce_example():
     assert out.endswith("PASS\n")
 
 
+def test_reduce_prints_fp_coefficients_as_residues():
+    # as over Q, where the same query prints (1, 2): 3 and (2, 1): 1
+    argv = ["--field", "7", "reduce", "[1 / Z^2, W-3*Z]"]
+    code, out = run(argv)
+    assert code == 0, out
+    assert "canonical: (1, 2): 3\n" in out and "canonical: (2, 1): 1\n" in out
+    assert "Fp(" not in out
+    code, out = run(["--format", "json"] + argv)
+    assert code == 0, out
+    report, = json.loads(out)["reports"]
+    assert report["data"]["coeffs"] == {"(1, 2)": "3", "(2, 1)": "1"}
+
+
 def test_reduce_base_with_both_axis_factors():
     # the oracle shears the canonical form's slots to decide this base
     code, out = run(["reduce", "[1 / (Z+W)^1, (Z*W)^1]"])

@@ -111,7 +111,7 @@ def test_minimal_onto_rewrite_postcondition(ftext, char):
             assert lhs == reduce_h2(one, (w, t), (z, s))
 
 
-@pytest.mark.parametrize("ftext", ["W", "1+Z"])
+@pytest.mark.parametrize("ftext", ["W", "1+Z", "Z*W+W^2", "0"])
 def test_minimal_onto_rewrite_not_applicable(ftext):
     with pytest.raises(NotApplicable):
         minimal_onto_rewrite(P(ftext), 2, 2)

@@ -4,7 +4,8 @@ Every name a module of src/injres imports must be used in that module,
 every top-level private definition (a name starting with "_") must be
 referenced somewhere in src/ or tests/, every public one and every public
 method by the program itself, every parameter with a default must be set
-by some call, and every command-line flag must be read by the CLI.
+by some call, and every command-line flag must be read by the CLI.  Only
+ring.py reads how a coefficient is stored.
 """
 
 import ast
@@ -207,6 +208,17 @@ def test_every_public_definition_is_used_by_the_program():
                                    else elsewhere | imported | own)]
     assert not unused, "public definitions the program never uses: " + \
         ", ".join(unused)
+
+
+def test_only_ring_reads_the_coefficient_representation():
+    # the residue int of an Fp (.v) and the characteristic of a Field
+    # (.char) are read in ring.py alone, so the choice between the fields'
+    # representations is made in one module
+    readers = [f"{path.name}:{node.lineno} .{node.attr}"
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "ring.py"
+               for node in ast.walk(_parse(path))
+               if isinstance(node, ast.Attribute) and node.attr in ("v", "char")]
+    assert not readers, "reads outside ring.py: " + ", ".join(readers)
 
 
 def test_the_oracle_takes_only_the_gcd_and_the_row_reducer():

@@ -490,22 +490,12 @@ def _int_polys(nvars):
                      st.dictionaries(exps, coeffs, max_size=6))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([3, 7, 32003]), st.sampled_from([BivarPoly, QuadPoly]),
-       st.data())
-def test_fp_kernels_agree_with_integer_arithmetic(p, cls, data):
-    # a and b over Z, reduced mod p after the integer operation and before it
-    _assert_kernels_agree_with_integer_arithmetic(Field(p), cls, data)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([BivarPoly, QuadPoly]), st.data())
-def test_q_kernels_agree_with_integer_arithmetic(cls, data):
-    # the same over Q, where the image of an integer polynomial is itself
-    _assert_kernels_agree_with_integer_arithmetic(QQ, cls, data)
-
-
-def _assert_kernels_agree_with_integer_arithmetic(field, cls, data):
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([QQ, Field(3), Field(7), Field(32003)]),
+       st.sampled_from([BivarPoly, QuadPoly]), st.data())
+def test_kernels_agree_with_integer_arithmetic(field, cls, data):
+    # a and b over Z, mapped into the field after the integer operation and
+    # before it: reduced mod p over F_p, the polynomial itself over Q
     a, b = (data.draw(_int_polys(len(cls.VARS))) for _ in range(2))
 
     def image(terms):
@@ -529,7 +519,13 @@ def _assert_kernels_agree_with_integer_arithmetic(field, cls, data):
                                            for k1 in a_p.terms for k2 in b_p.terms]
     c = data.draw(st.integers(-10 ** 6, 10 ** 6))
     assert image({k: v * c for k, v in a.items()}).terms == (a_p * c).terms
-    for r in (a_p * b_p, a_p + b_p, a_p - b_p, a_p * c):
+    # a scalar is a one-term polynomial: zero, and 1/2, which over F_p
+    # multiplies by (p + 1) / 2, the inverse of 2
+    assert (a_p * 0).is_zero() and (0 * a_p).is_zero()
+    half = image({k: v * ((field.char + 1) // 2) if field.char else Fraction(v, 2)
+                  for k, v in a.items()})
+    assert half.terms == (a_p * Fraction(1, 2)).terms
+    for r in (a_p * b_p, a_p + b_p, a_p - b_p, a_p * c, a_p * Fraction(1, 2)):
         _assert_coefficient_types(r, field)
     if not b_p.is_zero():
         q = exact_divide(a_p * b_p, b_p)
