@@ -21,10 +21,10 @@ the Bass numbers at m) all go through it.
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    bivar_gcd, divides, exact_divide, normalize_monic,
                    verify_irreducible, VERIFIED)
-from .hulls import (E0Element, EZWElement, act, omega, omega_zw, is_socle,
-                    torsion_box)
-from .resolution import (PrimeIndex, ChainElement, d0, d1_f, pi0, delta,
-                         iota0, legal_kinds, max_copies, _map_parts)
+from .hulls import (E0Element, EZWElement, PrimeIndex, act, omega, omega_zw,
+                    is_socle, torsion_box)
+from .resolution import (ChainElement, d0, d1_f, pi0, delta, iota0,
+                         legal_kinds, max_copies, _map_parts)
 from . import linalg
 
 
@@ -63,12 +63,11 @@ class CohomologyReport:
 
 
 class YonedaClass:
-    """A product result: coeff * e_index together with its cochain."""
+    """A product result: coeff * e_index."""
 
-    def __init__(self, index, coeff, chain):
+    def __init__(self, index, coeff):
         self.index = index
         self.coeff = coeff
-        self.chain = chain
 
     def is_zero(self):
         return not self.coeff
@@ -146,14 +145,14 @@ def local_cohomology(gens, truncation=8, field=QQ):
     g = gens[0]
     for h in gens[1:]:
         g = bivar_gcd(g, h)
-    if g.is_constant():
+    if g.is_constant() or g.at_origin():
+        # a gcd that is a unit in the local ring leaves generators with no
+        # common factor there: I0 is m-primary
         return _lc_height2(gens, truncation, field)
-    f = _radical(g)
-    zn = normalize_monic(BivarPoly.var("Z", field))
-    wn = normalize_monic(BivarPoly.var("W", field))
-    if f != zn and f != wn and verify_irreducible(f) != VERIFIED:
+    prime = PrimeIndex.height_one(_radical(g))
+    if prime.kind == "irr" and verify_irreducible(prime.f) != VERIFIED:
         raise BadIdeal("radical generator could not be certified irreducible")
-    return _lc_height1(f, truncation, field)
+    return _lc_height1(prime, truncation, field)
 
 
 def _radical(g):
@@ -197,35 +196,32 @@ def _lc_height2(gens, truncation, field):
     return rep
 
 
-def _lc_height1(f, truncation, field):
-    zn = normalize_monic(BivarPoly.var("Z", field))
-    wn = normalize_monic(BivarPoly.var("W", field))
-    rep = CohomologyReport(f"local cohomology at I0 = ({f!r})", {"height": 1})
+def _lc_height1(prime, truncation, field):
+    name = prime.f if prime.kind == "irr" else prime.kind
+    rep = CohomologyReport(f"local cohomology at I0 = ({name})", {"height": 1})
     rep.add("height", 1)
     rep.add("H^0", "zero (A/p is a domain)", True)
-    idx = (PrimeIndex.prime_z() if f == zn else PrimeIndex.prime_w() if f == wn
-           else PrimeIndex.irr(f))
     rep.add("H^2", "zero (d1 is onto the socle row)", True)
-    if f == zn:
+    if prime.kind == "Z":
         # kernel of d1_Z on E_0(Z): coefficients with a positive W-order,
         # free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0
         ok = True
         for s in range(-truncation, 1):
-            gen = omega("Z", 0, RationalFunction.monomial(s, 1, field), field)
-            ok = ok and d1_f(idx, gen).is_zero() and not gen.is_zero()
-            off = omega("Z", 0, RationalFunction.monomial(s, 0, field), field)
-            ok = ok and not d1_f(idx, off).is_zero()
+            gen = omega(prime, 0, RationalFunction.monomial(s, 1, field), field)
+            ok = ok and d1_f(prime, gen).is_zero() and not gen.is_zero()
+            off = omega(prime, 0, RationalFunction.monomial(s, 0, field), field)
+            ok = ok and not d1_f(prime, off).is_zero()
         rep.add("H^1", "free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0; "
                 f"checked for |s| <= {truncation}", ok)
         rep.data["dims"] = {0: 0, 1: "infinite", 2: 0}
         return rep
-    if f == wn:
+    if prime.kind == "W":
         ok = True
         for t in range(-truncation, 1):
-            gen = omega("W", 0, RationalFunction.monomial(1, t, field), field)
-            ok = ok and d1_f(idx, gen).is_zero() and not gen.is_zero()
-            off = omega("W", 0, RationalFunction.monomial(0, t, field), field)
-            ok = ok and not d1_f(idx, off).is_zero()
+            gen = omega(prime, 0, RationalFunction.monomial(1, t, field), field)
+            ok = ok and d1_f(prime, gen).is_zero() and not gen.is_zero()
+            off = omega(prime, 0, RationalFunction.monomial(0, t, field), field)
+            ok = ok and not d1_f(prime, off).is_zero()
         rep.add("H^1", "free over k[Z]_(Z) on Omega^0_W(Z W^t), t <= 0; "
                 f"checked for |t| <= {truncation}", ok)
         rep.data["dims"] = {0: 0, 1: "infinite", 2: 0}
@@ -233,6 +229,7 @@ def _lc_height1(f, truncation, field):
     # irreducible f away from the axes: H^1 = ker(d1 on E_0(f));
     # sample the box g = Z^a W^b / f^s and split it by d1-membership
     # T >= 2 keeps Z W / f in the box, which d1 kills for every f
+    f = prime.f
     T = max(truncation, 2)
     ker_found = 0
     checked = 0
@@ -241,12 +238,12 @@ def _lc_height1(f, truncation, field):
             for b in range(0, T + 1):
                 if a + b > T:
                     continue
-                el = omega(f, 0, RationalFunction(
+                el = omega(prime, 0, RationalFunction(
                     BivarPoly.mono((a, b), 1, field), f ** s), field)
                 if el.is_zero():
                     continue
                 checked += 1
-                if d1_f(idx, el).is_zero():
+                if d1_f(prime, el).is_zero():
                     ker_found += 1
     # H^1 at a height-one prime is nonzero: an empty scan proves nothing
     rep.add("H^1", f"kernel of d1 on E_0({f!r}); box scan found {ker_found} "
@@ -337,16 +334,14 @@ def _socle_box(degree, T, field):
     kinds = legal_kinds(degree)
     comps = []
     if "zero" in kinds:
-        comps += [{PrimeIndex.zero(): omega("0", 0, mono(a, b, field), field,
-                                            factors=frozenset())}
+        comps += [{PrimeIndex.zero(): E0Element({0: mono(a, b, field)}, field, ())}
                   for a in range(-T, T + 1) for b in range(-T, T + 1)]
     if "Z" in kinds:  # E(Z) and E(W) are legal in the same degrees
+        pz, pw = PrimeIndex.prime_z(), PrimeIndex.prime_w()
         for m in range(-T, 1):
             for w in range(-T, T + 1):
-                comps.append({PrimeIndex.prime_z():
-                              omega("Z", 0, mono(m, w, field), field)})
-                comps.append({PrimeIndex.prime_w():
-                              omega("W", 0, mono(w, m, field), field)})
+                comps.append({pz: omega(pz, 0, mono(m, w, field), field)})
+                comps.append({pw: omega(pw, 0, mono(w, m, field), field)})
     comps += [{PrimeIndex.maximal(c): omega_zw(0, s, t, field)}
               for c in range(max_copies(degree))
               for s in range(-T, 1) for t in range(-T, 1)]
@@ -371,8 +366,7 @@ def ext_self(i, truncation=8, field=QQ):
         # kernel of d0 on the monomial box is exactly Z W * (monomials)
         for a in range(-T, T + 1):
             for b in range(-T, T + 1):
-                e0 = omega("0", 0, mono(a, b, field), field,
-                           factors=frozenset())
+                e0 = E0Element({0: mono(a, b, field)}, field, ())
                 in_ker = d0(e0).is_zero()
                 ok = ok and (in_ker == (a >= 1 and b >= 1))
         rep.add("kernel of d0", "Omega^0_0(Z W g) on the monomial box "
@@ -385,8 +379,7 @@ def ext_self(i, truncation=8, field=QQ):
         no_e0 = True
         for a in range(-T, T + 1):
             for b in range(-T, T + 1):
-                e0 = omega("0", 0, mono(a, b, field), field,
-                           factors=frozenset())
+                e0 = E0Element({0: mono(a, b, field)}, field, ())
                 in_ker = pi0(e0).is_zero()
                 ok = ok and (in_ker == (a >= 2 and b >= 2))
                 cob = delta(ChainElement(0, {PrimeIndex.zero(): e0}, field))
@@ -409,8 +402,7 @@ def _e2_relations(field):
     e2 = yoneda_rep(2, field).component(PrimeIndex.prime_w())
     ze2 = ChainElement(2, {PrimeIndex.prime_w():
                            act(QuadPoly.var("Z", field), e2)}, field)
-    psi = omega("0", 0, RationalFunction.monomial(2, 1, field), field,
-                factors=frozenset())
+    psi = E0Element({0: RationalFunction.monomial(2, 1, field)}, field, ())
     cob = delta(ChainElement(1, {PrimeIndex.zero(): psi}, field))
     return ze2 == cob, act(QuadPoly.var("W", field), e2).is_zero()
 
@@ -469,12 +461,12 @@ def yoneda_rep(i, field=QQ):
     if i == 0:
         return iota0(BivarPoly.const(1, field), field)
     if i == 1:
-        e1 = omega("0", 0, RationalFunction.monomial(2, 2, field), field,
-                   factors=frozenset())
+        e1 = E0Element({0: RationalFunction.monomial(2, 2, field)}, field, ())
         return ChainElement(1, {PrimeIndex.zero(): e1}, field)
     if i == 2:
-        e2 = omega("W", 0, RationalFunction.monomial(1, 0, field), field)
-        return ChainElement(2, {PrimeIndex.prime_w(): e2}, field)
+        pw = PrimeIndex.prime_w()
+        e2 = omega(pw, 0, RationalFunction.monomial(1, 0, field), field)
+        return ChainElement(2, {pw: e2}, field)
     if i >= 4 and i % 2 == 0:
         return ChainElement(i, {PrimeIndex.maximal(1):
                                 omega_zw(0, 0, 0, field)}, field)
@@ -540,10 +532,11 @@ def yoneda_lift_stage(j, k, chain, field=QQ):
         psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
         # the twist 1/W for e_2, 1/(ZW) above
         twist = RationalFunction.monomial(0 if j == 2 else -1, -1, field)
-        tw = _map_parts(psi0, "W", twist)
+        pw = PrimeIndex.prime_w()
+        tw = _map_parts(psi0, pw, twist)
         if j == 2:
-            return ChainElement(2, {PrimeIndex.prime_w(): tw}, field)
-        val = d1_f(PrimeIndex.prime_w(), tw)
+            return ChainElement(2, {pw: tw}, field)
+        val = d1_f(pw, tw)
         return ChainElement(j, {PrimeIndex.maximal(1): val}, field)
     if k == 1:
         top, bot = _m23(chain, field)
@@ -559,15 +552,15 @@ def yoneda_lift_stage(j, k, chain, field=QQ):
 
 def _identify(chain, index, field):
     if chain.is_zero():
-        return YonedaClass(index, 0, chain)
+        return YonedaClass(index, 0)
     try:
         rep = yoneda_rep(index, field)
     except UnsupportedIndex:
         raise UnsupportedIndex(f"nonzero product in unsupported degree {index}")
     if chain == rep:
-        return YonedaClass(index, 1, chain)
+        return YonedaClass(index, 1)
     if chain == -rep:
-        return YonedaClass(index, -1, chain)
+        return YonedaClass(index, -1)
     raise UnsupportedIndex(f"product does not match +-e_{index}")
 
 

@@ -239,15 +239,15 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
         for a in range(-T, T + 1):
             for bb in range(-T, 1):
                 if prime.kind == "Z":
-                    gen = omega("Z", min(T, 2), mono(bb, a, field), field)
+                    arg = mono(bb, a, field)
                 elif prime.kind == "W":
-                    gen = omega("W", min(T, 2), mono(a, bb, field), field)
+                    arg = mono(a, bb, field)
                 else:
                     num = BivarPoly.mono((max(a, 0), 0), 1, field)
                     den = BivarPoly.mono((max(-a, 0), 0), 1, field) * \
                         prime.f ** max(1, -bb)
                     arg = RationalFunction(num, den, reduce=False)
-                    gen = omega(prime.f, min(T, 2), arg, field)
+                gen = omega(prime, min(T, 2), arg, field)
                 if gen.is_zero():
                     continue
                 back = gen.mul_arg(fwd).mul_arg(bwd)

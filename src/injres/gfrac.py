@@ -130,15 +130,11 @@ class H1Class:
         return f"[{self.g!r} / ({self.h!r})*({self.f!r})^{self.s}]"
 
 
-def _unit_part_z(r):
-    """Split a polynomial in Z alone as Z^a * w with w(0) != 0."""
-    a = r.order_in("Z")
-    return a, r.shift((-a, 0))
-
-
-def _unit_part_w(r):
-    b = r.order_in("W")
-    return b, r.shift((0, -b))
+def _unit_part(r, name):
+    """Split a polynomial in the variable name alone as name^a * w with
+    w(0) != 0."""
+    a = r.order_in(name)
+    return a, r.shift((-a, 0) if name == "Z" else (0, -a))
 
 
 # The denominator stage of each pair reduced while denominator_memo is open,
@@ -185,8 +181,8 @@ def _denominator_stage(g1, e1, g2, e2):
         rw, a2, b2 = resultant_bezout(F1, F2, "Z")
     except DegenerateResultant as exc:
         raise NotSystemOfParameters(str(exc)) from None
-    alpha, wz = _unit_part_z(rz)
-    beta, ww = _unit_part_w(rw)
+    alpha, wz = _unit_part(rz, "Z")
+    beta, ww = _unit_part(rw, "W")
     if alpha <= 0 or beta <= 0:
         raise NotSystemOfParameters("a denominator is a unit at the origin")
     return alpha, beta, unit * wz * ww, a1 * b2 - b1 * a2

@@ -22,6 +22,12 @@ without being inverse to multiplication.  A monomial acts by moving
 indices and exponents, never by re-expanding: act sums the monomial
 actions of a polynomial into one dict, and an axis element's mul_arg by a
 Laurent monomial is monomial_act.
+
+A PrimeIndex names every hull: Zero, PrimeZ, PrimeW, Irr(f) and Maximal.
+PrimeIndex.height_one is the one classifier that decides whether a
+polynomial f names the axis hull E(Z) or E(W) or a hull E(f) of its own.
+omega builds an element of a height-one hull from its PrimeIndex; an E(0)
+element is built by E0Element with the factor set of its denominators.
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ, adic_expand,
@@ -39,28 +45,97 @@ class NotInEZW(Exception):
     pass
 
 
-class E0Element(SparseVector):
-    """sum_n Omega^n_0(phi_n).  Optionally carries the set of irreducible
-    factors of the phi_n denominators (needed for d0 support discovery)."""
+class PrimeIndex:
+    """The name of a hull and of its slot in a resolution term: Zero,
+    PrimeZ, PrimeW, Irr(f) for an irreducible f not associate to Z or W,
+    or Maximal(copy)."""
 
-    def __init__(self, terms, field=QQ, factors=None):
+    __slots__ = ("kind", "f", "copy")
+
+    def __init__(self, kind, f=None, copy=0):
+        assert kind in ("zero", "Z", "W", "irr", "max")
+        self.kind = kind
+        self.f = normalize_monic(f) if kind == "irr" else None
+        self.copy = copy if kind == "max" else 0
+
+    @classmethod
+    def zero(cls):
+        return cls("zero")
+
+    @classmethod
+    def prime_z(cls):
+        return cls("Z")
+
+    @classmethod
+    def prime_w(cls):
+        return cls("W")
+
+    @classmethod
+    def height_one(cls, f):
+        """The prime (X, Y, f): PrimeZ or PrimeW when f is associate to an
+        axis, Irr(f) otherwise.  Raises BadLocus when f is constant or a
+        unit at the origin."""
+        if f.is_constant() or f.at_origin():
+            raise BadLocus("prime must be nonconstant and vanish at the origin")
+        kind = {((1, 0),): "Z", ((0, 1),): "W"}.get(tuple(f.terms), "irr")
+        return cls(kind, f=f)
+
+    @classmethod
+    def irr(cls, f):
+        """Irr(f); raises BadLocus where height_one would not name Irr."""
+        idx = cls.height_one(f)
+        if idx.kind != "irr":
+            raise BadLocus("use the axis constructors for Z and W")
+        return idx
+
+    @classmethod
+    def maximal(cls, copy=0):
+        assert copy in (0, 1)
+        return cls("max", copy=copy)
+
+    def _key(self):
+        fk = None
+        if self.f is not None:
+            fk = tuple(sorted((e, str(c)) for e, c in self.f.terms.items()))
+        return (self.kind, fk, self.copy)
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeIndex) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __lt__(self, other):
+        return self._key() < other._key()
+
+    def __repr__(self):
+        if self.kind == "irr":
+            return f"Irr({self.f!r})"
+        if self.kind == "max":
+            return f"Maximal({self.copy})"
+        return {"zero": "Zero", "Z": "PrimeZ", "W": "PrimeW"}[self.kind]
+
+
+class E0Element(SparseVector):
+    """sum_n Omega^n_0(phi_n), carrying the set of irreducible factors of
+    the phi_n denominators: d0 has a slot at each of them."""
+
+    def __init__(self, terms, field, factors):
         super().__init__(terms)
         self.field = field
-        self.factors = None if factors is None else frozenset(factors)
+        self.factors = frozenset(factors)
 
     @classmethod
     def zero(cls, field=QQ):
-        return cls({}, field, factors=frozenset())
+        return cls({}, field, ())
 
     @staticmethod
     def grade(n):
         return n
 
     def __add__(self, other):
-        factors = None if self.factors is None or other.factors is None \
-            else self.factors | other.factors
         return E0Element(_axpy(dict(self.terms), other.terms), self.field,
-                         factors)
+                         self.factors | other.factors)
 
     def mul_arg(self, rf):
         """Multiply every argument by a rational function."""
@@ -87,8 +162,6 @@ class _AxisElement(SparseVector):
     @classmethod
     def from_argument(cls, n, phi, field=QQ):
         """Omega^n_axis(phi): truncated adic expansion of the argument."""
-        if isinstance(phi, BivarPoly):
-            phi = RationalFunction(phi, reduce=False)
         return cls({(n, m): c for m, c in adic_expand(phi, cls.AXIS, n).items()},
                    field)
 
@@ -154,9 +227,6 @@ class EfElement(SparseVector):
 
     @classmethod
     def from_argument(cls, f, n, phi, field=QQ):
-        if isinstance(phi, BivarPoly):
-            phi = RationalFunction(phi, reduce=False)
-        f = normalize_monic(f)
         s = f_adic_valuation(phi.den, f)
         h = exact_divide(phi.den, f ** s) if s else phi.den
         return cls(f, {n: H1Class(f, phi.num, h, s)}, field)
@@ -237,33 +307,23 @@ def omega_zw(n, s, t, field=QQ, c=1):
     return EZWElement({(n, s, t): field.of(c)}, field)
 
 
-def omega(prime, n, argument, field=QQ, factors=None):
-    """Dispatch to the hull constructor for the given prime: "0", "Z", "W"
-    or an irreducible BivarPoly.  Elements of E(Z,W) come from omega_zw."""
+def omega(prime, n, argument, field=QQ):
+    """Omega^n(argument) in the height-one hull named by prime, a PrimeIndex
+    of kind Z, W or irr.  Elements of E(0) are built by E0Element, those of
+    E(Z,W) by omega_zw."""
     assert n >= 0
     if isinstance(argument, BivarPoly):
         argument = RationalFunction(argument, reduce=False)
-    if isinstance(prime, str):
-        if prime == "0":
-            if argument.is_zero():
-                return E0Element.zero(field)
-            return E0Element({n: argument}, field, factors)
-        if prime == "Z":
-            return EZElement.from_argument(n, argument, field)
-        if prime == "W":
-            return EWElement.from_argument(n, argument, field)
-    if isinstance(prime, BivarPoly):
-        f = normalize_monic(prime)
-        for ax in ("Z", "W"):
-            if f == normalize_monic(BivarPoly.var(ax, field)):
-                raise BadLocus("use the axis constructors for Z and W")
-        if f.at_origin() or f.is_constant():
-            raise BadLocus("prime must be nonconstant and vanish at the origin")
+    if prime.kind == "Z":
+        return EZElement.from_argument(n, argument, field)
+    if prime.kind == "W":
+        return EWElement.from_argument(n, argument, field)
+    if prime.kind == "irr":
         try:
-            return EfElement.from_argument(f, n, argument, field)
+            return EfElement.from_argument(prime.f, n, argument, field)
         except BadDenominator as exc:
             raise BadLocus(str(exc)) from None
-    raise BadLocus(f"unknown prime {prime!r}")
+    raise BadLocus(f"omega builds no element at {prime!r}")
 
 
 def act(r, e):

@@ -2,7 +2,8 @@
 p = (X,Y).
 
 Terms (one slot per height-one prime over p, then a pair of copies of the
-hull at the maximal ideal):
+hull at the maximal ideal); hulls.PrimeIndex names each slot, and is
+re-exported here:
 
   degree 0:  E(0)
   degree 1:  E(0) + sum_f E(f) + E(Z) + E(W)
@@ -11,80 +12,22 @@ hull at the maximal ideal):
 
 The differentials are assembled from d0 (argument-preserving), d1 (a
 case-by-case reduction into E(Z,W) coordinates) and the companion maps
-pi0, pi11, pi12 which precompose with argument multiplications.
+pi0, pi11, pi12 which precompose with argument multiplications.  d0 and
+pi0 have a slot at E(Z), at E(W) and at the prime of every factor an E(0)
+element carries (PrimeIndex.height_one).
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
-                   normalize_monic, resultant_bezout, DegenerateResultant)
+                   resultant_bezout, DegenerateResultant)
 from .gfrac import (H4Canonical, H1Class, denominator_memo, reduce_h2,
                     minimal_onto_rewrite)
-from .hulls import (E0Element, EfElement, EZWElement, act, act_series, omega,
-                    omega_zw, h4_to_ezw, BadLocus)
+from .hulls import (E0Element, EfElement, EZWElement, PrimeIndex, act,
+                    act_series, omega, omega_zw, h4_to_ezw, BadLocus)
 from .linalg import Apart, SparseVector
 
 
 class DegreeMismatch(Apart):
     pass
-
-
-class UnfactoredDenominator(Exception):
-    pass
-
-
-class PrimeIndex:
-    """Slot label of a resolution term: Zero, PrimeZ, PrimeW, Irr(f) for an
-    irreducible f not associate to Z or W, or Maximal(copy)."""
-
-    __slots__ = ("kind", "f", "copy")
-
-    def __init__(self, kind, f=None, copy=0):
-        assert kind in ("zero", "Z", "W", "irr", "max")
-        self.kind = kind
-        self.f = normalize_monic(f) if kind == "irr" else None
-        self.copy = copy if kind == "max" else 0
-
-    @classmethod
-    def zero(cls):
-        return cls("zero")
-
-    @classmethod
-    def prime_z(cls):
-        return cls("Z")
-
-    @classmethod
-    def prime_w(cls):
-        return cls("W")
-
-    @classmethod
-    def irr(cls, f):
-        return cls("irr", f=f)
-
-    @classmethod
-    def maximal(cls, copy=0):
-        assert copy in (0, 1)
-        return cls("max", copy=copy)
-
-    def _key(self):
-        fk = None
-        if self.f is not None:
-            fk = tuple(sorted((e, str(c)) for e, c in self.f.terms.items()))
-        return (self.kind, fk, self.copy)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeIndex) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __repr__(self):
-        if self.kind == "irr":
-            return f"Irr({self.f!r})"
-        if self.kind == "max":
-            return f"Maximal({self.copy})"
-        return {"zero": "Zero", "Z": "PrimeZ", "W": "PrimeW"}[self.kind]
 
 
 _LEGAL = {0: {"zero"}, 1: {"zero", "Z", "W", "irr"}, 2: {"Z", "W", "irr", "max"}}
@@ -129,23 +72,12 @@ class ChainElement(SparseVector):
             raise DegreeMismatch("cannot combine chains across degrees")
 
 
-def _support_primes(e0):
-    """Irreducible origin-vanishing denominator factors, Z/W excluded."""
-    if e0.factors is None:
-        raise UnfactoredDenominator(
-            "support discovery needs the denominator factor set")
-    zn = normalize_monic(BivarPoly.var("Z", e0.field))
-    wn = normalize_monic(BivarPoly.var("W", e0.field))
-    out = []
-    for f in e0.factors:
-        nf = normalize_monic(f)
-        if nf.is_constant() or nf.at_origin():
-            continue
-        if nf == zn or nf == wn:
-            continue
-        if not any(nf == g for g in out):
-            out.append(nf)
-    return sorted(out, key=lambda p: sorted((e, str(c)) for e, c in p.terms.items()))
+def _slots(e0):
+    """The height-one slots d0 maps e0 to: PrimeZ, PrimeW, then the prime
+    of each other denominator factor, sorted."""
+    axes = [PrimeIndex.prime_z(), PrimeIndex.prime_w()]
+    return axes + sorted({PrimeIndex.height_one(f) for f in e0.factors} -
+                         set(axes))
 
 
 def _map_parts(e0, prime, shift_rf=None):
@@ -161,13 +93,8 @@ def _map_parts(e0, prime, shift_rf=None):
 
 def d0(e0):
     """E(0) -> sum_f E(f) + E(Z) + E(W), argument-preserving on each slot."""
-    comps = {
-        PrimeIndex.prime_z(): _map_parts(e0, "Z"),
-        PrimeIndex.prime_w(): _map_parts(e0, "W"),
-    }
-    for f in _support_primes(e0):
-        comps[PrimeIndex.irr(f)] = _map_parts(e0, f)
-    return ChainElement(1, comps, e0.field)
+    return ChainElement(1, {idx: _map_parts(e0, idx) for idx in _slots(e0)},
+                        e0.field)
 
 
 def _d1_axis(el, axis):
@@ -220,13 +147,9 @@ def pi0(e0):
     d0_W(arg/W) on the axis slots.  Lands in degree 2."""
     mono = RationalFunction.monomial
     field = e0.field
-    comps = {
-        PrimeIndex.prime_z(): _map_parts(e0, "Z", mono(-1, 0, field)),
-        PrimeIndex.prime_w(): _map_parts(e0, "W", mono(0, -1, field)),
-    }
-    for f in _support_primes(e0):
-        comps[PrimeIndex.irr(f)] = _map_parts(e0, f)
-    return ChainElement(2, comps, field)
+    shifts = {"Z": mono(-1, 0, field), "W": mono(0, -1, field)}
+    return ChainElement(2, {idx: _map_parts(e0, idx, shifts.get(idx.kind))
+                            for idx in _slots(e0)}, field)
 
 
 def pi11_pi12(prime, el):
@@ -309,7 +232,7 @@ def iota0(g, field=QQ):
         g = LocalFraction(g.num, g.den)
     phi = g.as_rational() * RationalFunction.monomial(1, 1, field)
     return ChainElement(0, {PrimeIndex.zero():
-                            omega("0", 0, phi, field, factors=frozenset())}, field)
+                            E0Element({0: phi}, field, ())}, field)
 
 
 def surjectivity_witness(prime, s, t, field=QQ):
@@ -322,9 +245,9 @@ def surjectivity_witness(prime, s, t, field=QQ):
         raise BadLocus("only socle targets with s, t <= 0 are hit this way")
     mono = RationalFunction.monomial(s, t, field)
     if prime.kind == "Z":
-        w = -omega("Z", 0, mono, field)
+        w = -omega(prime, 0, mono, field)
     elif prime.kind == "W":
-        w = omega("W", 0, mono, field)
+        w = omega(prime, 0, mono, field)
     elif prime.kind == "irr":
         g, ell = minimal_onto_rewrite(prime.f, 1 - s, 1 - t)
         num = -(g * BivarPoly.var("Z", field))
@@ -378,17 +301,17 @@ def d0_preimage(chain):
             piece = piece + _f_pure_rep(cls)
         factors.add(idx.f)
         phi = phi + piece
-        rem = rem - d0(omega("0", 0, piece, field, factors={idx.f}))
+        rem = rem - d0(E0Element({0: piece}, field, {idx.f}))
     ez = rem.component(PrimeIndex.prime_z())
     if ez is not None:
         piece = ez.representatives().get(0, RationalFunction.const(0, field))
         phi = phi + piece
-        rem = rem - d0(omega("0", 0, piece, field, factors=frozenset()))
+        rem = rem - d0(E0Element({0: piece}, field, ()))
     ew = rem.component(PrimeIndex.prime_w())
     if ew is not None:
         piece = ew.representatives().get(0, RationalFunction.const(0, field))
         phi = phi + piece
-        rem = rem - d0(omega("0", 0, piece, field, factors=frozenset()))
+        rem = rem - d0(E0Element({0: piece}, field, ()))
     if not rem.is_zero():
         raise ValueError("element is not in the image of d0")
-    return omega("0", 0, phi, field, factors=frozenset(factors))
+    return E0Element({0: phi}, field, factors)

@@ -124,8 +124,6 @@ class Field:
                 return x
             if isinstance(x, int):
                 return Fraction(x)
-            if isinstance(x, str):
-                return Fraction(x)
             raise TypeError(f"cannot coerce {x!r} into Q")
         if isinstance(x, Fp):
             if x.p != self.char:
@@ -135,8 +133,6 @@ class Field:
             return Fp(x, self.char)
         if isinstance(x, Fraction):
             return Fp(x.numerator, self.char) / Fp(x.denominator, self.char)
-        if isinstance(x, str):
-            return self.of(Fraction(x))
         raise TypeError(f"cannot coerce {x!r} into F_{self.char}")
 
     def __eq__(self, other):
@@ -358,7 +354,10 @@ class Poly:
         plain number (see _plain): the exponents move, and the coefficients
         are scaled only when c0 is not one.  All resulting exponents must
         be >= 0."""
-        keys = [tuple(map(add, k, deltas)) for k in self.terms]
+        if not any(deltas):  # a scalar product keeps every exponent
+            keys = list(self.terms)
+        else:
+            keys = [tuple(map(add, k, deltas)) for k in self.terms]
         if min(deltas) < 0 and any(min(k) < 0 for k in keys):
             raise NotDivisible("{!r} not divisible by the monomial shift", self)
         if c0 == 1:

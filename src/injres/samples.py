@@ -7,8 +7,8 @@ reproducible bit for bit.
 import random
 
 from .ring import BivarPoly, RationalFunction, QQ, parse_poly
-from .hulls import EZWElement, omega, omega_zw
-from .resolution import PrimeIndex, ChainElement, legal_kinds, max_copies
+from .hulls import E0Element, EZWElement, PrimeIndex, omega, omega_zw
+from .resolution import ChainElement, legal_kinds, max_copies
 
 
 IRR_POOL_TEXT = ["Z+W", "W-Z^2"]
@@ -42,7 +42,7 @@ def _random_e0_part(rng, n, chosen, field):
     for f in chosen:
         den = den * f ** rng.randint(0, 1)
     arg = RationalFunction(num, den, reduce=False)
-    return omega("0", n, arg, field, factors=frozenset(chosen))
+    return E0Element({n: arg}, field, chosen)
 
 
 def random_e0(rng, field=QQ):
@@ -65,22 +65,24 @@ def random_socle_e0(rng, field=QQ):
     return _random_e0_part(rng, 0, chosen, field)
 
 
-def random_axis(rng, axis, field=QQ):
+def random_axis(rng, prime, field=QQ):
+    """An element of E(Z) or E(W), named by prime."""
     n = rng.randint(0, 2)
     num = random_poly(rng, field)
     # denominator must be a unit in the localization at the axis prime
-    other = "W" if axis == "Z" else "Z"
+    other = "W" if prime.kind == "Z" else "Z"
     den = BivarPoly.var(other, field) ** rng.randint(0, 2)
-    return omega(axis, n, RationalFunction(num, den, reduce=False), field)
+    return omega(prime, n, RationalFunction(num, den, reduce=False), field)
 
 
-def random_ef(rng, f, field=QQ):
+def random_ef(rng, prime, field=QQ):
+    """An element of E(f) at the irreducible prime.f."""
     n = rng.randint(0, 2)
     num = random_poly(rng, field)
     s = rng.randint(1, 2)
     h = BivarPoly.mono((rng.randint(0, 1), rng.randint(0, 1)), 1, field)
-    arg = RationalFunction(num, h * f ** s, reduce=False)
-    return omega(f, n, arg, field)
+    arg = RationalFunction(num, h * prime.f ** s, reduce=False)
+    return omega(prime, n, arg, field)
 
 
 def random_ezw(rng, field=QQ):
@@ -97,9 +99,9 @@ def random_hull_element(rng, prime, field=QQ):
     if prime.kind == "zero":
         return random_e0(rng, field)
     if prime.kind in ("Z", "W"):
-        return random_axis(rng, prime.kind, field)
+        return random_axis(rng, prime, field)
     if prime.kind == "irr":
-        return random_ef(rng, prime.f, field)
+        return random_ef(rng, prime, field)
     return random_ezw(rng, field)
 
 
@@ -115,7 +117,7 @@ def random_chain(rng, degree, field=QQ):
             for f in irr_pool(field):
                 if rng.random() < 0.5:
                     idx = PrimeIndex.irr(f)
-                    comps[idx] = random_ef(rng, f, field)
+                    comps[idx] = random_ef(rng, idx, field)
         elif kind == "max":
             for c in range(max_copies(degree)):
                 comps[PrimeIndex.maximal(c)] = random_ezw(rng, field)

@@ -193,6 +193,15 @@ def test_lc_answers_at_the_radical(argv, prime):
     assert f"local cohomology at I0 = ({prime})\n" in out
 
 
+@pytest.mark.parametrize("field", ["Q", "7"])
+def test_lc_at_a_unit_gcd_is_m_primary(field):
+    # the gcd 1+W of Z(1+W) and W(1+W) is a unit in the local ring, where
+    # the ideal is (Z, W)
+    code, out = run(["--field", field, "lc", "--ideal", "Z+Z*W,W+W^2"])
+    assert code == 0, out
+    assert "local cohomology at an m-primary I0\n" in out
+
+
 def _argv_of(data):
     """One command line drawn over the cheap commands, with flags in and
     just outside their legal ranges."""
@@ -209,7 +218,7 @@ def _argv_of(data):
     if command == "lc":
         ideal = data.draw(st.sampled_from(
             ["0", "Z,W", "Z", "W", "Z+W", "X", "Z*W", "Z^2", "1+Z", "Z,W^2",
-             "W-Z^2", "Z+W,Z-W"]))
+             "W-Z^2", "Z+W,Z-W", "Z+Z*W,W+W^2"]))
         return argv + [command, "--ideal", ideal]
     flag = "--n" if command == "ext-power" else "--i"
     return argv + [command, flag, str(data.draw(st.integers(-3, 3)))]

@@ -20,6 +20,7 @@ from injres import samples
 
 P = lambda t: parse_poly(t)
 Q = lambda t: parse_poly(t, QuadPoly)
+PZ, PW = PrimeIndex.prime_z(), PrimeIndex.prime_w()
 
 
 def RF(num, den="1"):
@@ -28,10 +29,10 @@ def RF(num, den="1"):
 
 def test_axis_annihilation_examples():
     # Omega^n_Z kills Z^(n+1) but not Z^n
-    assert omega("Z", 2, P("Z^3")).is_zero()
-    assert not omega("Z", 1, P("Z")).is_zero()
-    assert omega("W", 0, P("W")).is_zero()
-    assert not omega("W", 2, P("W^2")).is_zero()
+    assert omega(PZ, 2, P("Z^3")).is_zero()
+    assert not omega(PZ, 1, P("Z")).is_zero()
+    assert omega(PW, 0, P("W")).is_zero()
+    assert not omega(PW, 2, P("W^2")).is_zero()
 
 
 def test_zw_index_constraint():
@@ -62,9 +63,9 @@ def test_hypersurface_relation_kills_every_hull():
     rng = samples.rng_from_seed(9)
     pool = samples.irr_pool()
     for mk in (lambda: samples.random_e0(rng),
-               lambda: samples.random_axis(rng, "Z"),
-               lambda: samples.random_axis(rng, "W"),
-               lambda: samples.random_ef(rng, pool[0]),
+               lambda: samples.random_axis(rng, PZ),
+               lambda: samples.random_axis(rng, PW),
+               lambda: samples.random_ef(rng, PrimeIndex.irr(pool[0])),
                lambda: samples.random_ezw(rng)):
         for _ in range(8):
             assert act(rel, mk()).is_zero()
@@ -79,11 +80,11 @@ def test_action_degree_shift():
 
 
 def test_e0_action_moves_arguments():
-    e = omega("0", 1, RF("1"), factors=frozenset())
+    e = E0Element({1: RF("1")}, QQ, ())
     xe = act(Q("X"), e)
-    assert xe == omega("0", 0, RF("1", "W"), factors=frozenset())
+    assert xe == E0Element({0: RF("1", "W")}, QQ, ())
     ye = act(Q("Y"), e)
-    assert ye == omega("0", 0, RF("1", "Z"), factors=frozenset())
+    assert ye == E0Element({0: RF("1", "Z")}, QQ, ())
 
 
 def test_laurent_ops_are_not_inverse_to_multiplication():
@@ -135,7 +136,7 @@ def test_socle_projection_and_grading():
 
 def test_ef_kills_f_powers():
     f = P("Z+W")
-    e = omega(f, 0, RF("1", "Z^2 + 2*Z*W + W^2"))
+    e = omega(PrimeIndex.irr(f), 0, RF("1", "Z^2 + 2*Z*W + W^2"))
     assert not e.is_zero()
     assert not act(f.to_quad(), e).is_zero()
     assert act((f * f).to_quad(), e).is_zero()
@@ -143,9 +144,24 @@ def test_ef_kills_f_powers():
 
 def test_ef_rejects_axis_and_unit_loci():
     with pytest.raises(BadLocus):
-        omega(P("Z"), 0, RF("1", "Z"))
+        PrimeIndex.irr(P("Z"))
     with pytest.raises(BadLocus):
-        omega(P("1+Z"), 0, RF("1"))
+        PrimeIndex.irr(P("1+Z"))
+    with pytest.raises(BadLocus):
+        PrimeIndex.height_one(P("5"))
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)], ids=repr)
+def test_height_one_names_the_axes_and_the_other_primes(field):
+    def named(text):
+        return PrimeIndex.height_one(parse_poly(text, field=field))
+    assert named("2*Z") == PrimeIndex.prime_z()
+    assert named("3*W") == PrimeIndex.prime_w()
+    f = parse_poly("Z+W", field=field)
+    assert named("Z+W") == PrimeIndex.irr(f) and named("Z+W").f == f
+    assert named("Z*W").kind == "irr"  # a product of the axes is no axis
+    with pytest.raises(BadLocus):
+        named("0")
 
 
 def test_ezw_to_h4_basis_expansion():
@@ -171,8 +187,8 @@ def test_h4_rejects_classes_outside_the_hull():
 def test_axis_truncation_identity():
     # Omega^n_Z(Z^(n+1) * regular) = 0: truncation at order n
     phi = RF("Z^2*W", "1+W")
-    assert omega("Z", 1, phi).is_zero()
-    assert not omega("Z", 2, phi).is_zero()
+    assert omega(PZ, 1, phi).is_zero()
+    assert not omega(PZ, 2, phi).is_zero()
 
 
 def test_act_series_truncates_units():
@@ -186,8 +202,8 @@ def test_act_series_truncates_units():
 
 def test_unit_scaling_independence_of_generator():
     f = P("Z+W")
-    a = omega(f, 0, RF("1", "Z+W"))
-    b = omega(P("2*Z+2*W"), 0, RF("1", "Z+W"))
+    a = omega(PrimeIndex.irr(f), 0, RF("1", "Z+W"))
+    b = omega(PrimeIndex.irr(P("2*Z+2*W")), 0, RF("1", "Z+W"))
     assert a == b  # the hull only depends on the prime, not the generator
 
 
@@ -217,8 +233,8 @@ def test_sparse_vector_laws(kind):
 
 def test_mismatched_state_is_refused():
     f, g = samples.irr_pool()
-    a = omega(f, 0, RationalFunction(P("1"), f))
-    b = omega(g, 0, RationalFunction(P("1"), g))
+    a = omega(PrimeIndex.irr(f), 0, RationalFunction(P("1"), f))
+    b = omega(PrimeIndex.irr(g), 0, RationalFunction(P("1"), g))
     with pytest.raises(BadLocus):
         a + b
     with pytest.raises(BadLocus):
@@ -250,11 +266,12 @@ def _reexpanded(e, rf):
 @pytest.mark.parametrize("axis", ["Z", "W"])
 def test_axis_mul_arg_by_a_monomial_equals_the_reexpansion(field, axis):
     rng = samples.rng_from_seed(17)
-    elements = [samples.random_axis(rng, axis, field) for _ in range(6)]
+    prime = PrimeIndex(axis)
+    elements = [samples.random_axis(rng, prime, field) for _ in range(6)]
     # arguments with a pole along the axis, so the expansion starts below 0
     num, unit = (parse_poly(t, field=field) for t in ("Z-2*W", "1+Z+W"))
     pole = BivarPoly.var(axis, field) ** 2 * unit
-    elements.append(omega(axis, 3, RationalFunction(num, pole), field))
+    elements.append(omega(prime, 3, RationalFunction(num, pole), field))
     for e in elements:
         for a, b, c in [(1, 0, 1), (-2, 1, 1), (0, -1, 3), (2, 2, -1),
                         (-1, -3, Fraction(1, 2))]:

@@ -5,7 +5,8 @@ every top-level private definition (a name starting with "_") must be
 referenced somewhere in src/ or tests/, every public one and every public
 method by the program itself, every parameter with a default must be set
 by some call, and every command-line flag must be read by the CLI.  Only
-ring.py reads how a coefficient is stored.
+ring.py reads how a coefficient is stored, and only a PrimeIndex names a
+hull.
 """
 
 import ast
@@ -219,6 +220,26 @@ def test_only_ring_reads_the_coefficient_representation():
                for node in ast.walk(_parse(path))
                if isinstance(node, ast.Attribute) and node.attr in ("v", "char")]
     assert not readers, "reads outside ring.py: " + ", ".join(readers)
+
+
+def test_a_hull_is_named_by_its_prime_index():
+    # omega takes a PrimeIndex, never a string, and only hulls.py may test
+    # a polynomial against an axis: PrimeIndex.height_one there decides
+    # whether it names Z, W or a prime of its own
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            name, first = _call_name(node.func, None), node.args[0]
+            if name == "omega" and isinstance(first, ast.Constant) and \
+                    isinstance(first.value, str):
+                found.append(f"{path.name}:{node.lineno} omega({first.value!r})")
+            if name == "normalize_monic" and path.name != "hulls.py" and \
+                    isinstance(first, ast.Call) and \
+                    _call_name(first.func, None) == "var":
+                found.append(f"{path.name}:{node.lineno} normalize_monic(var)")
+    assert not found, "hulls named outside PrimeIndex: " + ", ".join(found)
 
 
 def test_the_oracle_takes_only_the_gcd_and_the_row_reducer():

@@ -7,7 +7,8 @@ import pytest
 
 from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
                          QQ, Field)
-from injres.hulls import omega, omega_zw, act, socle_project, h4_to_ezw
+from injres.hulls import (E0Element, omega, omega_zw, act, socle_project,
+                          h4_to_ezw)
 from injres.gfrac import H4Canonical, reduce_h2
 from injres import gfrac
 from injres.resolution import (PrimeIndex, ChainElement, legal_kinds,
@@ -18,6 +19,7 @@ from injres import samples
 
 
 P = lambda t: parse_poly(t)
+PZ, PW = PrimeIndex.prime_z(), PrimeIndex.prime_w()
 
 
 def RF(num, den="1"):
@@ -37,15 +39,15 @@ def test_slot_legality_by_degree():
     assert legal_kinds(3) == {"max"}
     with pytest.raises(DegreeMismatch):
         ChainElement(0, {PrimeIndex.prime_z():
-                         omega("Z", 0, RF("1"))}, QQ)
+                         omega(PZ, 0, RF("1"))}, QQ)
 
 
 def test_d1_monomial_identities():
     # d1 on the axis hulls sends the monomial basis to the same monomial
     # basis, with sign -1 on the Z side and +1 on the W side
     for n, s, t in [(0, 0, 0), (1, 1, 0), (1, 0, -1), (2, 1, 1), (2, -1, 2)]:
-        ez = omega("Z", n, LM(s, t))
-        ew = omega("W", n, LM(s, t))
+        ez = omega(PZ, n, LM(s, t))
+        ew = omega(PW, n, LM(s, t))
         want = omega_zw(n, s, t)
         got_w = d1_f(PrimeIndex.prime_w(), ew)
         got_z = d1_f(PrimeIndex.prime_z(), ez)
@@ -56,7 +58,7 @@ def test_d1_monomial_identities():
 def test_d1_irreducible_frozen_vector():
     # derived independently through the transformation law
     f = P("Z+W")
-    el = omega(f, 0, RF("1", "Z+W"))
+    el = omega(PrimeIndex.irr(f), 0, RF("1", "Z+W"))
     got = d1_f(PrimeIndex.irr(f), el)
     assert got.terms == {(0, -1, 0): Fraction(-1), (0, 0, -1): Fraction(1)}
 
@@ -85,7 +87,7 @@ def test_d1_irr_shares_one_pair_per_graded_part(monkeypatch, field, ftext):
     el = None
     for n, (num, h) in enumerate(parts):
         s = 1 + n % 2
-        part = omega(f, n, RationalFunction(
+        part = omega(PrimeIndex.irr(f), n, RationalFunction(
             parse_poly(num, field=field), parse_poly(h, field=field) * f ** s,
             reduce=False), field)
         assert part, (n, num, h)
@@ -104,18 +106,18 @@ def test_d1_irr_shares_one_pair_per_graded_part(monkeypatch, field, ftext):
 
 
 def test_d0_preserves_arguments_and_pi0_shifts():
-    e0 = omega("0", 1, RF("Z*W"), factors=frozenset())
+    e0 = E0Element({1: RF("Z*W")}, QQ, ())
     img = d0(e0)
-    assert img.component(PrimeIndex.prime_z()) == omega("Z", 1, RF("Z*W"))
-    assert img.component(PrimeIndex.prime_w()) == omega("W", 1, RF("Z*W"))
+    assert img.component(PrimeIndex.prime_z()) == omega(PZ, 1, RF("Z*W"))
+    assert img.component(PrimeIndex.prime_w()) == omega(PW, 1, RF("Z*W"))
     proj = pi0(e0)
-    assert proj.component(PrimeIndex.prime_z()) == omega("Z", 1, RF("W"))
-    assert proj.component(PrimeIndex.prime_w()) == omega("W", 1, RF("Z"))
+    assert proj.component(PrimeIndex.prime_z()) == omega(PZ, 1, RF("W"))
+    assert proj.component(PrimeIndex.prime_w()) == omega(PW, 1, RF("Z"))
 
 
 def test_pi_components_recover_socle_coefficients():
-    five = omega("W", 0, RF("5"))
-    seven = omega("Z", 0, RF("-7"))
+    five = omega(PW, 0, RF("5"))
+    seven = omega(PZ, 0, RF("-7"))
     top, bottom = pi11_pi12(PrimeIndex.prime_w(), five)
     assert top == omega_zw(0, 0, 0).scale(QQ.of(5))
     top_z, bottom_z = pi11_pi12(PrimeIndex.prime_z(), seven)
@@ -169,7 +171,7 @@ def test_surjectivity_witnesses(ftext):
 def test_first_row_is_not_exact_beyond_the_socle():
     # a nonzero degree-1 element killed by d1 but outside the image of d0:
     # the complex is exact only along the socle row
-    el = omega("Z", 1, RF("Z*W"))
+    el = omega(PZ, 1, RF("Z*W"))
     assert not el.is_zero()
     assert d1_f(PrimeIndex.prime_z(), el).is_zero()
     ch = ChainElement(1, {PrimeIndex.prime_z(): el}, QQ)
@@ -195,8 +197,8 @@ def test_d0_preimage_multi_slot():
     # axes, forcing every peeling stage
     f1, f2 = samples.irr_pool()
     den = P("Z") * P("W") * f1 * f2
-    e0 = omega("0", 0, RationalFunction(P("Z^2*W^2"), den, reduce=False),
-               factors=frozenset({f1, f2}))
+    e0 = E0Element({0: RationalFunction(P("Z^2*W^2"), den, reduce=False)},
+                   QQ, {f1, f2})
     img = d0(e0)
     pre = d0_preimage(img)
     assert (d0(pre) - img).is_zero()
