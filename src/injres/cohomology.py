@@ -23,8 +23,8 @@ from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    verify_irreducible, VERIFIED)
 from .hulls import (E0Element, EZWElement, PrimeIndex, act, omega, omega_zw,
                     is_socle, torsion_box)
-from .resolution import (ChainElement, d0, d1_f, pi0, delta, iota0,
-                         legal_kinds, max_copies, _map_parts)
+from .resolution import (ChainElement, d0, d1_f, d1_twisted, pi0, delta,
+                         iota0, legal_kinds, max_copies, _map_parts)
 from . import linalg
 
 
@@ -109,12 +109,8 @@ def chain_coords(chain):
             for (n, m), c in el.terms.items():
                 for (ez, ew), v in _mono_coords(c):
                     put((slot, 0, n, m, ez + ew), v)
-        elif idx.kind == "zero":
-            for n, p in el.terms.items():
-                for (ez, ew), v in _mono_coords(p):
-                    put((0, 0, n, ez, ew), v)
         else:
-            raise ValueError("irreducible slots have no box coordinates")
+            raise ValueError(f"slot {idx!r} has no box coordinates")
     return vec
 
 
@@ -473,42 +469,22 @@ def yoneda_rep(i, field=QQ):
     raise UnsupportedIndex(f"no nonzero class e_{i}")
 
 
-def _m23(chain, field):
-    """E^1 -> (EZW)^2: zero on the E(0) slot; the axis and irreducible slots
-    feed d1 after argument twists by 1/W (top) and 1/Z (bottom row via W)."""
-    inv_z = RationalFunction.monomial(-1, 0, field)
-    inv_w = RationalFunction.monomial(0, -1, field)
-    top = EZWElement.zero(field)
-    bot = EZWElement.zero(field)
-    for idx, el in chain.terms.items():
-        if idx.kind == "zero":
-            continue
-        if idx.kind == "W":
-            bot = bot + d1_f(idx, el.mul_arg(inv_z))
-        else:
-            top = top + (-d1_f(idx, el.mul_arg(inv_w)))
-    return top, bot
+# Stages 1 and 2 of the even lift as argument twists read by d1_twisted:
+# stage 1 sends the Z and f slots, twisted by 1/W, to the first copy of
+# E(Z,W) with a minus sign, and the W slot, twisted by 1/Z, to the second;
+# stage 2 sends every height-one slot to the second copy with a minus sign,
+# twisted by 1/W at Z, 1/Z at W and 1/(ZW) at f.
+_LIFT1_TOP = {"Z": (0, -1), "irr": (0, -1)}
+_LIFT1_BOTTOM = {"W": (-1, 0)}
+_LIFT2_BOTTOM = {"Z": (0, -1), "W": (-1, 0), "irr": (-1, -1)}
 
 
-def _m24(chain, field):
-    """E^2 -> (EZW)^2: minus the identity on the maximal slot on top; the
-    height-one slots feed d1 after 1/(ZW), 1/W, 1/Z twists below."""
-    # the twist of each height-one slot: 1/W at Z, 1/Z at W, 1/(ZW) at f
-    twist = {"Z": (0, -1), "W": (-1, 0), "irr": (-1, -1)}
-    top = EZWElement.zero(field)
-    bot = EZWElement.zero(field)
-    for idx, el in chain.terms.items():
-        if idx.kind == "max":
-            top = top + (-el)
-        else:
-            arg = RationalFunction.monomial(*twist[idx.kind], field)
-            bot = bot + (-d1_f(idx, el.mul_arg(arg)))
-    return top, bot
-
-
-def yoneda_lift_stage(j, k, chain, field=QQ):
+def yoneda_lift_stage(j, k, chain):
     """Stage k of the chain map lifting the augmentation onto e_j:
-    a map E^k -> E^{k+j}.  Hard-coded from the commuting squares."""
+    a map E^k -> E^{k+j}.  Stages 0 and 1 of the odd lift and stage 0 of
+    the even lift are written out from the commuting squares; stages 1 and
+    2 of the even lift are the twist tables above."""
+    field = chain.field
     if j == 0:
         return chain
     if j == 1:
@@ -539,15 +515,17 @@ def yoneda_lift_stage(j, k, chain, field=QQ):
         val = d1_f(pw, tw)
         return ChainElement(j, {PrimeIndex.maximal(1): val}, field)
     if k == 1:
-        top, bot = _m23(chain, field)
-        return ChainElement(j + 1, {PrimeIndex.maximal(0): top,
-                                    PrimeIndex.maximal(1): bot}, field)
-    if k == 2:
-        top, bot = _m24(chain, field)
-        return ChainElement(j + 2, {PrimeIndex.maximal(0): top,
-                                    PrimeIndex.maximal(1): bot}, field)
-    # beyond the hull pair the lift is minus the identity
-    return ChainElement(k + j, (-chain).terms, field)
+        top = -d1_twisted(chain, _LIFT1_TOP)
+        bot = d1_twisted(chain, _LIFT1_BOTTOM)
+    elif k == 2:
+        top = -(chain.component(PrimeIndex.maximal(0)) or
+                EZWElement.zero(field))
+        bot = -d1_twisted(chain, _LIFT2_BOTTOM)
+    else:
+        # beyond the hull pair the lift is minus the identity
+        return ChainElement(k + j, (-chain).terms, field)
+    return ChainElement(k + j, {PrimeIndex.maximal(0): top,
+                                PrimeIndex.maximal(1): bot}, field)
 
 
 def _identify(chain, index, field):
@@ -575,7 +553,7 @@ def yoneda_product(i, j, field=QQ):
     if j == 1 and i >= 2:
         # the odd lift stops at stage 1; use commutativity
         i, j = j, i
-    chain = yoneda_lift_stage(j, i, yoneda_rep(i, field), field)
+    chain = yoneda_lift_stage(j, i, yoneda_rep(i, field))
     return _identify(chain, i + j, field)
 
 

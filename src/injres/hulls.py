@@ -50,13 +50,17 @@ class PrimeIndex:
     PrimeZ, PrimeW, Irr(f) for an irreducible f not associate to Z or W,
     or Maximal(copy)."""
 
-    __slots__ = ("kind", "f", "copy")
+    __slots__ = ("kind", "f", "copy", "_key")
 
     def __init__(self, kind, f=None, copy=0):
         assert kind in ("zero", "Z", "W", "irr", "max")
         self.kind = kind
         self.f = normalize_monic(f) if kind == "irr" else None
         self.copy = copy if kind == "max" else 0
+        # an index is never changed, so its sort and hash key is made once
+        fk = None if self.f is None else \
+            tuple(sorted((e, str(c)) for e, c in self.f.terms.items()))
+        self._key = (self.kind, fk, self.copy)
 
     @classmethod
     def zero(cls):
@@ -93,20 +97,14 @@ class PrimeIndex:
         assert copy in (0, 1)
         return cls("max", copy=copy)
 
-    def _key(self):
-        fk = None
-        if self.f is not None:
-            fk = tuple(sorted((e, str(c)) for e, c in self.f.terms.items()))
-        return (self.kind, fk, self.copy)
-
     def __eq__(self, other):
-        return isinstance(other, PrimeIndex) and self._key() == other._key()
+        return isinstance(other, PrimeIndex) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return hash(self._key)
 
     def __lt__(self, other):
-        return self._key() < other._key()
+        return self._key < other._key
 
     def __repr__(self):
         if self.kind == "irr":

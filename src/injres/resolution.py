@@ -14,7 +14,9 @@ The differentials are assembled from d0 (argument-preserving), d1 (a
 case-by-case reduction into E(Z,W) coordinates) and the companion maps
 pi0, pi11, pi12 which precompose with argument multiplications.  d0 and
 pi0 have a slot at E(Z), at E(W) and at the prime of every factor an E(0)
-element carries (PrimeIndex.height_one).
+element carries (PrimeIndex.height_one).  pi11 and pi12 are tables of
+argument twists Z^a W^b, one per height-one slot kind, read by
+d1_twisted, as are stages 1 and 2 of the even Yoneda lift in cohomology.
 """
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
@@ -152,28 +154,30 @@ def pi0(e0):
                             for idx in _slots(e0)}, field)
 
 
-def pi11_pi12(prime, el):
-    """The two socle-level companions of d1 at one prime: returns the pair
-    (pi11 component, pi12 component) in EZW coordinates."""
-    mono = RationalFunction.monomial
-    field = el.field
-    if prime.kind == "Z":
-        return (d1_f(prime, el.mul_arg(mono(1, -1, field))), d1_f(prime, el))
-    if prime.kind == "W":
-        return (d1_f(prime, el), d1_f(prime, el.mul_arg(mono(-1, 1, field))))
-    if prime.kind == "irr":
-        return (d1_f(prime, el.mul_arg(mono(0, -1, field))),
-                d1_f(prime, el.mul_arg(mono(-1, 0, field))))
-    raise DegreeMismatch(f"pi maps undefined at slot {prime!r}")
+# The argument twist (a, b), for Z^a W^b, of each height-one slot kind in
+# the two rows of delta on degree 2: pi11 lands in the first copy of
+# E(Z,W), pi12 in the second.  _D1 is d1 itself.
+PI11 = {"Z": (1, -1), "W": (0, 0), "irr": (0, -1)}
+PI12 = {"Z": (0, 0), "W": (-1, 1), "irr": (-1, 0)}
+_D1 = {"Z": (0, 0), "W": (0, 0), "irr": (0, 0)}
+
+# f^triangle, the multiplier of delta on degree 1 at each height-one slot,
+# as the exponents (a, b, c, d) of X^a Y^b Z^c W^d: Y at Z, X at W, XW at f.
+_F_TRIANGLE = {"Z": (0, 1, 0, 0), "W": (1, 0, 0, 0), "irr": (1, 0, 0, 1)}
 
 
-def _f_triangle(prime, field):
-    """The multiplier f^triangle: Y for Z, X for W, XW otherwise."""
-    if prime.kind == "Z":
-        return QuadPoly.var("Y", field)
-    if prime.kind == "W":
-        return QuadPoly.var("X", field)
-    return QuadPoly.mono((1, 0, 0, 1), 1, field)
+def d1_twisted(chain, twists):
+    """The sum of d1_f over the slots of chain whose kind twists names, each
+    argument first multiplied by Z^a W^b for its kind's (a, b)."""
+    field = chain.field
+    out = EZWElement.zero(field)
+    for idx, el in chain.terms.items():
+        if idx.kind in twists:
+            a, b = twists[idx.kind]
+            if a or b:
+                el = el.mul_arg(RationalFunction.monomial(a, b, field))
+            out = out + d1_f(idx, el)
+    return out
 
 
 def delta(chain):
@@ -186,28 +190,17 @@ def delta(chain):
         return d0(psi0) + ChainElement(1, {PrimeIndex.zero(): zw}, field)
     if n == 1:
         psi0 = chain.component(PrimeIndex.zero())
-        comps = {}
-        mx = EZWElement.zero(field)
-        for idx, el in chain.terms.items():
-            if idx.kind == "zero":
-                continue
-            mx = mx + d1_f(idx, el)
-            comps[idx] = -act(_f_triangle(idx, field), el)
-        out = ChainElement(2, comps, field) + \
-            ChainElement(2, {PrimeIndex.maximal(0): mx}, field)
+        comps = {idx: -el.monomial_act(*_F_TRIANGLE[idx.kind])
+                 for idx, el in chain.terms.items() if idx.kind != "zero"}
+        comps[PrimeIndex.maximal(0)] = d1_twisted(chain, _D1)
+        out = ChainElement(2, comps, field)
         if psi0 is not None:
             out = out + pi0(psi0)
         return out
     if n == 2:
         psi_m = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
-        top = act(QuadPoly.var("X", field), psi_m)
-        bot = act(QuadPoly.var("Y", field), psi_m)
-        for idx, el in chain.terms.items():
-            if idx.kind == "max":
-                continue
-            p11, p12 = pi11_pi12(idx, el)
-            top = top + p11
-            bot = bot + p12
+        top = act(QuadPoly.var("X", field), psi_m) + d1_twisted(chain, PI11)
+        bot = act(QuadPoly.var("Y", field), psi_m) + d1_twisted(chain, PI12)
         return ChainElement(3, {PrimeIndex.maximal(0): top,
                                 PrimeIndex.maximal(1): bot}, field)
     p1 = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)

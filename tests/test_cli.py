@@ -202,6 +202,10 @@ def test_lc_at_a_unit_gcd_is_m_primary(field):
     assert "local cohomology at an m-primary I0\n" in out
 
 
+LC_IDEALS = ["0", "Z,W", "Z", "W", "Z+W", "X", "Z*W", "Z^2", "1+Z", "Z,W^2",
+             "W-Z^2", "Z+W,Z-W", "Z+Z*W,W+W^2"]
+
+
 def _argv_of(data):
     """One command line drawn over the cheap commands, with flags in and
     just outside their legal ranges."""
@@ -216,9 +220,7 @@ def _argv_of(data):
                 for _ in range(2)]
         return argv + [command, f"[{num} / {dens[0]}, {dens[1]}]"]
     if command == "lc":
-        ideal = data.draw(st.sampled_from(
-            ["0", "Z,W", "Z", "W", "Z+W", "X", "Z*W", "Z^2", "1+Z", "Z,W^2",
-             "W-Z^2", "Z+W,Z-W", "Z+Z*W,W+W^2"]))
+        ideal = data.draw(st.sampled_from(LC_IDEALS))
         return argv + [command, "--ideal", ideal]
     flag = "--n" if command == "ext-power" else "--i"
     return argv + [command, flag, str(data.draw(st.integers(-3, 3)))]
@@ -233,6 +235,15 @@ def test_no_input_escapes_as_an_exception(data):
     assert out.startswith("error: ") == (code == 2), argv
     # the oracle decides every drawn reduction, so reduce never prints FAIL
     assert code != 1 or argv[4] != "reduce", (argv, out)
+
+
+@pytest.mark.parametrize("field", ["Q", "3", "7"])
+@pytest.mark.parametrize("ideal", LC_IDEALS)
+def test_every_lc_ideal_of_the_pool_ends_cleanly(field, ideal):
+    # the draws above can miss an entry of the pool; here each one runs
+    code, out = run(["--field", field, "--trunc", "2", "lc", "--ideal", ideal])
+    assert code in (0, 2), out
+    assert out.startswith("error: ") == (code == 2), out
 
 
 def test_field_3_passes():

@@ -5,8 +5,8 @@ every top-level private definition (a name starting with "_") must be
 referenced somewhere in src/ or tests/, every public one and every public
 method by the program itself, every parameter with a default must be set
 by some call, and every command-line flag must be read by the CLI.  Only
-ring.py reads how a coefficient is stored, and only a PrimeIndex names a
-hull.
+ring.py reads how a coefficient is stored, only a PrimeIndex names a hull,
+and only resolution.py applies d1 to a twisted argument.
 """
 
 import ast
@@ -240,6 +240,22 @@ def test_a_hull_is_named_by_its_prime_index():
                     _call_name(first.func, None) == "var":
                 found.append(f"{path.name}:{node.lineno} normalize_monic(var)")
     assert not found, "hulls named outside PrimeIndex: " + ", ".join(found)
+
+
+def test_only_resolution_applies_d1_to_a_twisted_argument():
+    # d1 after an argument twist is resolution.d1_twisted, read from a table
+    # of twists per slot kind; no other module writes the pattern by hand
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "resolution.py"
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call)
+             and _call_name(node.func, None) == "d1_f"
+             and any(isinstance(arg, ast.Call)
+                     and _call_name(arg.func, None) == "mul_arg"
+                     for arg in node.args)]
+    assert not found, "d1_f of a mul_arg outside resolution.py: " + \
+        ", ".join(found)
 
 
 def test_the_oracle_takes_only_the_gcd_and_the_row_reducer():

@@ -12,10 +12,11 @@ from injres.hulls import (E0Element, omega, omega_zw, act, socle_project,
 from injres.gfrac import H4Canonical, reduce_h2
 from injres import gfrac
 from injres.resolution import (PrimeIndex, ChainElement, legal_kinds,
-                               DegreeMismatch, d0, d1_f, pi0, pi11_pi12,
-                               delta, iota0, surjectivity_witness,
-                               d0_preimage)
-from injres import samples
+                               DegreeMismatch, d0, d1_f, d1_twisted, pi0,
+                               PI11, PI12, delta, iota0,
+                               surjectivity_witness, d0_preimage)
+from injres.cohomology import yoneda_lift_stage
+from injres import cohomology, resolution, samples
 
 
 P = lambda t: parse_poly(t)
@@ -116,12 +117,10 @@ def test_d0_preserves_arguments_and_pi0_shifts():
 
 
 def test_pi_components_recover_socle_coefficients():
-    five = omega(PW, 0, RF("5"))
-    seven = omega(PZ, 0, RF("-7"))
-    top, bottom = pi11_pi12(PrimeIndex.prime_w(), five)
-    assert top == omega_zw(0, 0, 0).scale(QQ.of(5))
-    top_z, bottom_z = pi11_pi12(PrimeIndex.prime_z(), seven)
-    assert bottom_z == omega_zw(0, 0, 0).scale(QQ.of(7))
+    five = ChainElement(2, {PW: omega(PW, 0, RF("5"))}, QQ)
+    seven = ChainElement(2, {PZ: omega(PZ, 0, RF("-7"))}, QQ)
+    assert d1_twisted(five, PI11) == omega_zw(0, 0, 0).scale(QQ.of(5))
+    assert d1_twisted(seven, PI12) == omega_zw(0, 0, 0).scale(QQ.of(7))
 
 
 def test_augmentation_is_a_cocycle():
@@ -141,6 +140,50 @@ def test_delta_squared_is_zero_seeded(field):
         for _ in range(12):
             ch = samples.random_chain(rng, deg, field)
             assert delta(delta(ch)).is_zero()
+
+
+def _delta_squared_fails():
+    """delta o delta is nonzero on one of the seeded chains of
+    test_delta_squared_is_zero_seeded in degrees 0-2 over F_7."""
+    field, rng = Field(7), samples.rng_from_seed(100)
+    return any(not delta(delta(samples.random_chain(rng, deg, field))).is_zero()
+               for deg in range(3) for _ in range(12))
+
+
+def _lift_fails():
+    """A lift stage fails the relation of
+    test_lift_stages_commute_with_the_differential."""
+    rng = samples.rng_from_seed(42)
+    for j, k in [(1, 0), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2)]:
+        for _ in range(4):
+            ch = samples.random_chain(rng, k)
+            if delta(yoneda_lift_stage(j, k, ch)) != \
+                    yoneda_lift_stage(j, k + 1, delta(ch)):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("module, name, broken", [
+    pytest.param(module, name, broken, id=name)
+    for module, names, broken in [
+        (resolution, ["PI11", "PI12", "_D1", "_F_TRIANGLE"],
+         _delta_squared_fails),
+        (cohomology, ["_LIFT1_TOP", "_LIFT1_BOTTOM", "_LIFT2_BOTTOM"],
+         _lift_fails)]
+    for name in names])
+def test_every_twist_table_entry_matters(monkeypatch, module, name, broken):
+    # raising any one exponent of any one entry must break the identity the
+    # table's map satisfies, so no entry is left that nothing reads
+    assert not broken()
+    table = getattr(module, name)
+    survivors = []
+    for kind, exps in list(table.items()):
+        for i in range(len(exps)):
+            with monkeypatch.context() as m:
+                m.setitem(table, kind, exps[:i] + (exps[i] + 1,) + exps[i + 1:])
+                if not broken():
+                    survivors.append((kind, i))
+    assert not survivors
 
 
 def test_differential_is_nontrivial_on_random_chains():
