@@ -21,8 +21,8 @@ the Bass numbers at m) all go through it.
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    bivar_gcd, divides, exact_divide, normalize_monic,
                    verify_irreducible, VERIFIED)
-from .hulls import (E0Element, EZWElement, PrimeIndex, act, omega, omega_zw,
-                    is_socle, torsion_box)
+from .hulls import (E0Element, EZWElement, PrimeIndex, VAR, act, omega,
+                    omega_zw, is_socle, torsion_box)
 from .resolution import (ChainElement, d0, d1_f, d1_twisted, pi0, delta,
                          iota0, legal_kinds, max_copies, _map_parts)
 from . import linalg
@@ -198,28 +198,20 @@ def _lc_height1(prime, truncation, field):
     rep.add("height", 1)
     rep.add("H^0", "zero (A/p is a domain)", True)
     rep.add("H^2", "zero (d1 is onto the socle row)", True)
-    if prime.kind == "Z":
+    if prime.kind in ("Z", "W"):
         # kernel of d1_Z on E_0(Z): coefficients with a positive W-order,
-        # free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0
+        # free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0; mirrored at W
         ok = True
         for s in range(-truncation, 1):
-            gen = omega(prime, 0, RationalFunction.monomial(s, 1, field), field)
+            pairs = [(s, 1), (s, 0)] if prime.kind == "Z" else [(1, s), (0, s)]
+            gen, off = (omega(prime, 0, RationalFunction.monomial(*e, field),
+                              field) for e in pairs)
             ok = ok and d1_f(prime, gen).is_zero() and not gen.is_zero()
-            off = omega(prime, 0, RationalFunction.monomial(s, 0, field), field)
             ok = ok and not d1_f(prime, off).is_zero()
-        rep.add("H^1", "free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0; "
-                f"checked for |s| <= {truncation}", ok)
-        rep.data["dims"] = {0: 0, 1: "infinite", 2: 0}
-        return rep
-    if prime.kind == "W":
-        ok = True
-        for t in range(-truncation, 1):
-            gen = omega(prime, 0, RationalFunction.monomial(1, t, field), field)
-            ok = ok and d1_f(prime, gen).is_zero() and not gen.is_zero()
-            off = omega(prime, 0, RationalFunction.monomial(0, t, field), field)
-            ok = ok and not d1_f(prime, off).is_zero()
-        rep.add("H^1", "free over k[Z]_(Z) on Omega^0_W(Z W^t), t <= 0; "
-                f"checked for |t| <= {truncation}", ok)
+        rep.add("H^1", {"Z": "free over k[W]_(W) on Omega^0_Z(Z^s W), s <= 0; "
+                        f"checked for |s| <= {truncation}",
+                        "W": "free over k[Z]_(Z) on Omega^0_W(Z W^t), t <= 0; "
+                        f"checked for |t| <= {truncation}"}[prime.kind], ok)
         rep.data["dims"] = {0: 0, 1: "infinite", 2: 0}
         return rep
     # irreducible f away from the axes: H^1 = ker(d1 on E_0(f));
@@ -308,11 +300,11 @@ def ext_power_of_max(n, field=QQ):
                                 in zip(box, cochains)])
     basis = sorted((s, t) for comb in kern for _, s, t in comb)
     inner = set(torsion_box(n - 1))
-    xs = [QuadPoly.var(v, field) for v in QuadPoly.VARS]
 
     def inward(key):
         e = omega_zw(*key, field)
-        return all(k in inner for x in xs for k in act(x, e).terms)
+        return all(k in inner for x in VAR.values()
+                   for k in e.monomial_act(*x).terms)
 
     rim = set(torsion_box(n + 1)) - set(box)
     sealed = all(map(inward, box)) and not any(map(inward, rim))
@@ -396,11 +388,11 @@ def _e2_relations(field):
     """ZV and WV at the cochain level: whether Z e_2 equals the coboundary
     pi0(Omega^0_0(Z^2 W)), and whether W e_2 = 0."""
     e2 = yoneda_rep(2, field).component(PrimeIndex.prime_w())
-    ze2 = ChainElement(2, {PrimeIndex.prime_w():
-                           act(QuadPoly.var("Z", field), e2)}, field)
+    ze2 = ChainElement(2, {PrimeIndex.prime_w(): e2.monomial_act(*VAR["Z"])},
+                       field)
     psi = E0Element({0: RationalFunction.monomial(2, 1, field)}, field, ())
     cob = delta(ChainElement(1, {PrimeIndex.zero(): psi}, field))
-    return ze2 == cob, act(QuadPoly.var("W", field), e2).is_zero()
+    return ze2 == cob, e2.monomial_act(*VAR["W"]).is_zero()
 
 
 def _ext_self_2(T, field):
@@ -443,9 +435,8 @@ def _ext_self_tail(i, T, field):
     e2i = gens[0]
     rep.add("cocycle", f"delta(e_{i}) = 0", delta(e2i).is_zero())
     rep.add("annihilators", "Z, W, X, Y all kill the representative",
-            all(act(QuadPoly.var(v, field),
-                    e2i.component(PrimeIndex.maximal(1))).is_zero()
-                for v in QuadPoly.VARS))
+            all(e2i.component(PrimeIndex.maximal(1)).monomial_act(*x).is_zero()
+                for x in VAR.values()))
     rep.data["annihilator"] = "p + AZ + AW"
     return rep
 
@@ -477,27 +468,27 @@ def yoneda_rep(i, field=QQ):
 _LIFT1_TOP = {"Z": (0, -1), "irr": (0, -1)}
 _LIFT1_BOTTOM = {"W": (-1, 0)}
 _LIFT2_BOTTOM = {"Z": (0, -1), "W": (-1, 0), "irr": (-1, -1)}
+# Stage 1 of the odd lift multiplies the argument of each height-one slot:
+# by W at Z, by Z at W and by ZW at f.
+_ODD_LIFT1 = {"Z": (0, 1), "W": (1, 0), "irr": (1, 1)}
 
 
 def yoneda_lift_stage(j, k, chain):
     """Stage k of the chain map lifting the augmentation onto e_j:
-    a map E^k -> E^{k+j}.  Stages 0 and 1 of the odd lift and stage 0 of
-    the even lift are written out from the commuting squares; stages 1 and
-    2 of the even lift are the twist tables above."""
+    a map E^k -> E^{k+j}.  Stage 0 of either lift is written out from the
+    commuting squares; stage 1 of the odd lift and stages 1 and 2 of the
+    even lift are the twist tables above."""
     field = chain.field
     if j == 0:
         return chain
     if j == 1:
         if k == 0:
             psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
-            zw = RationalFunction.monomial(1, 1, field)
-            return ChainElement(1, {PrimeIndex.zero(): psi0.mul_arg(zw)}, field)
+            return ChainElement(1, {PrimeIndex.zero():
+                                    psi0.monomial_act(0, 0, 1, 1)}, field)
         if k == 1:
-            # the twist of each height-one slot: W at Z, Z at W, ZW at f
-            twist = {"Z": (0, 1), "W": (1, 0), "irr": (1, 1)}
-            mono = RationalFunction.monomial
             return ChainElement(2, {
-                idx: el.mul_arg(mono(*twist[idx.kind], field))
+                idx: el.monomial_act(0, 0, *_ODD_LIFT1[idx.kind])
                 for idx, el in chain.terms.items() if idx.kind != "zero"},
                 field)
         raise UnsupportedIndex("the odd lift is hard-coded in stages 0 and 1 "
@@ -507,9 +498,8 @@ def yoneda_lift_stage(j, k, chain):
     if k == 0:
         psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
         # the twist 1/W for e_2, 1/(ZW) above
-        twist = RationalFunction.monomial(0 if j == 2 else -1, -1, field)
         pw = PrimeIndex.prime_w()
-        tw = _map_parts(psi0, pw, twist)
+        tw = _map_parts(psi0.monomial_act(0, 0, 0 if j == 2 else -1, -1), pw)
         if j == 2:
             return ChainElement(2, {pw: tw}, field)
         val = d1_f(pw, tw)
@@ -575,13 +565,12 @@ def yoneda_presentation_check(field=QQ):
         idx, coeff = step.index, step.coeff * coeff
         ok = ok and idx == 2 * npow and coeff == (-1) ** (npow + 1)
     rep.add("(-1)^(n+1) e_{2n} = e_2^n", "n = 2, 3, 4", ok)
-    e1 = yoneda_rep(1, field)
-    z1 = e1.component(PrimeIndex.zero()).monomial_act(0, 0, 1, 0)
+    e1 = yoneda_rep(1, field).component(PrimeIndex.zero())
     rep.add("ann(e_1) = p", "X, Y kill the cochain; Z e_1 has a nonzero E(0) "
             "slot, which no coboundary has",
-            e1.component(PrimeIndex.zero()).monomial_act(1, 0, 0, 0).is_zero()
-            and e1.component(PrimeIndex.zero()).monomial_act(0, 1, 0, 0).is_zero()
-            and not z1.is_zero())
+            e1.monomial_act(*VAR["X"]).is_zero()
+            and e1.monomial_act(*VAR["Y"]).is_zero()
+            and not e1.monomial_act(*VAR["Z"]).is_zero())
     return rep
 
 

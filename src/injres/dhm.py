@@ -11,8 +11,8 @@ one route for modules of finite length, run on the dual basis.
 
 from functools import cache
 
-from .ring import BivarPoly, QuadPoly, RationalFunction, QQ
-from .hulls import EZWElement, act, omega, omega_zw, torsion_box
+from .ring import BivarPoly, RationalFunction, QQ
+from .hulls import EZWElement, VAR, omega, omega_zw, torsion_box
 from .cohomology import hom_ext
 from . import linalg
 
@@ -52,8 +52,6 @@ _DEG2_SURVIVORS = {
     "w6": {("Z", "Z"): "u2"},
 }
 
-_VARS = ["X", "Y", "Z", "W"]
-
 # the 15 named homomorphisms spanning M', in the order the reports use
 DUAL_NAMES = [f"phi{i}" for i in range(1, 7)] + \
     ["phi13", "phi24", "phi35", "phi46",
@@ -72,14 +70,13 @@ def _act_vec(x, vec, field):
 
 class DHMModule:
     """The module M with its action table; invariants are verified on
-    construction.  The action of each variable on each basis vector and
-    the variables as QuadPoly are computed once, here."""
+    construction.  The action of each variable on each basis vector is
+    computed once, here."""
 
     def __init__(self, field=QQ):
         self.field = field
         self.table = {x: {b: _act_vec(x, {b: field.one}, field) for b in BASIS}
-                      for x in _VARS}
-        self.var = {x: QuadPoly.var(x, field) for x in _VARS}
+                      for x in VAR}
         self._verify()
 
     def act(self, x, vec):
@@ -95,8 +92,8 @@ class DHMModule:
         for b in BASIS:
             e = {b: one}
             # commutativity and the hypersurface relation XW = YZ
-            for x in _VARS:
-                for y in _VARS:
+            for x in VAR:
+                for y in VAR:
                     lhs = _act_vec(x, _act_vec(y, e, f), f)
                     rhs = _act_vec(y, _act_vec(x, e, f), f)
                     if lhs != rhs:
@@ -106,15 +103,15 @@ class DHMModule:
             if xw != yz:
                 raise InvariantViolation(f"XW != YZ on {b}")
             # m^3 = 0
-            for x in _VARS:
-                for y in _VARS:
-                    for z in _VARS:
+            for x in VAR:
+                for y in VAR:
+                    for z in VAR:
                         v = _act_vec(x, _act_vec(y, _act_vec(z, e, f), f), f)
                         if v:
                             raise InvariantViolation(f"m^3 does not kill {b}")
             # degree-2 survivors are exactly the listed ones
-            for x in _VARS:
-                for y in _VARS:
+            for x in VAR:
+                for y in VAR:
                     v = _act_vec(x, _act_vec(y, e, f), f)
                     key = tuple(sorted((x, y)))
                     want = _DEG2_SURVIVORS.get(b, {}).get(key)
@@ -155,11 +152,6 @@ class DHMHom(linalg.SparseVector):
         return self._like({name: v.monomial_act(a, b, c, d)
                            for name, v in self.terms.items()})
 
-    def mult(self, x):
-        """The A-action on Hom: (x Phi)(b) = x Phi(b)."""
-        q = QuadPoly.var(x, self.field)
-        return self._like({b: act(q, v) for b, v in self.terms.items()})
-
     def coords(self):
         vec = {}
         for b, v in self.terms.items():
@@ -170,13 +162,20 @@ class DHMHom(linalg.SparseVector):
     def is_hom(self):
         """Check Phi(x b) = x Phi(b) for all variables and basis vectors."""
         mod = module_over(self.field)
-        for x in _VARS:
+        for x in VAR:
             for b in BASIS:
                 lhs = self.apply(mod.act(x, b))
-                rhs = act(mod.var[x], self.value(b))
+                rhs = self.value(b).monomial_act(*VAR[x])
                 if not (lhs - rhs).is_zero():
                     return False
         return True
+
+
+def _divide(h, *xs):
+    """h with the Laurent operator 1/x applied for each x in xs in turn."""
+    for x in xs:
+        h = h.monomial_act(*(-e for e in VAR[x]))
+    return h
 
 
 def dhm_hom_space(prime, truncation=8, field=QQ):
@@ -200,15 +199,15 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
         # (x, b) -> {b': coefficient of b in x b'}
         preimages = {(x, b): {b2: c for b2 in BASIS
                               if (c := mod.act(x, b2).get(b))}
-                     for x in _VARS for b in BASIS}
+                     for x in VAR for b in BASIS}
         # constraint rows indexed by (variable, basis vector, EZW coordinate)
         pairs = []
         for b, key in unknowns:
             col = {}
             e = omega_zw(*key, field)
-            for x in _VARS:
+            for x in VAR:
                 # -x * Phi(b) lands in the rows of (x, b)
-                xe = act(mod.var[x], e)
+                xe = e.monomial_act(*VAR[x])
                 linalg._axpy(col, {(x, b, k2): c
                                    for k2, c in xe.terms.items()}, -1)
                 # +Phi(x b') wherever b appears in x b'
@@ -230,9 +229,6 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
         var = "W" if prime.kind == "Z" else "Z"
         if any(mod.act(var, mod.act(var, mod.act(var, b))) for b in BASIS):
             return None, []
-        e = (0, 1) if var == "W" else (1, 0)
-        fwd = RationalFunction.monomial(*e, field)
-        bwd = RationalFunction.monomial(-e[0], -e[1], field)
         mono = RationalFunction.monomial
         T = truncation
         ok = True
@@ -250,7 +246,7 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
                 gen = omega(prime, min(T, 2), arg, field)
                 if gen.is_zero():
                     continue
-                back = gen.mul_arg(fwd).mul_arg(bwd)
+                back = _divide(gen.monomial_act(*VAR[var]), var)
                 ok = ok and (back == gen)
         return (0 if ok else None), []
     raise TruncationTooSmall(f"unsupported prime {prime!r}")
@@ -266,14 +262,8 @@ def _extend_w_values(h, field):
         for w, image in table.items():
             b = next(iter(image))
             if w in W_NAMES and image == {b: 1} and b not in vals:
-                vals[b] = act(QuadPoly.var(x, field), h.value(w))
+                vals[b] = h.value(w).monomial_act(*VAR[x])
     return DHMHom(vals, field)
-
-
-_XINV = (-1, 0, 0, 0)
-_YINV = (0, -1, 0, 0)
-_ZINV = (0, 0, -1, 0)
-_WINV = (0, 0, 0, -1)
 
 
 def dhm_dual_basis(field=QQ):
@@ -286,24 +276,20 @@ def dhm_dual_basis(field=QQ):
     phi = {i: DHMHom({f"w{i}": omega_zw(0, 0, 0, field)}, field)
            for i in range(1, 7)}
     wvals = {f"phi{i}": phi[i] for i in range(1, 7)}
-    wvals["phi13"] = phi[1].monomial_act(*_XINV) + phi[3].monomial_act(*_ZINV)
-    wvals["phi24"] = phi[2].monomial_act(*_XINV) + phi[4].monomial_act(*_ZINV)
-    wvals["phi35"] = phi[3].monomial_act(*_XINV) + phi[5].monomial_act(*_ZINV)
-    wvals["phi46"] = phi[4].monomial_act(*_XINV) + phi[6].monomial_act(*_ZINV)
-    wvals["phi14"] = (phi[1].monomial_act(*_YINV) + phi[4].monomial_act(*_WINV)
-                      - phi[4].monomial_act(*_XINV))
-    wvals["phi25"] = (phi[2].monomial_act(*_YINV) + phi[5].monomial_act(*_WINV)
-                      + phi[5].monomial_act(*_XINV))
-    wvals["phi36"] = (phi[3].monomial_act(*_YINV) + phi[6].monomial_act(*_WINV)
-                      + phi[6].monomial_act(*_XINV))
-    wvals["phi135"] = (phi[1].monomial_act(*_WINV)
-                       + phi[1].monomial_act(*_XINV).monomial_act(*_XINV)
-                       + phi[3].monomial_act(*_XINV).monomial_act(*_ZINV)
-                       + phi[5].monomial_act(*_ZINV).monomial_act(*_ZINV))
-    wvals["phi246"] = (phi[2].monomial_act(*_WINV)
-                       + phi[2].monomial_act(*_XINV).monomial_act(*_XINV)
-                       + phi[4].monomial_act(*_XINV).monomial_act(*_ZINV)
-                       + phi[6].monomial_act(*_ZINV).monomial_act(*_ZINV))
+    wvals["phi13"] = _divide(phi[1], "X") + _divide(phi[3], "Z")
+    wvals["phi24"] = _divide(phi[2], "X") + _divide(phi[4], "Z")
+    wvals["phi35"] = _divide(phi[3], "X") + _divide(phi[5], "Z")
+    wvals["phi46"] = _divide(phi[4], "X") + _divide(phi[6], "Z")
+    wvals["phi14"] = (_divide(phi[1], "Y") + _divide(phi[4], "W")
+                      - _divide(phi[4], "X"))
+    wvals["phi25"] = (_divide(phi[2], "Y") + _divide(phi[5], "W")
+                      + _divide(phi[5], "X"))
+    wvals["phi36"] = (_divide(phi[3], "Y") + _divide(phi[6], "W")
+                      + _divide(phi[6], "X"))
+    wvals["phi135"] = (_divide(phi[1], "W") + _divide(phi[1], "X", "X")
+                       + _divide(phi[3], "X", "Z") + _divide(phi[5], "Z", "Z"))
+    wvals["phi246"] = (_divide(phi[2], "W") + _divide(phi[2], "X", "X")
+                       + _divide(phi[4], "X", "Z") + _divide(phi[6], "Z", "Z"))
     return {name: _extend_w_values(wv, field) for name, wv in wvals.items()}
 
 
@@ -319,8 +305,8 @@ def dhm_min_generators(named):
     total = red.rank
     mred = linalg.Reducer()
     for name in DUAL_NAMES:
-        for x in _VARS:
-            mred.add(named[name].mult(x).coords())
+        for x in VAR:
+            mred.add(named[name].monomial_act(*VAR[x]).coords())
     sub = mred.rank
     gens = ["phi14", "phi25", "phi36", "phi135", "phi246"]
     outside = [mred.add(named[g].coords()) for g in gens]

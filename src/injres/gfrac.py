@@ -40,7 +40,7 @@ class NotApplicable(Exception):
 
 class GeneralizedFraction:
     """Raw representation: numerator over an ordered list of powered
-    denominators.  numerator is a BivarPoly, QuadPoly or LocalFraction."""
+    denominators.  numerator is a BivarPoly or a LocalFraction."""
 
     def __init__(self, numerator, denominators):
         self.numerator = numerator

@@ -16,12 +16,14 @@ with the grade n:
 The A = k[X,Y,Z,W]/(XW-YZ)-action is monomial-generated: Z and W multiply
 the argument, X sends Omega^n(phi) to Omega^{n-1}(phi/W), Y to
 Omega^{n-1}(phi/Z); on EZW coordinates X^a Y^b Z^c W^d moves (n,s,t) to
-(n-a-b, s+c-b, t+d-a).  Laurent division operators (monomial_act with
-negative exponents) extend the same index arithmetic to negative powers
-without being inverse to multiplication.  A monomial acts by moving
-indices and exponents, never by re-expanding: act sums the monomial
-actions of a polynomial into one dict, and an axis element's mul_arg by a
-Laurent monomial is monomial_act.
+(n-a-b, s+c-b, t+d-a).  monomial_act(a, b, c, d) is the one way a monomial
+X^a Y^b Z^c W^d acts, on all five shapes, and VAR gives each variable's
+exponents.  Laurent division operators (negative exponents) extend the
+same index arithmetic to negative powers without being inverse to
+multiplication; a Laurent monomial Z^a W^b times the argument is
+monomial_act(0, 0, a, b).  A monomial acts by moving indices and
+exponents, never by re-expanding: act sums the monomial actions of a
+polynomial into one dict.
 
 A PrimeIndex names every hull: Zero, PrimeZ, PrimeW, Irr(f) and Maximal.
 PrimeIndex.height_one is the one classifier that decides whether a
@@ -35,6 +37,10 @@ from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ, adic_expand,
                    series_inverse_truncated, truncate)
 from .gfrac import H1Class, H4Canonical, BadDenominator
 from .linalg import SparseVector, _axpy
+
+
+# the exponents (a, b, c, d) of X^a Y^b Z^c W^d of each variable
+VAR = {v: tuple(int(u == v) for u in QuadPoly.VARS) for v in QuadPoly.VARS}
 
 
 class BadLocus(Exception):
@@ -135,10 +141,6 @@ class E0Element(SparseVector):
         return E0Element(_axpy(dict(self.terms), other.terms), self.field,
                          self.factors | other.factors)
 
-    def mul_arg(self, rf):
-        """Multiply every argument by a rational function."""
-        return self._like({n: p * rf for n, p in self.terms.items()})
-
     def monomial_act(self, a, b, c, d):
         # n -> n - a - b is injective, so no two parts land on one index
         mono = RationalFunction.monomial(c - b, d - a, self.field)
@@ -176,19 +178,6 @@ class _AxisElement(SparseVector):
             e = (m, 0) if self.AXIS == "Z" else (0, m)
             mono = RationalFunction.monomial(*e, self.field)
             out[n] = out.get(n, zero) + c * mono
-        return out
-
-    def mul_arg(self, rf):
-        """Multiply every argument by a rational function and re-expand.  A
-        Laurent monomial c Z^a W^b only moves the expansion: monomial_act."""
-        if len(rf.num.terms) == 1 and len(rf.den.terms) == 1:
-            ((p, q), cn), = rf.num.terms.items()
-            ((r, s), cd), = rf.den.terms.items()
-            out = self.monomial_act(0, 0, p - r, q - s)
-            return out if cn == cd else out.scale(cn / cd)
-        out = self._like({})
-        for n, phi in self.representatives().items():
-            out = out + type(self).from_argument(n, phi * rf, self.field)
         return out
 
     def monomial_act(self, a, b, c, d):
@@ -237,18 +226,13 @@ class EfElement(SparseVector):
         if self.f != other.f:
             raise BadLocus("elements at different primes")
 
-    def mul_arg(self, rf):
-        num, den = rf.num, rf.den
-        v = f_adic_valuation(den, self.f)
-        if v:
-            den = exact_divide(den, self.f ** v)
-        return self._like({n: p.scale(num, den, -v)
-                           for n, p in self.terms.items()})
-
     def monomial_act(self, a, b, c, d):
-        # n -> n - a - b is injective, so no two parts land on one index
-        num = BivarPoly.mono((c, d), 1, self.field)
-        den = BivarPoly.mono((b, a), 1, self.field)  # /W^a /Z^b
+        # the argument gains Z^(c-b) W^(d-a): positive exponents go to the
+        # numerator, negative ones to the denominator, which f does not
+        # divide; n -> n - a - b is injective, so no two parts collide
+        up = lambda e: max(e, 0)
+        num = BivarPoly.mono((up(c) + up(-b), up(d) + up(-a)), 1, self.field)
+        den = BivarPoly.mono((up(b) + up(-c), up(a) + up(-d)), 1, self.field)
         return self._like({n - a - b: p.scale(num, den)
                            for n, p in self.terms.items() if n >= a + b})
 
@@ -362,8 +346,8 @@ def socle_project(e):
 
 def is_socle(e):
     """True iff X.e = Y.e = 0."""
-    return e.monomial_act(1, 0, 0, 0).is_zero() and \
-        e.monomial_act(0, 1, 0, 0).is_zero()
+    return e.monomial_act(*VAR["X"]).is_zero() and \
+        e.monomial_act(*VAR["Y"]).is_zero()
 
 
 # --- EZW <-> H4 canonical coordinates ---------------------------------------

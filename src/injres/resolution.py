@@ -12,18 +12,19 @@ re-exported here:
 
 The differentials are assembled from d0 (argument-preserving), d1 (a
 case-by-case reduction into E(Z,W) coordinates) and the companion maps
-pi0, pi11, pi12 which precompose with argument multiplications.  d0 and
-pi0 have a slot at E(Z), at E(W) and at the prime of every factor an E(0)
-element carries (PrimeIndex.height_one).  pi11 and pi12 are tables of
-argument twists Z^a W^b, one per height-one slot kind, read by
-d1_twisted, as are stages 1 and 2 of the even Yoneda lift in cohomology.
+pi0, pi11, pi12, which first multiply the argument by a Laurent monomial
+Z^a W^b through monomial_act.  d0 and pi0 have a slot at E(Z), at E(W) and
+at the prime of every factor an E(0) element carries
+(PrimeIndex.height_one).  pi0, pi11 and pi12 are tables of these argument
+twists, one per slot kind; d1_twisted reads pi11 and pi12, as it does
+stages 1 and 2 of the even Yoneda lift in cohomology.
 """
 
-from .ring import (BivarPoly, QuadPoly, RationalFunction, LocalFraction, QQ,
+from .ring import (BivarPoly, RationalFunction, LocalFraction, QQ,
                    resultant_bezout, DegenerateResultant)
 from .gfrac import (H4Canonical, H1Class, denominator_memo, reduce_h2,
                     minimal_onto_rewrite)
-from .hulls import (E0Element, EfElement, EZWElement, PrimeIndex, act,
+from .hulls import (E0Element, EfElement, EZWElement, PrimeIndex, VAR,
                     act_series, omega, omega_zw, h4_to_ezw, BadLocus)
 from .linalg import Apart, SparseVector
 
@@ -82,13 +83,10 @@ def _slots(e0):
                          set(axes))
 
 
-def _map_parts(e0, prime, shift_rf=None):
-    """Apply Omega at the given prime to every argument of an E0Element,
-    optionally multiplying arguments by shift_rf first."""
+def _map_parts(e0, prime):
+    """Apply Omega at the given prime to every argument of an E0Element."""
     out = omega(prime, 0, BivarPoly.zero(e0.field), e0.field)
     for n, phi in e0.terms.items():
-        if shift_rf is not None:
-            phi = phi * shift_rf
         out = out + omega(prime, n, phi, e0.field)
     return out
 
@@ -144,19 +142,11 @@ def d1_f(prime, el):
     raise DegreeMismatch(f"d1 undefined at slot {prime!r}")
 
 
-def pi0(e0):
-    """E(0) -> sum_f E(f): d0_f on irreducible slots, d0_Z(arg/Z),
-    d0_W(arg/W) on the axis slots.  Lands in degree 2."""
-    mono = RationalFunction.monomial
-    field = e0.field
-    shifts = {"Z": mono(-1, 0, field), "W": mono(0, -1, field)}
-    return ChainElement(2, {idx: _map_parts(e0, idx, shifts.get(idx.kind))
-                            for idx in _slots(e0)}, field)
-
-
-# The argument twist (a, b), for Z^a W^b, of each height-one slot kind in
-# the two rows of delta on degree 2: pi11 lands in the first copy of
+# The argument twist (a, b), for Z^a W^b, of each height-one slot kind:
+# pi0 twists the axis slots and maps the irreducible ones untwisted.  In
+# the two rows of delta on degree 2, pi11 lands in the first copy of
 # E(Z,W), pi12 in the second.  _D1 is d1 itself.
+PI0 = {"Z": (-1, 0), "W": (0, -1)}
 PI11 = {"Z": (1, -1), "W": (0, 0), "irr": (0, -1)}
 PI12 = {"Z": (0, 0), "W": (-1, 1), "irr": (-1, 0)}
 _D1 = {"Z": (0, 0), "W": (0, 0), "irr": (0, 0)}
@@ -164,6 +154,15 @@ _D1 = {"Z": (0, 0), "W": (0, 0), "irr": (0, 0)}
 # f^triangle, the multiplier of delta on degree 1 at each height-one slot,
 # as the exponents (a, b, c, d) of X^a Y^b Z^c W^d: Y at Z, X at W, XW at f.
 _F_TRIANGLE = {"Z": (0, 1, 0, 0), "W": (1, 0, 0, 0), "irr": (1, 0, 0, 1)}
+
+
+def pi0(e0):
+    """E(0) -> sum_f E(f): d0_f on irreducible slots, d0_Z(arg/Z),
+    d0_W(arg/W) on the axis slots.  Lands in degree 2."""
+    return ChainElement(2, {
+        idx: _map_parts(e0.monomial_act(0, 0, *PI0[idx.kind])
+                        if idx.kind in PI0 else e0, idx)
+        for idx in _slots(e0)}, e0.field)
 
 
 def d1_twisted(chain, twists):
@@ -175,7 +174,7 @@ def d1_twisted(chain, twists):
         if idx.kind in twists:
             a, b = twists[idx.kind]
             if a or b:
-                el = el.mul_arg(RationalFunction.monomial(a, b, field))
+                el = el.monomial_act(0, 0, a, b)
             out = out + d1_f(idx, el)
     return out
 
@@ -186,8 +185,8 @@ def delta(chain):
     n = chain.degree
     if n == 0:
         psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
-        zw = act(QuadPoly.mono((1, 0, 0, 1), 1, field), psi0)
-        return d0(psi0) + ChainElement(1, {PrimeIndex.zero(): zw}, field)
+        xw = psi0.monomial_act(1, 0, 0, 1)
+        return d0(psi0) + ChainElement(1, {PrimeIndex.zero(): xw}, field)
     if n == 1:
         psi0 = chain.component(PrimeIndex.zero())
         comps = {idx: -el.monomial_act(*_F_TRIANGLE[idx.kind])
@@ -199,19 +198,19 @@ def delta(chain):
         return out
     if n == 2:
         psi_m = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
-        top = act(QuadPoly.var("X", field), psi_m) + d1_twisted(chain, PI11)
-        bot = act(QuadPoly.var("Y", field), psi_m) + d1_twisted(chain, PI12)
+        top = psi_m.monomial_act(*VAR["X"]) + d1_twisted(chain, PI11)
+        bot = psi_m.monomial_act(*VAR["Y"]) + d1_twisted(chain, PI12)
         return ChainElement(3, {PrimeIndex.maximal(0): top,
                                 PrimeIndex.maximal(1): bot}, field)
     p1 = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
     p2 = chain.component(PrimeIndex.maximal(1)) or EZWElement.zero(field)
-    X, Y, Zq, Wq = (QuadPoly.var(v, field) for v in QuadPoly.VARS)
+    x, y, z, w = VAR.values()
     if n % 2 == 1:
-        top = act(Wq, p1) + (-act(Zq, p2))
-        bot = (-act(Y, p1)) + act(X, p2)
+        top = p1.monomial_act(*w) + (-p2.monomial_act(*z))
+        bot = (-p1.monomial_act(*y)) + p2.monomial_act(*x)
     else:
-        top = act(X, p1) + act(Zq, p2)
-        bot = act(Y, p1) + act(Wq, p2)
+        top = p1.monomial_act(*x) + p2.monomial_act(*z)
+        bot = p1.monomial_act(*y) + p2.monomial_act(*w)
     return ChainElement(n + 1, {PrimeIndex.maximal(0): top,
                                 PrimeIndex.maximal(1): bot}, field)
 
@@ -295,16 +294,12 @@ def d0_preimage(chain):
         factors.add(idx.f)
         phi = phi + piece
         rem = rem - d0(E0Element({0: piece}, field, {idx.f}))
-    ez = rem.component(PrimeIndex.prime_z())
-    if ez is not None:
-        piece = ez.representatives().get(0, RationalFunction.const(0, field))
-        phi = phi + piece
-        rem = rem - d0(E0Element({0: piece}, field, ()))
-    ew = rem.component(PrimeIndex.prime_w())
-    if ew is not None:
-        piece = ew.representatives().get(0, RationalFunction.const(0, field))
-        phi = phi + piece
-        rem = rem - d0(E0Element({0: piece}, field, ()))
+    for axis in (PrimeIndex.prime_z(), PrimeIndex.prime_w()):
+        el = rem.component(axis)
+        if el is not None:
+            piece = el.representatives().get(0, RationalFunction.const(0, field))
+            phi = phi + piece
+            rem = rem - d0(E0Element({0: piece}, field, ()))
     if not rem.is_zero():
         raise ValueError("element is not in the image of d0")
     return E0Element({0: phi}, field, factors)

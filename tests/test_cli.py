@@ -258,15 +258,18 @@ def test_field_3_passes():
     ("dhm-7", ["--field", "7", "dhm"]),
     ("verify-all-Q", ["verify-all"]),
     ("verify-all-7", ["--field", "7", "verify-all"]),
+    ("verify-all-Q-seed5", ["--seed", "5", "verify-all"]),
+    ("verify-all-7-seed5", ["--field", "7", "--seed", "5", "verify-all"]),
     ("ext-power-Q-8", ["ext-power", "--n", "8"]),
     ("ext-power-7-8", ["--field", "7", "ext-power", "--n", "8"]),
 ])
 def test_report_matches_golden_text(name, argv):
     # tests/golden/<name>.txt is the text report `injres <argv>` printed
     # before Ext was read off resolution.delta (ext-self, dhm), before
-    # the F_p ring kernel moved to machine integers (verify-all) and before
+    # the F_p ring kernel moved to machine integers (verify-all), before
     # Ext^2(A/m^n, A/p) became the kernel of delta on a torsion box
-    # (ext-power)
+    # (ext-power) and before every monomial acted through monomial_act
+    # (verify-all at seed 5)
     code, out = run(argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
@@ -357,9 +360,10 @@ def test_exit_code_reflects_failures(monkeypatch):
 
 def test_ext_power_leak_is_a_fail_line(monkeypatch):
     # an action that kills everything lets the neighbouring indices leak
-    # through the annihilator conditions; the basis line reports it
+    # through the annihilator conditions; the basis line reports it.  Each
+    # variable read as X^9 kills every index of the box.
     from injres import cohomology
-    monkeypatch.setattr(cohomology, "act", lambda q, e: e - e)
+    monkeypatch.setattr(cohomology, "VAR", dict.fromkeys("XYZW", (9, 0, 0, 0)))
     code, out = run(["ext-power", "--n", "2"])
     assert code == 1, out
     assert "  [FAIL] basis: " in out, out
@@ -412,10 +416,10 @@ def test_the_ext_line_rests_on_the_hom_checks(monkeypatch):
 
 def test_hom_space_verdicts_fail_lines_instead_of_raising(monkeypatch):
     from injres import dhm, hulls
-    # an E(f) argument multiplication that drops its argument: the left
-    # inverse fails at every irreducible slot, and only there
-    monkeypatch.setattr(hulls.EfElement, "mul_arg",
-                        lambda self, rf: self._like({}))
+    # an E(f) monomial action that drops its argument: the left inverse
+    # fails at every irreducible slot, and only there
+    monkeypatch.setattr(hulls.EfElement, "monomial_act",
+                        lambda self, *exps: self._like({}))
     code, out = run(["--field", "7", "dhm", "--hom"])
     assert code == 1, out
     fails = [line for line in out.splitlines() if "[FAIL]" in line]

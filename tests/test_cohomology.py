@@ -3,7 +3,7 @@
 import pytest
 
 from injres.ring import BivarPoly, RationalFunction, parse_poly, QQ, Field
-from injres.hulls import omega_zw
+from injres.hulls import E0Element, omega_zw
 from injres.resolution import PrimeIndex, ChainElement, delta, iota0
 from injres.cohomology import (local_cohomology, ext_power_of_max, ext_self,
                                hom_ext, yoneda_rep, yoneda_lift_stage,
@@ -64,11 +64,16 @@ def test_yoneda_reps_are_cocycles():
 
 
 def test_lift_stages_commute_with_the_differential():
+    # besides the drawn chains, Omega^0_0(1/(Z+W)) has a pole along a pool
+    # prime, so its image under delta has an irreducible slot
     rng = samples.rng_from_seed(42)
+    f = samples.irr_pool()[0]
+    pole = ChainElement(0, {PrimeIndex.zero(): E0Element(
+        {0: RationalFunction(BivarPoly.const(1), f)}, QQ, {f})})
     stages = [(1, 0), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2)]
     for j, k in stages:
-        for _ in range(4):
-            ch = samples.random_chain(rng, k)
+        chains = [samples.random_chain(rng, k) for _ in range(4)]
+        for ch in chains + [pole] * (k == 0):
             dl = delta(yoneda_lift_stage(j, k, ch))
             ld = yoneda_lift_stage(j, k + 1, delta(ch))
             assert (dl - ld).is_zero(), (j, k)

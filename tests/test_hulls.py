@@ -253,9 +253,15 @@ FIELDS = [QQ, Field(3), Field(7)]
 
 
 def _reexpanded(e, rf):
-    """e.mul_arg(rf) by the general route: every stored truncation times rf,
-    reduced by the full gcd, and expanded again."""
+    """Every argument of e times rf by the general route: each part's
+    argument times rf, reduced by the full gcd, and built again, by
+    expansion on an axis and by EfElement.from_argument at an f."""
     out = e._like({})
+    if isinstance(e, EfElement):
+        for n, c in e.terms.items():
+            arg = RationalFunction(c.g * rf.num, c.h * c.f ** c.s * rf.den)
+            out = out + EfElement.from_argument(e.f, n, arg, e.field)
+        return out
     for n, phi in e.representatives().items():
         arg = RationalFunction(phi.num * rf.num, phi.den * rf.den)
         out = out + type(e).from_argument(n, arg, e.field)
@@ -263,20 +269,28 @@ def _reexpanded(e, rf):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
-@pytest.mark.parametrize("axis", ["Z", "W"])
-def test_axis_mul_arg_by_a_monomial_equals_the_reexpansion(field, axis):
+@pytest.mark.parametrize("ftext", ["Z", "W"] + samples.IRR_POOL_TEXT)
+def test_monomial_act_by_a_laurent_monomial_equals_the_reexpansion(field,
+                                                                   ftext):
+    # c Z^a W^b times the argument is monomial_act(0, 0, a, b) scaled by c,
+    # with exponents of either sign, on E(Z), E(W) and E(f) alike
     rng = samples.rng_from_seed(17)
-    prime = PrimeIndex(axis)
-    elements = [samples.random_axis(rng, prime, field) for _ in range(6)]
-    # arguments with a pole along the axis, so the expansion starts below 0
+    prime = PrimeIndex.height_one(parse_poly(ftext, field=field))
+    elements = [samples.random_hull_element(rng, prime, field)
+                for _ in range(6)]
+    # arguments with a pole along Z or W, so an axis expansion starts below
+    # 0 and an E(f) denominator carries an axis variable
     num, unit = (parse_poly(t, field=field) for t in ("Z-2*W", "1+Z+W"))
-    pole = BivarPoly.var(axis, field) ** 2 * unit
+    pole = BivarPoly.var("W" if ftext == "W" else "Z", field) ** 2 * unit
+    if prime.kind == "irr":
+        pole = pole * prime.f
     elements.append(omega(prime, 3, RationalFunction(num, pole), field))
     for e in elements:
         for a, b, c in [(1, 0, 1), (-2, 1, 1), (0, -1, 3), (2, 2, -1),
                         (-1, -3, Fraction(1, 2))]:
             m = RationalFunction.monomial(a, b, field) * field.of(c)
-            assert e.mul_arg(m) == _reexpanded(e, m), (e, a, b, c)
+            got = e.monomial_act(0, 0, a, b).scale(field.of(c))
+            assert got == _reexpanded(e, m), (e, a, b, c)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)

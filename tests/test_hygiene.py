@@ -6,7 +6,8 @@ referenced somewhere in src/ or tests/, every public one and every public
 method by the program itself, every parameter with a default must be set
 by some call, and every command-line flag must be read by the CLI.  Only
 ring.py reads how a coefficient is stored, only a PrimeIndex names a hull,
-and only resolution.py applies d1 to a twisted argument.
+only resolution.py applies d1 to a twisted argument, and every monomial
+acts through monomial_act.
 """
 
 import ast
@@ -252,9 +253,32 @@ def test_only_resolution_applies_d1_to_a_twisted_argument():
              if isinstance(node, ast.Call)
              and _call_name(node.func, None) == "d1_f"
              and any(isinstance(arg, ast.Call)
-                     and _call_name(arg.func, None) == "mul_arg"
+                     and _call_name(arg.func, None) == "monomial_act"
                      for arg in node.args)]
-    assert not found, "d1_f of a mul_arg outside resolution.py: " + \
+    assert not found, "d1_f of a monomial_act outside resolution.py: " + \
+        ", ".join(found)
+
+
+def test_every_monomial_acts_through_monomial_act():
+    # a monomial acts on a hull element only by monomial_act, with the
+    # exponents of hulls.VAR for a variable: no second operator mul_arg,
+    # and no one-term QuadPoly built to be looped over by act
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.FunctionDef) and node.name == "mul_arg":
+                found.append(f"{path.name}:{node.lineno} def mul_arg")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if _call_name(func, None) == "mul_arg":
+                found.append(f"{path.name}:{node.lineno} mul_arg(...)")
+            if isinstance(func, ast.Attribute) and \
+                    func.attr in ("var", "mono") and \
+                    isinstance(func.value, ast.Name) and \
+                    func.value.id == "QuadPoly":
+                found.append(f"{path.name}:{node.lineno} QuadPoly.{func.attr}")
+    assert not found, "a monomial acting around monomial_act: " + \
         ", ".join(found)
 
 
