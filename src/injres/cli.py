@@ -4,6 +4,13 @@ Subcommands run the computational suites and emit deterministic reports
 (text or JSON); the exit code is 0 exactly when every check in scope
 passed.  All randomness is driven by --seed, which is echoed in the report
 header, so reports are byte-identical across runs with the same flags.
+
+`injres reduce` is one fresh process per query, so this module imports only
+the reduction path at load time: ring, linalg, gfrac, the oracle, and the
+report type with its UsageError.  Every other command first binds the
+verification layers (hulls, resolution, cohomology, dhm and samples) in
+_load_verification_layers, its one import point.  A bad input raises
+UsageError, or one of its subclasses in the layers, and exits with code 2.
 """
 
 import argparse
@@ -19,20 +26,16 @@ from .gfrac import (GeneralizedFraction, H2Canonical, reduce_h2, h4_reduce,
                     h2_canonical_fraction, minimal_onto_rewrite,
                     denominator_memo, NotSystemOfParameters)
 from .oracle import cech_equal
-from .hulls import is_socle, socle_project, omega_zw
-from .resolution import (PrimeIndex, delta, d0, d1_f, d0_preimage,
-                         surjectivity_witness)
-from .cohomology import (CohomologyReport, local_cohomology,
-                         ext_power_of_max, ext_self, yoneda_product,
-                         yoneda_presentation_check, bass_numbers, BadIdeal)
-from . import dhm as dhm_mod
-from . import samples
+from .report import CohomologyReport, UsageError
 
 SCHEMA = "injres-report/1"
 
 
-class UsageError(Exception):
-    pass
+def _load_verification_layers():
+    """Bind the layers that every command but reduce runs as globals of
+    this module; the first call imports them."""
+    global hulls, resolution, cohomology, dhm, samples
+    from . import hulls, resolution, cohomology, dhm, samples
 
 
 def _parse_field(text):
@@ -196,12 +199,14 @@ def suite_resolution(field, seed, count):
                            {"samples per degree": count})
     for deg in range(0, 7):
         bad = sum(1 for _ in range(count)
-                  if not delta(delta(samples.random_chain(rng, deg, field))).is_zero())
+                  if not resolution.delta(resolution.delta(
+                      samples.random_chain(rng, deg, field))).is_zero())
         rep.add(f"degree {deg}", f"{count - bad}/{count} samples", bad == 0)
     out.append(rep)
 
     rep = CohomologyReport("socle law: X e = Y e = 0 iff e is its own "
                            "socle projection", {"samples per hull": count})
+    PrimeIndex = hulls.PrimeIndex
     primes = [PrimeIndex.zero(), PrimeIndex.prime_z(), PrimeIndex.prime_w(),
               PrimeIndex.irr(samples.irr_pool(field)[0]),
               PrimeIndex.maximal()]
@@ -209,7 +214,7 @@ def suite_resolution(field, seed, count):
         bad = 0
         for _ in range(count):
             e = samples.random_hull_element(rng, p, field)
-            if is_socle(e) != (e == socle_project(e)):
+            if hulls.is_socle(e) != (e == hulls.socle_project(e)):
                 bad += 1
         rep.add(f"hull at {p.kind}", f"{count - bad}/{count} samples", bad == 0)
     out.append(rep)
@@ -221,20 +226,23 @@ def suite_resolution(field, seed, count):
         ok = True
         for s in range(-3, 1):
             for t in range(-3, 1):
-                w = surjectivity_witness(p, s, t, field)
-                ok = ok and (d1_f(p, w) == omega_zw(0, s, t, field))
+                w = resolution.surjectivity_witness(p, s, t, field)
+                ok = ok and (resolution.d1_f(p, w) ==
+                             hulls.omega_zw(0, s, t, field))
         rep.add(f"prime {p.kind}", "all s,t in [-3,0]", ok)
     out.append(rep)
 
     rep = CohomologyReport("socle-row exactness spot checks",
                            {"samples": count})
     # zero images are skipped; a line with fewer than count images fails
-    draws = (d0(samples.random_socle_e0(rng, field)) for _ in range(4 * count))
+    draws = (resolution.d0(samples.random_socle_e0(rng, field))
+             for _ in range(4 * count))
     images = list(islice(filter(None, draws), count))
     bad = count - len(images)
     for img in images:
         try:
-            if not (d0(d0_preimage(img)) - img).is_zero():
+            if not (resolution.d0(resolution.d0_preimage(img))
+                    - img).is_zero():
                 bad += 1
         except ValueError:
             bad += 1
@@ -252,14 +260,14 @@ def suite_lc(ideal_text, field, trunc):
                     for _, t in split_top(ideal_text, ",")]
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad ideal {ideal_text!r}: {exc}") from None
-    return [local_cohomology(gens, truncation=trunc, field=field)]
+    return [cohomology.local_cohomology(gens, truncation=trunc, field=field)]
 
 
 def suite_ext_power(n, field):
     if n < 1:
         raise UsageError(f"--n must be >= 1, got {n}")
     rep = CohomologyReport(f"Ext^2(A/m^{n}, A/p)")
-    basis, sealed = ext_power_of_max(n, field)
+    basis, sealed = cohomology.ext_power_of_max(n, field)
     rep.add("dimension", f"{len(basis)} = {n}({n}+1)/2",
             2 * len(basis) == n * (n + 1))
     rep.add("basis", " ".join(f"Omega^0(Z^{s} W^{t})" for s, t in basis),
@@ -269,7 +277,8 @@ def suite_ext_power(n, field):
 
 
 def suite_ext_self(indices, field, trunc):
-    return [ext_self(i, truncation=trunc, field=field) for i in indices]
+    return [cohomology.ext_self(i, truncation=trunc, field=field)
+            for i in indices]
 
 
 def suite_yoneda(field):
@@ -281,7 +290,7 @@ def suite_yoneda(field):
         (4, 4): (8, -1), (2, 6): (8, -1),
     }
     for (i, j), (idx, coeff) in sorted(expected.items()):
-        got = yoneda_product(i, j, field)
+        got = cohomology.yoneda_product(i, j, field)
         if coeff == 0:
             ok = got.is_zero()
             rep.add(f"e_{i} x e_{j}", "0", ok)
@@ -289,7 +298,7 @@ def suite_yoneda(field):
             ok = (not got.is_zero()) and got.index == idx and got.coeff == coeff
             sign = "-" if coeff < 0 else ""
             rep.add(f"e_{i} x e_{j}", f"{sign}e_{idx}", ok)
-    return [rep, yoneda_presentation_check(field)]
+    return [rep, cohomology.yoneda_presentation_check(field)]
 
 
 def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
@@ -297,11 +306,11 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
     if "ext" in what or "dual" in what:
         # one dual basis for both reports, each member checked once; the
         # Ext dims rest on it, so a failed check fails that line too
-        named = dhm_mod.dhm_dual_basis(field)
+        named = dhm.dhm_dual_basis(field)
         hom_ok = {name: h.is_hom() for name, h in named.items()}
     if "ext" in what:
         rep = CohomologyReport("Ext^i(M, A/p) dimensions")
-        dims = dhm_mod.dhm_ext(max_i, named, field)
+        dims = dhm.dhm_ext(max_i, named, field)
         want = [0, 0, 6, 7] + [0] * max(0, max_i - 3)
         rep.add("dims", ",".join(str(d) for d in dims),
                 all(hom_ok.values()) and dims == want[:max_i + 1])
@@ -311,7 +320,7 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
         rep = CohomologyReport("dual module M' = Hom(M, E(Z,W))")
         for name in sorted(named):
             rep.add(name, "hom conditions", hom_ok[name])
-        info = dhm_mod.dhm_min_generators(named)
+        info = dhm.dhm_min_generators(named)
         rep.add("dimension", info["dim"], info["dim"] == 15)
         rep.add("minimal generators",
                 f"{info['min_generators']} ({' '.join(info['generators'])})",
@@ -320,15 +329,16 @@ def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
     if "hom" in what:
         rep = CohomologyReport("Hom(M, E(q)) at height-one primes",
                                {"truncations": [trunc, trunc + 1]})
+        PrimeIndex = hulls.PrimeIndex
         targets = [PrimeIndex.prime_z(), PrimeIndex.prime_w()] + \
             [PrimeIndex.irr(f) for f in samples.irr_pool(field)]
         for p in targets:
             label = p.kind if p.kind != "irr" else f"irr {format_poly(p.f)}"
-            dims = [dhm_mod.dhm_hom_space(p, truncation=T, field=field)[0]
+            dims = [dhm.dhm_hom_space(p, truncation=T, field=field)[0]
                     for T in (trunc, trunc + 1)]
             rep.add(label, f"dims {dims[0]}, {dims[1]}", dims == [0, 0])
-        d, homs = dhm_mod.dhm_hom_space(PrimeIndex.maximal(), truncation=trunc,
-                                        field=field)
+        d, homs = dhm.dhm_hom_space(PrimeIndex.maximal(), truncation=trunc,
+                                    field=field)
         rep.add("maximal", f"dim {d}",
                 d == 15 and all(h.is_hom() for h in homs))
         out.append(rep)
@@ -339,7 +349,7 @@ def suite_bass(field):
     rep = CohomologyReport("Bass numbers: at p and the height-one primes "
                            "from the resolution terms, at m as "
                            "dim Ext^i(k, A/p)")
-    table = bass_numbers(field=field)
+    table = cohomology.bass_numbers(field=field)
     want = {"p = (X,Y)": (1, 1, 0, 0, 0, 0, 0),
             "height-one primes (X,Y,f)": (0, 1, 1, 0, 0, 0, 0),
             "m = (X,Y,Z,W)": (0, 0, 1, 2, 2, 2, 2)}
@@ -464,6 +474,7 @@ def _suites(args, field):
     n = args.samples
     if args.command == "reduce":
         return suite_reduce(args.expr, field)
+    _load_verification_layers()
     if args.command == "resolution-check":
         return suite_resolution(field, args.seed, 25 if n is None else n)
     if args.command == "lc":
@@ -507,7 +518,7 @@ def run_command(argv, stream=None):
         field = _parse_field(args.field)
         with denominator_memo():
             reports = _suites(args, field)
-    except (UsageError, BadIdeal, dhm_mod.TruncationTooSmall) as exc:
+    except UsageError as exc:
         stream.write(f"error: {exc}\n")
         return 2
     cfg = {"field": args.field, "seed": args.seed, "trunc": args.trunc,

@@ -25,41 +25,16 @@ from .hulls import (E0Element, EZWElement, PrimeIndex, VAR, act, omega,
                     omega_zw, is_socle, torsion_box)
 from .resolution import (ChainElement, d0, d1_f, d1_twisted, pi0, delta,
                          iota0, legal_kinds, max_copies, _map_parts)
+from .report import CohomologyReport, UsageError
 from . import linalg
 
 
-class BadIdeal(Exception):
+class BadIdeal(UsageError):
     pass
 
 
 class UnsupportedIndex(Exception):
     pass
-
-
-class CohomologyReport:
-    """A titled list of (label, detail, ok) verification lines."""
-
-    def __init__(self, title, data=None):
-        self.title = title
-        self.lines = []
-        self.data = data or {}
-
-    def add(self, label, detail, ok=True):
-        self.lines.append((label, str(detail), bool(ok)))
-
-    @property
-    def passed(self):
-        return all(ok for _, _, ok in self.lines)
-
-    def render(self):
-        out = [self.title]
-        for label, detail, ok in self.lines:
-            mark = "ok" if ok else "FAIL"
-            out.append(f"  [{mark}] {label}: {detail}")
-        return "\n".join(out)
-
-    def __repr__(self):
-        return self.render()
 
 
 class YonedaClass:

@@ -14,6 +14,7 @@ from functools import cache
 from .ring import BivarPoly, RationalFunction, QQ
 from .hulls import EZWElement, VAR, omega, omega_zw, torsion_box
 from .cohomology import hom_ext
+from .report import UsageError
 from . import linalg
 
 
@@ -21,7 +22,7 @@ class InvariantViolation(Exception):
     pass
 
 
-class TruncationTooSmall(Exception):
+class TruncationTooSmall(UsageError):
     pass
 
 
@@ -184,10 +185,13 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
 
     Maximal: solved exactly on the m^3-torsion subspace of E(Z,W).  The
     basis is not checked here: the caller checks each member with
-    DHMHom.is_hom.  Height-one primes: zero, shown by exhibiting a left
-    inverse of the multiplication that M is torsion against (so the hull
-    has no m^3-torsion); returns (0, []), or (None, []) when M is not
-    torsion against that variable or the inverse fails on the box.
+    DHMHom.is_hom.  Height-one primes: zero, as M is torsion against the
+    variable that is a unit at the prime, and that variable kills no
+    element of the hull.  On a box of generators Omega^n(argument) it must
+    move each one onto the next of its row, built by omega from the
+    argument times the variable: so it kills no generator of the box and
+    merges no two.  Returns (0, []), or (None, []) when M is not torsion
+    against that variable or a generator of the box is not moved so.
     """
     if truncation < 2:
         raise TruncationTooSmall("need truncation >= 2 to contain the "
@@ -229,26 +233,30 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
         var = "W" if prime.kind == "Z" else "Z"
         if any(mod.act(var, mod.act(var, mod.act(var, b))) for b in BASIS):
             return None, []
-        mono = RationalFunction.monomial
         T = truncation
-        ok = True
-        for a in range(-T, T + 1):
-            for bb in range(-T, 1):
-                if prime.kind == "Z":
-                    arg = mono(bb, a, field)
-                elif prime.kind == "W":
-                    arg = mono(a, bb, field)
-                else:
-                    num = BivarPoly.mono((max(a, 0), 0), 1, field)
-                    den = BivarPoly.mono((max(-a, 0), 0), 1, field) * \
-                        prime.f ** max(1, -bb)
-                    arg = RationalFunction(num, den, reduce=False)
-                gen = omega(prime, min(T, 2), arg, field)
-                if gen.is_zero():
-                    continue
-                back = _divide(gen.monomial_act(*VAR[var]), var)
-                ok = ok and (back == gen)
-        return (0 if ok else None), []
+
+        def generator(a, bb):
+            # the argument at (a, bb) is Z^bb W^a at Z, Z^a W^bb at W and
+            # Z^a / f^max(1, -bb) at f: var times it is the one at (a + 1, bb)
+            if prime.kind == "Z":
+                arg = RationalFunction.monomial(bb, a, field)
+            elif prime.kind == "W":
+                arg = RationalFunction.monomial(a, bb, field)
+            else:
+                num = BivarPoly.mono((max(a, 0), 0), 1, field)
+                den = BivarPoly.mono((max(-a, 0), 0), 1, field) * \
+                    prime.f ** max(1, -bb)
+                arg = RationalFunction(num, den, reduce=False)
+            return omega(prime, min(T, 2), arg, field)
+
+        for bb in range(-T, 1):
+            row = [generator(a, bb) for a in range(-T, T + 2)]
+            for gen, after in zip(row, row[1:]):
+                if gen:
+                    image = gen.monomial_act(*VAR[var])
+                    if not image or image != after:
+                        return None, []
+        return 0, []
     raise TruncationTooSmall(f"unsupported prime {prime!r}")
 
 

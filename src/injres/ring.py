@@ -299,7 +299,7 @@ class Poly:
             if len(mono.terms) == 1:
                 # a monomial moves the other side's exponents; the keys keep
                 # that side's order, as in the general loop
-                (k0, c0), = _plain(mono).items()
+                k0, c0 = _plain_term(mono)
                 return rest.shift(k0, c0)
         # plain numbers summed per output term, normalized once at the end
         acc = {}
@@ -379,6 +379,16 @@ def _plain(f):
     return out
 
 
+def _plain_term(f):
+    """The one term of a one-term f as (exponent, plain number), as _plain
+    reads it, with no dict built over F_p."""
+    (term,) = f.terms.items()
+    if not f.field.char:
+        return term
+    k, c = term
+    return k, c.v
+
+
 def _terms(vals, field):
     """The nonzero coefficients of an {exponent: plain number} dict, in its
     order: over F_p each number is reduced mod p and wrapped as Fp."""
@@ -412,18 +422,19 @@ def exact_divide(g, f):
     if f.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p = g.field.char
-    fv = _plain(f)
-    lt_f = max(fv)
-    # the plain inverse of the leading coefficient; pow(v, -1, None) is 1/v
-    # over Q
-    inv = pow(fv[lt_f], -1, p or None)
-    if len(fv) == 1:
+    if len(f.terms) == 1:
         # a monomial divisor c*x^k: the quotient is g shifted by x^-k and
-        # scaled by 1/c, the loop's quotient with no remainder to update
+        # scaled by 1/c, the loop's quotient with no remainder to update;
+        # pow(c, -1, None) is 1/c over Q
+        k, c = _plain_term(f)
         try:
-            return g.shift(tuple(-e for e in lt_f), inv)
+            return g.shift(tuple(-e for e in k), pow(c, -1, p or None))
         except NotDivisible:
             raise NotDivisible("{!r} does not divide {!r}", f, g) from None
+    fv = _plain(f)
+    lt_f = max(fv)
+    # the plain inverse of the leading coefficient
+    inv = pow(fv[lt_f], -1, p or None)
     # one {exponent: plain number} remainder updated in place; over F_p an
     # entry is reduced mod p only when it leads, and skipped if zero there
     rest = [(k, v) for k, v in fv.items() if k != lt_f]
@@ -741,8 +752,8 @@ class RationalFunction:
         if len(n2.terms) == 1 and len(d2.terms) == 1:
             # a Laurent monomial: both gcds below are monomials, read off
             # the orders, so n1 and d1 only shift and take one coefficient
-            ((p, q), a), = _plain(n2).items()
-            ((r, s), b), = _plain(d2).items()
+            (p, q), a = _plain_term(n2)
+            (r, s), b = _plain_term(d2)
             gz = min(n1.order_in("Z"), r) + min(p, d1.order_in("Z"))
             gw = min(n1.order_in("W"), s) + min(q, d1.order_in("W"))
             return RationalFunction(n1.shift((p - gz, q - gw), a),

@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from injres.ring import QQ, Field
 
 P = lambda t: parse_poly(t)
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -325,8 +329,7 @@ def _doubled(fn):
 @pytest.mark.parametrize("patches,line", [
     ([("resolution", "_d1_irr", _doubled)], "[FAIL] prime irr: "),
     ([("resolution", "_f_pure_rep", _doubled)], "[FAIL] d0 preimages: "),
-    ([("hulls", "socle_project", lambda fn: lambda e: e),
-      ("cli", "socle_project", lambda fn: lambda e: e)], "[FAIL] hull at "),
+    ([("hulls", "socle_project", lambda fn: lambda e: e)], "[FAIL] hull at "),
 ], ids=["witness", "d0-preimage", "socle-law"])
 def test_resolution_lines_can_fail(monkeypatch, patches, line):
     # a broken computation is reported on its own line, not as a traceback,
@@ -433,6 +436,27 @@ def test_hom_space_verdicts_fail_lines_instead_of_raising(monkeypatch):
     assert fails == ["  [FAIL] maximal: dim 15"], out
 
 
+@pytest.mark.parametrize("action", [
+    lambda self, *exps: self._like({}),  # kills every generator
+    lambda self, *exps: self,  # moves none: the old round trip passed it
+], ids=["zero", "identity"])
+def test_height_one_lines_fail_when_the_unit_variable_is_wrong(monkeypatch,
+                                                                action):
+    # the unit variable of each height-one hull, patched on the axis hulls
+    # E(Z), E(W) and the irreducible ones E(f); E(Z,W) keeps its action, so
+    # the maximal line still passes
+    from injres import hulls
+    monkeypatch.setattr(hulls._AxisElement, "monomial_act", action)
+    monkeypatch.setattr(hulls.EfElement, "monomial_act", action)
+    code, out = run(["--field", "7", "dhm", "--hom"])
+    assert code == 1, out
+    fails = [line for line in out.splitlines() if "[FAIL]" in line]
+    assert fails == ["  [FAIL] Z: dims None, None",
+                     "  [FAIL] W: dims None, None",
+                     "  [FAIL] irr Z + W: dims None, None",
+                     "  [FAIL] irr 6*Z^2 + W: dims None, None"], out
+
+
 def test_one_dhm_request_builds_the_dual_basis_once(monkeypatch):
     from injres import dhm
     build, is_hom, calls = dhm.dhm_dual_basis, dhm.DHMHom.is_hom, []
@@ -482,3 +506,56 @@ def test_the_parser_is_built_once():
     with pytest.raises(SystemExit) as exc:
         run(["ext-power"])
     assert exc.value.code == 2
+
+
+# One request as the first of a fresh interpreter: the other tests have
+# loaded every module of the package into this one, so only a fresh one
+# shows an import that a command misses.
+FRESH = """
+import io, json, sys
+from injres.cli import run_command
+buf = io.StringIO()
+code = run_command(json.loads(sys.argv[1]), buf)
+print(json.dumps([code, buf.getvalue(),
+                  sorted(m for m in sys.modules if m.startswith("injres."))]))
+"""
+
+VERIFICATION_LAYERS = {f"injres.{m}" for m in
+                       ("hulls", "resolution", "cohomology", "dhm", "samples")}
+
+
+def run_fresh(argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", FRESH, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "[1 / Z^2, W-3*Z]"],
+    ["--samples", "2", "resolution-check"],
+    ["lc", "--ideal", "Z,W"],
+    ["ext-power", "--n", "2"],
+    ["--trunc", "2", "ext-self", "--max-i", "2"],
+    ["yoneda"],
+    ["--trunc", "2", "dhm"],
+    ["--samples", "1", "--trunc", "2", "verify-all"],
+    ["lc", "--ideal", "W^2+W"],
+    ["--trunc", "1", "dhm"],
+], ids=lambda argv: " ".join(argv))
+def test_each_command_run_first_matches_the_in_process_run(argv):
+    # every command loads the layers it needs itself, and reduce loads none
+    # of the verification layers; the last two are usage errors raised
+    # inside the layers, which exit 2
+    argv = ["--field", "7"] + argv
+    code, out, loaded = run_fresh(argv)
+    assert [code, out] == list(run(argv)), out
+    assert code in (0, 2), out
+    if argv[2] == "reduce":
+        assert not VERIFICATION_LAYERS & set(loaded), loaded
+        assert {"injres.report", "injres.gfrac", "injres.oracle"} <= \
+            set(loaded), loaded
+    else:
+        assert VERIFICATION_LAYERS <= set(loaded), loaded

@@ -7,7 +7,8 @@ method by the program itself, every parameter with a default must be set
 by some call, and every command-line flag must be read by the CLI.  Only
 ring.py reads how a coefficient is stored, only a PrimeIndex names a hull,
 only resolution.py applies d1 to a twisted argument, and every monomial
-acts through monomial_act.
+acts through monomial_act.  cli.py imports only the reduction path at load
+time.
 """
 
 import ast
@@ -77,6 +78,23 @@ def test_every_private_definition_is_referenced():
             for name, line in _private_definitions(tree)
             if name not in referenced]
     assert not dead, "unreferenced private definitions: " + ", ".join(dead)
+
+
+def test_cli_loads_only_the_reduction_path():
+    # `injres reduce` is one fresh process per query, so cli's module-level
+    # imports take from the package only the reduction path and the report
+    # type; the verification layers are bound on a command's first use
+    allowed = {"ring", "linalg", "gfrac", "oracle", "report"}
+    taken = []
+    for node in _parse(PACKAGE / "cli.py").body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            taken += [node.module] if node.module else \
+                [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            taken += [alias.name.removeprefix(PACKAGE.name + ".")
+                      for alias in node.names
+                      if alias.name.split(".")[0] == PACKAGE.name]
+    assert not set(taken) - allowed, sorted(set(taken) - allowed)
 
 
 def test_every_cli_flag_is_read():
