@@ -301,7 +301,11 @@ def suite_yoneda(field):
     return [rep, cohomology.yoneda_presentation_check(field)]
 
 
-def suite_dhm(field, trunc, max_i=7, what=("ext", "dual", "hom")):
+# the reports of the dhm suite, all of which a bare `dhm` runs
+DHM_PARTS = ("ext", "dual", "hom")
+
+
+def suite_dhm(field, trunc, max_i, what):
     out = []
     if "ext" in what or "dual" in what:
         # one dual basis for both reports, each member checked once; the
@@ -363,17 +367,16 @@ def suite_bass(field):
 
 def suite_onto_rewrite(field):
     rep = CohomologyReport("onto-rewrite lemma")
+    z, w = BivarPoly.var("Z", field), BivarPoly.var("W", field)
+    # the right-hand side [1 / W^t, Z^s] does not depend on f
+    rhs = {(s, t): reduce_h2(BivarPoly.const(1, field), (w, t), (z, s))
+           for s in range(1, 5) for t in range(1, 5)}
     for text in ("Z+W", "Z+W^2", "W-Z^2"):
         f = parse_poly(text, BivarPoly, field)
         ok = True
-        for s in range(1, 5):
-            for t in range(1, 5):
-                g, ell = minimal_onto_rewrite(f, s, t)
-                lhs = reduce_h2(g, (BivarPoly.var("W", field), t), (f, ell))
-                rhs = reduce_h2(BivarPoly.const(1, field),
-                                (BivarPoly.var("W", field), t),
-                                (BivarPoly.var("Z", field), s))
-                ok = ok and lhs == rhs
+        for (s, t), want in rhs.items():
+            g, ell = minimal_onto_rewrite(f, s, t)
+            ok = ok and reduce_h2(g, (w, t), (f, ell)) == want
         rep.add(text, "all 1 <= s,t <= 4", ok)
     return [rep]
 
@@ -469,43 +472,57 @@ def _check_flags(args):
         raise UsageError(f"--i must be >= 0, got {args.i}")
 
 
-def _suites(args, field):
-    """The reports of one command."""
+def _calls(args, field):
+    """The suites of one command, as (suite, arguments) pairs."""
     n = args.samples
     if args.command == "reduce":
-        return suite_reduce(args.expr, field)
+        return [(suite_reduce, args.expr, field)]
     _load_verification_layers()
     if args.command == "resolution-check":
-        return suite_resolution(field, args.seed, 25 if n is None else n)
+        return [(suite_resolution, field, args.seed, 25 if n is None else n)]
     if args.command == "lc":
-        return suite_lc(args.ideal, field, args.trunc)
+        return [(suite_lc, args.ideal, field, args.trunc)]
     if args.command == "ext-power":
-        return suite_ext_power(args.n, field)
+        return [(suite_ext_power, args.n, field)]
     if args.command == "ext-self":
         idx = [args.i] if args.i is not None else list(range(args.max_i + 1))
-        return suite_ext_self(idx, field, args.trunc)
+        return [(suite_ext_self, idx, field, args.trunc)]
     if args.command == "yoneda":
-        return suite_yoneda(field)
+        return [(suite_yoneda, field)]
     if args.command == "dhm":
         what = tuple(w for w, on in
                      (("ext", args.ext), ("dual", args.dual),
-                      ("hom", args.hom)) if on) or ("ext", "dual", "hom")
-        return suite_dhm(field, min(args.trunc, 4), args.max_i, what)
+                      ("hom", args.hom)) if on) or DHM_PARTS
+        return [(suite_dhm, field, min(args.trunc, 4), args.max_i, what)]
     if args.command == "verify-all":
-        reports = []
-        reports += suite_oracle(field, args.seed, 50 if n is None else n)
-        reports += suite_resolution(field, args.seed, 10 if n is None else n)
-        for ideal in ("Z,W", "0", "Z"):
-            reports += suite_lc(ideal, field, args.trunc)
-        for k in range(1, 6):
-            reports += suite_ext_power(k, field)
-        reports += suite_ext_self(range(8), field, min(args.trunc, 5))
-        reports += suite_yoneda(field)
-        reports += suite_dhm(field, 3, 7)
-        reports += suite_bass(field)
-        reports += suite_onto_rewrite(field)
-        return reports
+        return [(suite_oracle, field, args.seed, 50 if n is None else n),
+                (suite_resolution, field, args.seed, 10 if n is None else n),
+                *((suite_lc, ideal, field, args.trunc)
+                  for ideal in ("Z,W", "0", "Z")),
+                *((suite_ext_power, k, field) for k in range(1, 6)),
+                (suite_ext_self, range(8), field, min(args.trunc, 5)),
+                (suite_yoneda, field),
+                (suite_dhm, field, 3, 7, DHM_PARTS),
+                (suite_bass, field),
+                (suite_onto_rewrite, field)]
     raise UsageError(args.command)  # pragma: no cover
+
+
+def _suites(args, field):
+    """The reports of one command.  A suite that raises anything but a
+    UsageError gives one failed report naming the exception, and the
+    suites after it still run."""
+    reports = []
+    for suite, *params in _calls(args, field):
+        try:
+            reports += suite(*params)
+        except UsageError:
+            raise
+        except Exception as exc:
+            rep = CohomologyReport(f"{suite.__name__} raised")
+            rep.add(type(exc).__name__, exc, False)
+            reports.append(rep)
+    return reports
 
 
 def run_command(argv, stream=None):

@@ -7,9 +7,13 @@ graded part of the hull, so Ext groups against A/p are cohomology of
 
 with the differentials induced by the resolution (the multiplication parts
 of delta die on socles).  Every differential is resolution.delta itself,
-applied to socle chains: Ext is the cohomology of delta on truncated
-coordinate boxes (linalg.box_cohomology), whose sizes are controlled by
-the truncation argument.
+applied to socle chains.  On chains of monomial terms delta keeps a Segre
+multidegree (A = k[s1t1, s1t2, s2t1, s2t2] is Z^4-graded), and a piece of
+one multidegree holds at most three socle chains of a degree.  So
+Ext^i(A/p, A/p) for i >= 2 takes the kernel of delta on a truncated
+coordinate box and reads the coboundaries only from the pieces that kernel
+occupies (linalg.box_cohomology); each of these reports checks the
+multidegree on every image it computes.
 
 Ext against a module M of finite length takes one route, hom_ext: Hom(M, -)
 sees only the copies of E(Z,W), so Ext^i(M, A/p) is the cohomology of
@@ -18,11 +22,13 @@ Hom(M, delta) on a basis of Hom(M, E(Z,W)).  The test module of dhm, A/m^n
 the Bass numbers at m) all go through it.
 """
 
+from functools import cache
+
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    bivar_gcd, divides, exact_divide, normalize_monic,
                    verify_irreducible, VERIFIED)
-from .hulls import (E0Element, EZWElement, PrimeIndex, VAR, act, omega,
-                    omega_zw, is_socle, torsion_box)
+from .hulls import (E0Element, EZElement, EWElement, EZWElement, PrimeIndex,
+                    VAR, act, omega, omega_zw, is_socle, torsion_box)
 from .resolution import (ChainElement, d0, d1_f, d1_twisted, pi0, delta,
                          iota0, legal_kinds, max_copies, _map_parts)
 from .report import CohomologyReport, UsageError
@@ -67,9 +73,12 @@ def _mono_coords(rf):
 
 
 def chain_coords(chain):
-    """Flatten a chain element into a sparse vector, exactly.  Axis-slot
-    coefficients must have monomial denominators (true on the boxes used
-    here); EZW slots are exact."""
+    """Flatten a chain element into a sparse vector, exactly.  A key is
+    (slot, copy, n, a, b): slot 0 is E(0) with argument Z^a W^b, slot 1 is
+    E(Z) with Z^a W^b, slot 2 is E(W) with W^a Z^b, and slot 3 copy c is
+    the c-th copy of E(Z,W) at Omega^n(Z^a W^b).  Arguments in E(0) and
+    axis-slot coefficients must have monomial denominators (true on the
+    boxes used here); EZW slots are exact."""
     vec = {}
 
     def put(key, c):
@@ -79,6 +88,10 @@ def chain_coords(chain):
         if idx.kind == "max":
             for (n, s, t), c in el.terms.items():
                 put((3, idx.copy, n, s, t), c)
+        elif idx.kind == "zero":
+            for n, phi in el.terms.items():
+                for (ez, ew), v in _mono_coords(phi):
+                    put((0, 0, n, ez, ew), v)
         elif idx.kind in ("Z", "W"):
             slot = 1 if idx.kind == "Z" else 2
             for (n, m), c in el.terms.items():
@@ -286,29 +299,178 @@ def ext_power_of_max(n, field=QQ):
     return basis, sealed
 
 
-# --- Ext^i(A/p, A/p) as cohomology of delta on boxes --------------------------
+# --- Segre multidegree of monomial socle chains -------------------------------
+#
+# A = k[s1t1, s1t2, s2t1, s2t2] is Z^4-graded, with deg X = (1,0,1,0),
+# deg Y = (1,0,0,1), deg Z = (0,1,1,0) and deg W = (0,1,0,1).  In E(0), E(Z),
+# E(W) and E(Z,W) alike Omega^n(Z^s W^t) has the raw degree
+# (-n, s+t-n, s-n, t-n), which each variable raises by its own degree.  A
+# term of a chain has the raw degree of its key plus the twist of its slot in
+# its degree (_twists), and on chains of monomial terms delta keeps that
+# multidegree: every Ext^i report with i >= 2 checks it on the images it
+# computes.  A piece of one multidegree holds at most one socle chain per
+# slot (_piece), so Ext splits into pieces of at most three chains.
+
+def _raw(key):
+    """The raw degree of a chain_coords key."""
+    slot, _, n, a, b = key
+    s, t = (b, a) if slot == 2 else (a, b)
+    return (-n, s + t - n, s - n, t - n)
+
+
+def _multidegree(degree, key, twists):
+    """The multidegree of one chain_coords key of a degree-n chain; None
+    when its slot has no twist."""
+    twist = twists.get((degree,) + key[:2])
+    if twist is None:
+        return None
+    (r0, r1, r2, r3), (w0, w1, w2, w3) = _raw(key), twist
+    return (r0 + w0, r1 + w1, r2 + w2, r3 + w3)
+
+
+def _slots(degree):
+    """The (slot, copy) of each monomial slot of the degree-n term, in the
+    numbering of chain_coords: E(0), E(Z), E(W) and the copies of E(Z,W).
+    E(f) at a non-monomial f is not graded."""
+    kinds = legal_kinds(degree)
+    return ([(0, 0)] * ("zero" in kinds) + [(1, 0), (2, 0)] * ("Z" in kinds)
+            + [(3, copy) for copy in range(max_copies(degree))])
+
+
+# the hull of each slot of chain_coords
+_SLOT_INDEX = {(0, 0): PrimeIndex.zero(), (1, 0): PrimeIndex.prime_z(),
+               (2, 0): PrimeIndex.prime_w(), (3, 0): PrimeIndex.maximal(0),
+               (3, 1): PrimeIndex.maximal(1)}
+
+
+def _monomial_chain(degree, slot, n, s, t, field):
+    """Omega^n(Z^s W^t) in one slot of the degree-n term; the zero chain
+    when the hull truncates it away.  On the axes the argument is its own
+    adic expansion: one power of the axis variable with a monomial
+    coefficient."""
+    mono = RationalFunction.monomial
+    kind = slot[0]
+    if kind == 0:
+        el = E0Element({n: mono(s, t, field)}, field, ())
+    elif kind == 1:
+        el = EZElement({(n, s): mono(0, t, field)}, field)
+    elif kind == 2:
+        el = EWElement({(n, t): mono(s, 0, field)}, field)
+    else:
+        el = omega_zw(n, s, t, field)
+    return ChainElement(degree, {_SLOT_INDEX[slot]: el}, field)
+
+
+def _follow(twists, degree, field):
+    """Add to twists those of the slots of degree n + 1.  delta is followed
+    on one reference chain Omega^1(Z^-1 W^-1) per slot of degree n, in slot
+    order, until every slot of degree n + 1 has a twist: the one that gives
+    the first image term landing there the multidegree of its reference.
+    Grade 1 keeps X and Y from killing the references, so E(0) in degree
+    1, which delta reaches from degree 0 only through XW, gets a twist
+    too."""
+    for slot in _slots(degree):
+        if all((degree + 1,) + s in twists for s in _slots(degree + 1)):
+            return
+        ref = _monomial_chain(degree, slot, 1, -1, -1, field)
+        (key,) = chain_coords(ref)
+        source = _multidegree(degree, key, twists)
+        if source is None:
+            continue
+        for k in sorted(chain_coords(delta(ref))):
+            twists.setdefault((degree + 1,) + k[:2], tuple(
+                d - r for d, r in zip(source, _raw(k))))
+
+
+@cache
+def _low_degrees(field):
+    """The twists of degrees 0..3, followed from E(0) in degree 0 with twist
+    0, and (chains, how many are off their multidegree) of delta on the
+    socle boxes of degrees 0..2 at truncation 1: the maps out of those
+    degrees, which the Ext pieces run on one chain (Ext^2) or on the
+    degree-2 axis chains only (Ext^3).  delta is a constant of the program,
+    so both are computed once per field."""
+    twists = {(0, 0, 0): (0, 0, 0, 0)}
+    for degree in range(3):
+        _follow(twists, degree, field)
+    boxes = [(degree, _images(_socle_box(degree, 1, field)))
+             for degree in range(3)]
+    return (twists, sum(len(pairs) for _, pairs in boxes),
+            sum(_off_degree(degree, pairs, twists) for degree, pairs in boxes))
+
+
+def _twists(top, field):
+    """{(degree, slot, copy): twist} for the monomial slots of degrees
+    0..top."""
+    twists = dict(_low_degrees(field)[0])
+    for degree in range(3, top):
+        _follow(twists, degree, field)
+    return twists
+
+
+def _piece(degree, mdeg, twists, field):
+    """The inverse of the multidegree on socle chains: the nonzero
+    Omega^0(Z^s W^t) of the degree-n term in multidegree mdeg, at most one
+    per slot."""
+    out = []
+    for slot in _slots(degree):
+        twist = twists.get((degree,) + slot)
+        if twist is None:
+            continue
+        n, st, s, t = (d - w for d, w in zip(mdeg, twist))
+        if n == 0 and st == s + t:
+            chain = _monomial_chain(degree, slot, 0, s, t, field)
+            if chain:
+                out.append(chain)
+    return out
+
+
+def _images(chains):
+    """(coordinates, coordinates of the image under delta) of each chain."""
+    return [(chain_coords(c), chain_coords(delta(c))) for c in chains]
+
+
+def _coboundaries(degree, vectors, twists, field):
+    """_images of the socle chains of the degree-n term in every piece that
+    a term of the degree-(n+1) coordinate vectors occupies."""
+    pieces = {_multidegree(degree + 1, k, twists) for vec in vectors
+              for k in vec}
+    return _images(c for mdeg in sorted(pieces - {None})
+                   for c in _piece(degree, mdeg, twists, field))
+
+
+def _off_degree(degree, pairs, twists):
+    """How many (chain, image) coordinate pairs of the degree-n term have a
+    chain of no single multidegree, or an image term off it."""
+    off = 0
+    for vec, img in pairs:
+        source = {_multidegree(degree, k, twists) for k in vec}
+        target = {_multidegree(degree + 1, k, twists) for k in img}
+        off += len(source) != 1 or None in source or not target <= source
+    return off
+
+
+def _homogeneity(rep, twists, degree_pairs, field):
+    """Add the line that checks delta's multidegree on the (degree, pairs)
+    given and on the low-degree boxes of _low_degrees."""
+    _, checked, off = _low_degrees(field)
+    for degree, pairs in degree_pairs:
+        checked += len(pairs)
+        off += _off_degree(degree, pairs, twists)
+    rep.add("delta multihomogeneous", f"on {checked} chains", off == 0)
+
+
+# --- Ext^i(A/p, A/p) as cohomology of delta on socle chains -------------------
 
 def _socle_box(degree, T, field):
-    """Socle chains spanning a box of the degree-n term: Omega^0_0(Z^a W^b)
-    at E(0) (|a|, |b| <= T), Omega^0 of Z^m W^w at E(Z) and of Z^w W^m at
-    E(W) (-T <= m <= 0, |w| <= T), and Omega^0(Z^s W^t) at each copy of
-    E(Z,W) (-T <= s, t <= 0).  The irreducible slots get no box."""
-    mono = RationalFunction.monomial
-    kinds = legal_kinds(degree)
-    comps = []
-    if "zero" in kinds:
-        comps += [{PrimeIndex.zero(): E0Element({0: mono(a, b, field)}, field, ())}
-                  for a in range(-T, T + 1) for b in range(-T, T + 1)]
-    if "Z" in kinds:  # E(Z) and E(W) are legal in the same degrees
-        pz, pw = PrimeIndex.prime_z(), PrimeIndex.prime_w()
-        for m in range(-T, 1):
-            for w in range(-T, T + 1):
-                comps.append({pz: omega(pz, 0, mono(m, w, field), field)})
-                comps.append({pw: omega(pw, 0, mono(w, m, field), field)})
-    comps += [{PrimeIndex.maximal(c): omega_zw(0, s, t, field)}
-              for c in range(max_copies(degree))
-              for s in range(-T, 1) for t in range(-T, 1)]
-    return [ChainElement(degree, comp, field) for comp in comps]
+    """The monomial socle chains Omega^0(Z^s W^t) spanning a box of the
+    degree-n term: |s|, |t| <= T at E(0); -T <= s <= 0, |t| <= T at E(Z);
+    |s| <= T, -T <= t <= 0 at E(W); -T <= s, t <= 0 at each copy of
+    E(Z,W).  The irreducible slots get no box."""
+    return [_monomial_chain(degree, slot, 0, s, t, field)
+            for slot in _slots(degree)
+            for s in range(-T, (0 if slot[0] in (1, 3) else T) + 1)
+            for t in range(-T, (0 if slot[0] in (2, 3) else T) + 1)]
 
 
 def _is_generator(i, field):
@@ -372,47 +534,74 @@ def _e2_relations(field):
 
 def _ext_self_2(T, field):
     rep = CohomologyReport("Ext^2(A/p, A/p)", {"dim": 1})
-    e2 = yoneda_rep(2, field)
-    rep.add("cocycle", "delta^2(e_2) = 0", delta(e2).is_zero())
-    # e_2 is not a coboundary: no monomial-box psi_0 satisfies pi0(psi_0)=e_2,
-    # and degree-1 axis slots contribute nothing to the f-slots on socles
-    images = [chain_coords(delta(c)) for c in _socle_box(1, T + 2, field)]
-    rep.add("not a coboundary",
-            f"checked against the degree-1 box at truncation {T + 2}",
-            not linalg.in_span(chain_coords(e2), images))
+    twists = _twists(3, field)
+    ((e2, image),) = pairs = _images([yoneda_rep(2, field)])
+    rep.add("cocycle", "delta^2(e_2) = 0", not image)
+    # e_2 is not the coboundary of a monomial chain: delta keeps the
+    # multidegree, so only the degree-1 chains of e_2's piece could hit it,
+    # in every truncation; degree-1 f-slots add nothing to the axis slots on
+    # socles
+    piece = _coboundaries(1, [e2], twists, field)
+    rep.add("not a coboundary", "checked against every degree-1 monomial "
+            f"socle chain of its multidegree ({len(piece)})",
+            not linalg.in_span(e2, [img for _, img in piece]))
     z_ok, w_ok = _e2_relations(field)
     rep.add("Z e_2 = pi0(Omega^0_0(Z^2 W)) at the cochain level", "", z_ok)
     rep.add("W e_2 = 0 at the cochain level", "", w_ok)
-    rep.add("generator", "e_2 = Omega^0_W(Z)", _is_generator(2, field))
+    rep.add("generator", "e_2 = Omega^0_W(Z)", bool(e2) and not image)
     rep.data["annihilator"] = "p + AZ + AW"
+    _homogeneity(rep, twists, [(2, pairs), (1, piece)], field)
     return rep
 
 
+def _ext_pieces(i, T, field):
+    """Ext^i(A/p, A/p) for i >= 2 on monomial socle chains: the kernel of
+    delta on the degree-i socle box at truncation T, against the images of
+    the degree-(i-1) chains of each piece that a kernel vector or e_i
+    occupies.  As delta keeps the multidegree, those are all the
+    coboundaries in those pieces, in every truncation.  Returns (kernel
+    rank, whether e_i is independent modulo the coboundaries, the number of
+    kernel classes outside the coboundaries and k*e_i, the twists, and the
+    (degree, coordinate pairs) of every chain whose image was computed)."""
+    twists = _twists(i + 1, field)
+    gens = [chain_coords(yoneda_rep(i, field))] if i % 2 == 0 else []
+    cochains = _images(_socle_box(i, T, field))
+    cycles = []
+    for comb in linalg.kernel_basis([(k, img) for k, (_, img)
+                                     in enumerate(cochains)]):
+        vec = {}
+        for k, c in comb.items():
+            linalg._axpy(vec, cochains[k][0], c)
+        cycles.append(vec)
+    images = _coboundaries(i - 1, cycles + gens, twists, field)
+    # each cocycle enters with a zero image, so it is its own kernel vector
+    rank, independent, outside = linalg.box_cohomology(
+        [(vec, {}) for vec in cycles], [img for _, img in images], gens)
+    return rank, independent, outside, twists, [(i, cochains),
+                                                (i - 1, images)]
+
+
 def _ext_self_tail(i, T, field):
-    """Ext^i for i >= 3, read off delta: its kernel on the two-copy socle box
-    at truncation T must lie in the delta-image of the degree-(i-1) socle
-    box at T+2 plus k*e_i.  Odd i have no generator and vanish; even i are
-    one-dimensional, generated by e_i = (0, Omega^0(1))."""
+    """Ext^i for i >= 3, read off delta by _ext_pieces: its kernel on the
+    two-copy socle box at truncation T must lie in the coboundaries of the
+    pieces it occupies plus k*e_i.  Odd i have no generator and vanish;
+    even i are one-dimensional, generated by e_i = (0, Omega^0(1))."""
     even = i % 2 == 0
     rep = CohomologyReport(f"Ext^{i}(A/p, A/p)", {"dim": int(even)})
-    gens = [yoneda_rep(i, field)] if even else []
-    rank, independent, outside = linalg.box_cohomology(
-        [(chain_coords(c), chain_coords(delta(c)))
-         for c in _socle_box(i, T, field)],
-        [chain_coords(delta(c)) for c in _socle_box(i - 1, T + 2, field)],
-        [chain_coords(g) for g in gens])
-    if not even:
+    rank, independent, outside, twists, computed = _ext_pieces(i, T, field)
+    if even:
+        rep.add("dimension 1", f"kernel covered by image + k*e_{i} on the "
+                f"box T={T}", independent and outside == 0)
+        e2i = yoneda_rep(i, field)
+        rep.add("cocycle", f"delta(e_{i}) = 0", delta(e2i).is_zero())
+        rep.add("annihilators", "Z, W, X, Y all kill the representative",
+                all(e2i.component(PrimeIndex.maximal(1))
+                    .monomial_act(*x).is_zero() for x in VAR.values()))
+        rep.data["annihilator"] = "p + AZ + AW"
+    else:
         rep.add("vanishing", f"kernel/image matched on the box T={T} "
                 f"(kernel rank {rank})", outside == 0)
-        return rep
-    rep.add("dimension 1", f"kernel covered by image + k*e_{i} on the box "
-            f"T={T}", independent and outside == 0)
-    e2i = gens[0]
-    rep.add("cocycle", f"delta(e_{i}) = 0", delta(e2i).is_zero())
-    rep.add("annihilators", "Z, W, X, Y all kill the representative",
-            all(e2i.component(PrimeIndex.maximal(1)).monomial_act(*x).is_zero()
-                for x in VAR.values()))
-    rep.data["annihilator"] = "p + AZ + AW"
+    _homogeneity(rep, twists, computed, field)
     return rep
 
 

@@ -493,10 +493,43 @@ def test_the_denominator_memo_lives_for_one_request(monkeypatch):
         assert gfrac._stages == {}
         raise RuntimeError("broken suite")
 
+    # a suite that raises fails its own line inside the request
     monkeypatch.setattr(cli, "suite_reduce", broken)
-    with pytest.raises(RuntimeError):
-        run(["reduce", "[1 / Z, W]"])
+    code, out = run(["reduce", "[1 / Z, W]"])
+    assert code == 1 and "[FAIL] RuntimeError: broken suite" in out, out
     assert gfrac._stages is None
+
+
+def test_a_suite_that_raises_fails_one_line_and_the_others_run(monkeypatch):
+    import injres.cli as cli
+    from injres.hulls import NotInEZW
+    from injres.resolution import DegreeMismatch
+
+    def raises(name, exc):
+        def suite(*args):
+            raise exc
+        suite.__name__ = name
+        monkeypatch.setattr(cli, name, suite)
+
+    raises("suite_ext_self", DegreeMismatch("slot Zero illegal in degree 3"))
+    raises("suite_bass", NotInEZW("illegal index"))
+    code, out = run(["--field", "7", "--samples", "1", "--trunc", "2",
+                     "verify-all"])
+    assert code == 1 and out.endswith("FAIL\n"), out
+    assert "Traceback" not in out
+    fails = [line for line in out.splitlines() if line.startswith("  [FAIL]")]
+    assert fails == ["  [FAIL] DegreeMismatch: slot Zero illegal in degree 3",
+                     "  [FAIL] NotInEZW: illegal index"], out
+    for title in ("reduction vs independent oracle", "Yoneda products",
+                  "Ext^i(M, A/p) dimensions", "onto-rewrite lemma"):
+        assert f"\n{title}\n" in out, title
+    code, out = run(["--field", "7", "ext-self", "--i", "3"])
+    assert code == 1 and out.splitlines()[1:] == [
+        "suite_ext_self raised",
+        "  [FAIL] DegreeMismatch: slot Zero illegal in degree 3", "FAIL"], out
+    # usage errors still end the request with code 2
+    raises("suite_yoneda", UsageError("bad"))
+    assert run(["yoneda"]) == (2, "error: bad\n")
 
 
 def test_the_parser_is_built_once():

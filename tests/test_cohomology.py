@@ -9,7 +9,7 @@ from injres.cohomology import (local_cohomology, ext_power_of_max, ext_self,
                                hom_ext, yoneda_rep, yoneda_lift_stage,
                                yoneda_product, yoneda_presentation_check,
                                bass_numbers, BadIdeal, UnsupportedIndex)
-from injres import samples
+from injres import cohomology, linalg, samples
 
 
 P = lambda t: parse_poly(t)
@@ -29,6 +29,55 @@ def test_ext_self_reports():
         assert rep.passed, rep.render()
     dims = [ext_self(i, truncation=5).data.get("dim") for i in range(8)]
     assert dims[2:] == [1, 0, 1, 0, 1, 0]
+
+
+def _full_box_ext(i, T, field):
+    """Ext^i as it was computed before the Segre pieces: the kernel of delta
+    on the degree-i socle box at truncation T against the images of the
+    whole degree-(i-1) socle box at T + 2, and e_i for even i."""
+    coords, box = cohomology.chain_coords, cohomology._socle_box
+    gens = [coords(yoneda_rep(i, field))] if i % 2 == 0 else []
+    return linalg.box_cohomology(
+        [(coords(c), coords(delta(c))) for c in box(i, T, field)],
+        [coords(delta(c)) for c in box(i - 1, T + 2, field)], gens)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7)], ids=repr)
+def test_pieces_give_the_full_box_ext(field):
+    # (kernel rank, e_i independent, classes outside) from the pieces that
+    # the kernel vectors occupy equals the full-box computation
+    for T in (3, 4, 5):
+        for i in range(2, 8):
+            assert cohomology._ext_pieces(i, T, field)[:3] == \
+                _full_box_ext(i, T, field), (i, T)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7)], ids=repr)
+def test_pieces_invert_the_multidegree(field):
+    # each socle chain of a box lies in the piece of its own multidegree,
+    # which holds at most one chain per slot
+    twists = cohomology._twists(8, field)
+    for degree in range(8):
+        for chain in cohomology._socle_box(degree, 2, field):
+            (key,) = cohomology.chain_coords(chain)
+            mdeg = cohomology._multidegree(degree, key, twists)
+            piece = cohomology._piece(degree, mdeg, twists, field)
+            assert chain in piece and len(piece) <= 3, (degree, key)
+
+
+def test_one_ext_self_pass_evaluates_delta_on_at_most_750_chains(monkeypatch):
+    # Ext^2..Ext^7 at T = 5 ran delta on 1,646 chains with the full boxes;
+    # the count includes the twists and the low-degree box, which the
+    # cache is emptied to recompute
+    real, calls = cohomology.delta, []
+    monkeypatch.setattr(cohomology, "delta",
+                        lambda chain: calls.append(chain) or real(chain))
+    cohomology._low_degrees.cache_clear()
+    try:
+        assert all(ext_self(i, 5, Field(7)).passed for i in range(2, 8))
+    finally:
+        cohomology._low_degrees.cache_clear()
+    assert 0 < len(calls) <= 750, len(calls)
 
 
 def test_ext_self_rejects_negative_index():
