@@ -282,23 +282,7 @@ def suite_ext_self(indices, field, trunc):
 
 
 def suite_yoneda(field):
-    rep = CohomologyReport("Yoneda products")
-    expected = {
-        (0, 1): (1, 1), (1, 0): (1, 1), (0, 2): (2, 1), (2, 0): (2, 1),
-        (1, 1): (None, 0), (1, 2): (None, 0), (2, 1): (None, 0),
-        (2, 2): (4, -1), (2, 4): (6, -1), (4, 2): (6, -1),
-        (4, 4): (8, -1), (2, 6): (8, -1),
-    }
-    for (i, j), (idx, coeff) in sorted(expected.items()):
-        got = cohomology.yoneda_product(i, j, field)
-        if coeff == 0:
-            ok = got.is_zero()
-            rep.add(f"e_{i} x e_{j}", "0", ok)
-        else:
-            ok = (not got.is_zero()) and got.index == idx and got.coeff == coeff
-            sign = "-" if coeff < 0 else ""
-            rep.add(f"e_{i} x e_{j}", f"{sign}e_{idx}", ok)
-    return [rep, cohomology.yoneda_presentation_check(field)]
+    return cohomology.yoneda_reports(field)
 
 
 # the reports of the dhm suite, all of which a bare `dhm` runs

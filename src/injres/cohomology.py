@@ -23,6 +23,7 @@ the Bass numbers at m) all go through it.
 """
 
 from functools import cache
+from math import prod
 
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    bivar_gcd, divides, exact_divide, normalize_monic,
@@ -41,23 +42,6 @@ class BadIdeal(UsageError):
 
 class UnsupportedIndex(Exception):
     pass
-
-
-class YonedaClass:
-    """A product result: coeff * e_index."""
-
-    def __init__(self, index, coeff):
-        self.index = index
-        self.coeff = coeff
-
-    def is_zero(self):
-        return not self.coeff
-
-    def __repr__(self):
-        if self.is_zero():
-            return "0"
-        c = "" if self.coeff == 1 else ("-" if self.coeff == -1 else f"{self.coeff}*")
-        return f"{c}e_{self.index}"
 
 
 # --- coordinate boxes --------------------------------------------------------
@@ -479,46 +463,44 @@ def _is_generator(i, field):
     return not e.is_zero() and delta(e).is_zero()
 
 
+def _spans_kernel(i, differential, box, field):
+    """Whether the kernel of differential on the E(0) box {(a, b): Omega^0_0(
+    Z^a W^b)} is exactly the monomial multiples Z^a W^b e_i (a, b >= 0) of
+    the generator read off yoneda_rep(i); a generator that is not one
+    monomial of E(0) fails."""
+    kernel = {ab for ab, e0 in box.items() if differential(e0).is_zero()}
+    gen = list(chain_coords(yoneda_rep(i, field)))
+    if len(gen) != 1 or gen[0][:3] != (0, 0, 0):
+        return False
+    a0, b0 = gen[0][3:]
+    return kernel == {(a, b) for a, b in box if a >= a0 and b >= b0}
+
+
 def ext_self(i, truncation=8, field=QQ):
     """Report on Ext^i(A/p, A/p)."""
     if i < 0:
         raise UnsupportedIndex(f"Ext^{i} needs i >= 0")
     T = truncation
-    mono = RationalFunction.monomial
+    if i >= 2:
+        return _ext_self_2(T, field) if i == 2 else _ext_self_tail(i, T, field)
+    box = {(a, b): E0Element({0: RationalFunction.monomial(a, b, field)},
+                             field, ())
+           for a in range(-T, T + 1) for b in range(-T, T + 1)}
     if i == 0:
         rep = CohomologyReport("Ext^0(A/p, A/p)", {"dim": "free of rank 1"})
-        ok = True
-        # kernel of d0 on the monomial box is exactly Z W * (monomials)
-        for a in range(-T, T + 1):
-            for b in range(-T, T + 1):
-                e0 = E0Element({0: mono(a, b, field)}, field, ())
-                in_ker = d0(e0).is_zero()
-                ok = ok and (in_ker == (a >= 1 and b >= 1))
         rep.add("kernel of d0", "Omega^0_0(Z W g) on the monomial box "
-                f"|a|,|b| <= {T}", ok)
+                f"|a|,|b| <= {T}", _spans_kernel(0, d0, box, field))
         rep.add("generator", "e_0 = Omega^0_0(Z W)", _is_generator(0, field))
         return rep
-    if i == 1:
-        rep = CohomologyReport("Ext^1(A/p, A/p)", {"dim": "infinite over k"})
-        ok = True
-        no_e0 = True
-        for a in range(-T, T + 1):
-            for b in range(-T, T + 1):
-                e0 = E0Element({0: mono(a, b, field)}, field, ())
-                in_ker = pi0(e0).is_zero()
-                ok = ok and (in_ker == (a >= 2 and b >= 2))
-                cob = delta(ChainElement(0, {PrimeIndex.zero(): e0}, field))
-                no_e0 = no_e0 and cob.component(PrimeIndex.zero()) is None
-        rep.add("kernel of pi0", "Omega^0_0(Z^2 W^2 g) on the monomial box",
-                ok)
-        rep.add("coboundaries", "the image of delta^0 has no E(0) component "
-                "on socles, so distinct kernel vectors stay distinct", no_e0)
-        rep.add("generator", "e_1 = Omega^0_0(Z^2 W^2)",
-                _is_generator(1, field))
-        return rep
-    if i == 2:
-        return _ext_self_2(T, field)
-    return _ext_self_tail(i, T, field)
+    rep = CohomologyReport("Ext^1(A/p, A/p)", {"dim": "infinite over k"})
+    rep.add("kernel of pi0", "Omega^0_0(Z^2 W^2 g) on the monomial box",
+            _spans_kernel(1, pi0, box, field))
+    no_e0 = all(delta(ChainElement(0, {PrimeIndex.zero(): e0}, field))
+                .component(PrimeIndex.zero()) is None for e0 in box.values())
+    rep.add("coboundaries", "the image of delta^0 has no E(0) component on "
+            "socles, so distinct kernel vectors stay distinct", no_e0)
+    rep.add("generator", "e_1 = Omega^0_0(Z^2 W^2)", _is_generator(1, field))
+    return rep
 
 
 def _e2_relations(field):
@@ -624,7 +606,7 @@ def yoneda_rep(i, field=QQ):
     raise UnsupportedIndex(f"no nonzero class e_{i}")
 
 
-# Stages 1 and 2 of the even lift as argument twists read by d1_twisted:
+# Stages 1 and 2 of the lift of e_2 as argument twists read by d1_twisted:
 # stage 1 sends the Z and f slots, twisted by 1/W, to the first copy of
 # E(Z,W) with a minus sign, and the W slot, twisted by 1/Z, to the second;
 # stage 2 sends every height-one slot to the second copy with a minus sign,
@@ -639,9 +621,10 @@ _ODD_LIFT1 = {"Z": (0, 1), "W": (1, 0), "irr": (1, 1)}
 
 def yoneda_lift_stage(j, k, chain):
     """Stage k of the chain map lifting the augmentation onto e_j:
-    a map E^k -> E^{k+j}.  Stage 0 of either lift is written out from the
-    commuting squares; stage 1 of the odd lift and stages 1 and 2 of the
-    even lift are the twist tables above."""
+    a map E^k -> E^{k+j}.  Only U = e_1 and V = e_2 are lifted by hand:
+    stage 0 from the commuting squares, then the twist tables above, and
+    past the hull pair minus the identity.  e_0 lifts to the identity, and
+    the lift of e_j for even j >= 4 follows from e_j = -e_2 e_{j-2}."""
     field = chain.field
     if j == 0:
         return chain
@@ -659,15 +642,15 @@ def yoneda_lift_stage(j, k, chain):
                                "only; use commutativity for higher stages")
     if j % 2 or j < 2:
         raise UnsupportedIndex(f"no lift for e_{j}")
+    if j > 2:
+        return -yoneda_lift_stage(2, k + j - 2,
+                                  yoneda_lift_stage(j - 2, k, chain))
     if k == 0:
         psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
-        # the twist 1/W for e_2, 1/(ZW) above
+        # the twist 1/W
         pw = PrimeIndex.prime_w()
-        tw = _map_parts(psi0.monomial_act(0, 0, 0 if j == 2 else -1, -1), pw)
-        if j == 2:
-            return ChainElement(2, {pw: tw}, field)
-        val = d1_f(pw, tw)
-        return ChainElement(j, {PrimeIndex.maximal(1): val}, field)
+        return ChainElement(2, {pw: _map_parts(psi0.monomial_act(0, 0, 0, -1),
+                                               pw)}, field)
     if k == 1:
         top = -d1_twisted(chain, _LIFT1_TOP)
         bot = d1_twisted(chain, _LIFT1_BOTTOM)
@@ -677,65 +660,77 @@ def yoneda_lift_stage(j, k, chain):
         bot = -d1_twisted(chain, _LIFT2_BOTTOM)
     else:
         # beyond the hull pair the lift is minus the identity
-        return ChainElement(k + j, (-chain).terms, field)
-    return ChainElement(k + j, {PrimeIndex.maximal(0): top,
+        return ChainElement(k + 2, (-chain).terms, field)
+    return ChainElement(k + 2, {PrimeIndex.maximal(0): top,
                                 PrimeIndex.maximal(1): bot}, field)
 
 
-def _identify(chain, index, field):
-    if chain.is_zero():
-        return YonedaClass(index, 0)
-    try:
-        rep = yoneda_rep(index, field)
-    except UnsupportedIndex:
-        raise UnsupportedIndex(f"nonzero product in unsupported degree {index}")
-    if chain == rep:
-        return YonedaClass(index, 1)
-    if chain == -rep:
-        return YonedaClass(index, -1)
-    raise UnsupportedIndex(f"product does not match +-e_{index}")
-
-
 def yoneda_product(i, j, field=QQ):
-    """e_i x e_j, evaluated by pushing the representative of e_i through the
-    hard-coded lift of e_j.  Supported indices: 0, 1 and even."""
-    for x in (i, j):
-        if x < 0 or (x % 2 and x > 1):
-            raise UnsupportedIndex(f"e_{x} is not a supported generator")
-    if i == 0 or j == 0:
-        return _identify(yoneda_rep(max(i, j), field), i + j, field)
+    """The scalar c with e_i x e_j = c e_{i+j}, evaluated by pushing the
+    representative of e_i through stage i of the lift of e_j: the field's
+    zero for a zero chain, and None for a chain that is no multiple of
+    e_{i+j} (in odd degrees >= 3 there is no class).  Supported indices:
+    0, 1 and even."""
     if j == 1 and i >= 2:
         # the odd lift stops at stage 1; use commutativity
         i, j = j, i
     chain = yoneda_lift_stage(j, i, yoneda_rep(i, field))
-    return _identify(chain, i + j, field)
+    if chain.is_zero():
+        return field.zero
+    try:
+        rep = yoneda_rep(i + j, field)
+        key, value = min(chain_coords(rep).items())
+        c = chain_coords(chain).get(key, field.zero) / value
+    except (UnsupportedIndex, ValueError):
+        # no class in this degree, or a slot off the coordinate boxes,
+        # which no multiple of a representative has
+        return None
+    return c if chain == rep * c else None
 
 
-def yoneda_presentation_check(field=QQ):
-    """Verify the presentation Ext* = (A/p)[U, V]/(ZV, WV, U^2, UV) with
-    U = e_1, V = e_2 and (-1)^(n+1) e_{2n} = e_2^n."""
+def _presented(i, j):
+    """The coefficient of e_{i+j} in e_i x e_j that the presentation
+    (A/p)[U, V]/(ZV, WV, U^2, UV) gives: e_0 is the unit, U kills U and V,
+    and e_{2n} = (-1)^(n+1) V^n makes e_{2a} e_{2b} = -e_{2a+2b}."""
+    if 0 in (i, j):
+        return 1
+    return 0 if 1 in (i, j) else -1
+
+
+# the products that the yoneda reports print
+_PRINTED = [(0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2),
+            (2, 4), (2, 6), (4, 2), (4, 4)]
+
+
+def yoneda_reports(field=QQ):
+    """The "Yoneda products" and "Yoneda presentation" reports from one
+    evaluation of each printed product, checked against the coefficient
+    the presentation gives; its relations are read off the same products."""
+    got = {(i, j): yoneda_product(i, j, field) for i, j in _PRINTED}
+    products = CohomologyReport("Yoneda products")
+    for (i, j), c in got.items():
+        want = _presented(i, j)
+        products.add(f"e_{i} x e_{j}", f"{'-' * (want < 0)}e_{i + j}"
+                     if want else "0", c == field.of(want))
     rep = CohomologyReport("Yoneda presentation",
                            {"presentation": "(A/p)[U,V]/(ZV, WV, U^2, UV)"})
-    rep.add("U^2 = 0", "", yoneda_product(1, 1, field).is_zero())
-    rep.add("UV = 0", "", yoneda_product(1, 2, field).is_zero()
-            and yoneda_product(2, 1, field).is_zero())
+    rep.add("U^2 = 0", "", got[1, 1] == field.zero)
+    rep.add("UV = 0", "", got[1, 2] == got[2, 1] == field.zero)
     z_ok, w_ok = _e2_relations(field)
     rep.add("ZV is a coboundary", "Z e_2 = pi0(Omega^0_0(Z^2 W))", z_ok)
     rep.add("WV = 0 at the cochain level", "", w_ok)
-    ok = True
-    idx, coeff = 2, 1
-    for npow in range(2, 5):
-        step = yoneda_product(2, idx, field)
-        idx, coeff = step.index, step.coeff * coeff
-        ok = ok and idx == 2 * npow and coeff == (-1) ** (npow + 1)
-    rep.add("(-1)^(n+1) e_{2n} = e_2^n", "n = 2, 3, 4", ok)
+    # e_2^n is e_{2n} times the scalars of e_2 x e_{2m} for 0 < m < n
+    steps = [got[2, k] for k in (2, 4, 6)]
+    rep.add("(-1)^(n+1) e_{2n} = e_2^n", "n = 2, 3, 4", None not in steps
+            and all(prod(steps[:n - 1]) == field.of((-1) ** (n + 1))
+                    for n in range(2, 5)))
     e1 = yoneda_rep(1, field).component(PrimeIndex.zero())
     rep.add("ann(e_1) = p", "X, Y kill the cochain; Z e_1 has a nonzero E(0) "
             "slot, which no coboundary has",
             e1.monomial_act(*VAR["X"]).is_zero()
             and e1.monomial_act(*VAR["Y"]).is_zero()
             and not e1.monomial_act(*VAR["Z"]).is_zero())
-    return rep
+    return [products, rep]
 
 
 # --- Bass numbers -------------------------------------------------------------

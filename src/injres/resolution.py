@@ -17,7 +17,7 @@ Z^a W^b through monomial_act.  d0 and pi0 have a slot at E(Z), at E(W) and
 at the prime of every factor an E(0) element carries
 (PrimeIndex.height_one).  pi0, pi11 and pi12 are tables of these argument
 twists, one per slot kind; d1_twisted reads pi11 and pi12, as it does
-stages 1 and 2 of the even Yoneda lift in cohomology.
+stages 1 and 2 of the lift of e_2 in cohomology.
 """
 
 from .ring import (BivarPoly, RationalFunction, LocalFraction, QQ,

@@ -532,6 +532,72 @@ def test_a_suite_that_raises_fails_one_line_and_the_others_run(monkeypatch):
     assert run(["yoneda"]) == (2, "error: bad\n")
 
 
+def _failed_lines(out):
+    return [line.split(":")[0].removeprefix("  [FAIL] ")
+            for line in out.splitlines() if line.startswith("  [FAIL]")]
+
+
+def test_a_generator_off_its_kernel_fails_ext0_and_the_unit_products(
+        monkeypatch):
+    # iota0 sending g to Omega^0_0(Z W^2 g) leaves e_0 a nonzero cocycle,
+    # which verify-all passed while Ext^0 compared the kernel of d0 with a
+    # literal and e_0 x e_k was e_k without a lift
+    from injres import cohomology
+    from injres.resolution import ChainElement
+    real = cohomology.iota0
+    monkeypatch.setattr(cohomology, "iota0", lambda g, field: ChainElement(
+        0, {idx: el.monomial_act(0, 0, 0, 1)
+            for idx, el in real(g, field).terms.items()}, field))
+    code, out = run(["--field", "7", "verify-all"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["kernel of d0", "e_0 x e_1", "e_0 x e_2"]
+
+
+def _patch_lift_stage(monkeypatch, j, k, change):
+    """Stage k of the lift of e_j returns change(its value); the lifts of
+    e_4, e_6, ... reach the patched stages too, as they call them."""
+    from injres import cohomology
+    real = cohomology.yoneda_lift_stage
+
+    def stage(j2, k2, chain):
+        out = real(j2, k2, chain)
+        return change(out) if (j2, k2) == (j, k) else out
+
+    monkeypatch.setattr(cohomology, "yoneda_lift_stage", stage)
+
+
+def test_a_product_off_its_sign_fails_its_lines(monkeypatch):
+    # stage 2 of the lift of e_2 doubled makes e_2 e_2 = 2 e_4: a scalar
+    # the reports compare, not a product the suite cannot identify
+    _patch_lift_stage(monkeypatch, 2, 2, lambda out: out + out)
+    code, out = run(["yoneda"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["e_2 x e_2", "e_2 x e_4", "e_2 x e_6",
+                                  "(-1)^(n+1) e_{2n} = e_2^n"]
+
+
+@pytest.mark.parametrize("slot", ["E(0)", "E(Z+W)"])
+def test_a_product_off_every_multiple_fails_its_line(monkeypatch, slot):
+    # a stray term in stage 0 of the lift of e_1: Omega^0_0(Z^3 W^3) is
+    # not a multiple of e_1, and an E(Z+W) term has no box coordinates
+    from injres.hulls import E0Element, PrimeIndex, omega
+    from injres.resolution import ChainElement
+    from injres.ring import BivarPoly, RationalFunction
+    f = P("Z+W")
+    idx, el = {
+        "E(0)": (PrimeIndex.zero(), E0Element(
+            {0: RationalFunction.monomial(3, 3, QQ)}, QQ, ())),
+        "E(Z+W)": (PrimeIndex.height_one(f), omega(
+            PrimeIndex.height_one(f), 0,
+            RationalFunction(BivarPoly.const(1), f), QQ)),
+    }[slot]
+    _patch_lift_stage(monkeypatch, 1, 0, lambda out: out + ChainElement(
+        1, {idx: el}, QQ))
+    code, out = run(["yoneda"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["e_0 x e_1"]
+
+
 def test_the_parser_is_built_once():
     import injres.cli as cli
     assert cli.build_parser() is cli.build_parser()

@@ -7,7 +7,7 @@ from injres.hulls import E0Element, omega_zw
 from injres.resolution import PrimeIndex, ChainElement, delta, iota0
 from injres.cohomology import (local_cohomology, ext_power_of_max, ext_self,
                                hom_ext, yoneda_rep, yoneda_lift_stage,
-                               yoneda_product, yoneda_presentation_check,
+                               yoneda_product, yoneda_reports,
                                bass_numbers, BadIdeal, UnsupportedIndex)
 from injres import cohomology, linalg, samples
 
@@ -86,25 +86,32 @@ def test_ext_self_rejects_negative_index():
 
 
 def test_yoneda_product_table():
-    cases = {
-        (2, 2): (4, -1), (2, 4): (6, -1), (4, 2): (6, -1),
-        (4, 4): (8, -1), (2, 6): (8, -1),
-    }
-    for (i, j), (idx, coeff) in cases.items():
-        got = yoneda_product(i, j)
-        assert got.index == idx and got.coeff == coeff, (i, j)
+    # a product is the field scalar c with e_i x e_j = c e_{i+j}
+    cases = {(2, 2): -1, (2, 4): -1, (4, 2): -1, (4, 4): -1, (2, 6): -1}
+    for (i, j), coeff in cases.items():
+        assert yoneda_product(i, j) == QQ.of(coeff), (i, j)
     for i, j in [(1, 1), (1, 2), (2, 1)]:
-        assert yoneda_product(i, j).is_zero()
+        assert yoneda_product(i, j) == QQ.zero
     for k in (1, 2, 4):
-        left = yoneda_product(0, k)
-        right = yoneda_product(k, 0)
-        assert left.index == k and left.coeff == 1
-        assert right.index == k and right.coeff == 1
+        assert yoneda_product(0, k) == QQ.one
+        assert yoneda_product(k, 0) == QQ.one
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7), Field(32003)],
+                         ids=repr)
+def test_every_product_follows_the_presentation(field):
+    # beyond the printed pairs: e_0 is the unit, U = e_1 kills U and V, and
+    # e_{2a} e_{2b} = -e_{2a+2b} from (-1)^(n+1) e_{2n} = e_2^n
+    for i in (0, 1, 2, 4, 6):
+        for j in (0, 1, 2, 4, 6):
+            want = 1 if 0 in (i, j) else 0 if 1 in (i, j) else -1
+            assert yoneda_product(i, j, field) == field.of(want), (i, j)
 
 
 def test_yoneda_presentation():
-    rep = yoneda_presentation_check()
-    assert rep.passed, rep.render()
+    products, presentation = yoneda_reports(QQ)
+    assert products.passed, products.render()
+    assert presentation.passed, presentation.render()
 
 
 def test_yoneda_reps_are_cocycles():
@@ -119,7 +126,9 @@ def test_lift_stages_commute_with_the_differential():
     f = samples.irr_pool()[0]
     pole = ChainElement(0, {PrimeIndex.zero(): E0Element(
         {0: RationalFunction(BivarPoly.const(1), f)}, QQ, {f})})
-    stages = [(1, 0), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2)]
+    # the lifts of e_4 and e_6 compose the lift of e_2 with itself
+    stages = [(1, 0), (2, 0), (2, 1), (2, 2), (4, 0), (4, 1), (4, 2), (6, 0),
+              (6, 2)]
     for j, k in stages:
         chains = [samples.random_chain(rng, k) for _ in range(4)]
         for ch in chains + [pole] * (k == 0):
@@ -131,7 +140,7 @@ def test_lift_stages_commute_with_the_differential():
 def test_lift_stage_zero_restricts_to_the_representative():
     # stage 0 applied to the augmentation cocycle recovers e_j
     one = iota0(P("1"), QQ)
-    for j in (2, 4):
+    for j in (2, 4, 6):
         lifted = yoneda_lift_stage(j, 0, one)
         assert (lifted - yoneda_rep(j)).is_zero() or \
             (lifted + yoneda_rep(j)).is_zero()
@@ -243,9 +252,11 @@ def test_generator_and_coboundary_lines_can_fail(monkeypatch):
     import injres.cohomology as coh
     monkeypatch.setattr(coh, "yoneda_rep",
                         lambda i, field=QQ: ChainElement.zero(i, field))
-    for i in (0, 1):
+    # the kernel line reads its generator off yoneda_rep, so it fails too
+    for i, kernel in [(0, "kernel of d0"), (1, "kernel of pi0")]:
         rep = ext_self(i, truncation=2)
-        assert [la for la, _, ok in rep.lines if not ok] == ["generator"], i
+        assert [la for la, _, ok in rep.lines if not ok] == \
+            [kernel, "generator"], i
     monkeypatch.undo()
     real = coh.delta
 

@@ -8,7 +8,7 @@ by some call, and every command-line flag must be read by the CLI.  Only
 ring.py reads how a coefficient is stored, only a PrimeIndex names a hull,
 only resolution.py applies d1 to a twisted argument, and every monomial
 acts through monomial_act.  cli.py imports only the reduction path at load
-time.
+time, and only cohomology.py evaluates Yoneda products.
 """
 
 import ast
@@ -314,3 +314,16 @@ def test_the_oracle_takes_only_the_gcd_and_the_row_reducer():
             taken |= {alias.name for alias in node.names
                       if alias.name.split(".")[0] == PACKAGE.name}
     assert taken == {"ring.bivar_gcd", "linalg.Reducer"}, sorted(taken)
+
+
+def test_the_product_table_has_one_home():
+    # the Yoneda products are evaluated, and their lifts applied, only in
+    # cohomology.py, which builds both Yoneda reports from them
+    found = [f"{path.name}:{node.lineno} {_call_name(node.func, None)}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "cohomology.py"
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Call) and _call_name(node.func, None)
+             in ("yoneda_product", "yoneda_lift_stage")]
+    assert not found, "Yoneda products outside cohomology.py: " + \
+        ", ".join(found)
