@@ -30,8 +30,8 @@ from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    verify_irreducible, VERIFIED)
 from .hulls import (E0Element, EZElement, EWElement, EZWElement, PrimeIndex,
                     VAR, act, omega, omega_zw, is_socle, torsion_box)
-from .resolution import (ChainElement, d0, d1_f, d1_twisted, pi0, delta,
-                         iota0, legal_kinds, max_copies, _map_parts)
+from .resolution import (ChainElement, d1_f, d1_twisted, delta, iota0,
+                         legal_kinds, max_copies, _map_parts)
 from .report import CohomologyReport, UsageError
 from . import linalg
 
@@ -463,12 +463,15 @@ def _is_generator(i, field):
     return not e.is_zero() and delta(e).is_zero()
 
 
-def _spans_kernel(i, differential, box, field):
-    """Whether the kernel of differential on the E(0) box {(a, b): Omega^0_0(
-    Z^a W^b)} is exactly the monomial multiples Z^a W^b e_i (a, b >= 0) of
-    the generator read off yoneda_rep(i); a generator that is not one
-    monomial of E(0) fails."""
-    kernel = {ab for ab, e0 in box.items() if differential(e0).is_zero()}
+def _spans_kernel(i, T, field):
+    """Whether the kernel of delta on the degree-i E(0) socle chains
+    Omega^0_0(Z^a W^b), |a|, |b| <= T, is exactly the monomial multiples
+    Z^a W^b e_i (a, b >= 0) of the generator read off yoneda_rep(i); a
+    generator that is not one monomial of E(0) fails.  On these chains
+    delta^0 is d0, as XW kills socles, and delta^1 is pi0."""
+    box = [(a, b) for a in range(-T, T + 1) for b in range(-T, T + 1)]
+    kernel = {(a, b) for a, b in box if delta(
+        _monomial_chain(i, (0, 0), 0, a, b, field)).is_zero()}
     gen = list(chain_coords(yoneda_rep(i, field)))
     if len(gen) != 1 or gen[0][:3] != (0, 0, 0):
         return False
@@ -483,20 +486,17 @@ def ext_self(i, truncation=8, field=QQ):
     T = truncation
     if i >= 2:
         return _ext_self_2(T, field) if i == 2 else _ext_self_tail(i, T, field)
-    box = {(a, b): E0Element({0: RationalFunction.monomial(a, b, field)},
-                             field, ())
-           for a in range(-T, T + 1) for b in range(-T, T + 1)}
     if i == 0:
         rep = CohomologyReport("Ext^0(A/p, A/p)", {"dim": "free of rank 1"})
         rep.add("kernel of d0", "Omega^0_0(Z W g) on the monomial box "
-                f"|a|,|b| <= {T}", _spans_kernel(0, d0, box, field))
+                f"|a|,|b| <= {T}", _spans_kernel(0, T, field))
         rep.add("generator", "e_0 = Omega^0_0(Z W)", _is_generator(0, field))
         return rep
     rep = CohomologyReport("Ext^1(A/p, A/p)", {"dim": "infinite over k"})
     rep.add("kernel of pi0", "Omega^0_0(Z^2 W^2 g) on the monomial box",
-            _spans_kernel(1, pi0, box, field))
-    no_e0 = all(delta(ChainElement(0, {PrimeIndex.zero(): e0}, field))
-                .component(PrimeIndex.zero()) is None for e0 in box.values())
+            _spans_kernel(1, T, field))
+    no_e0 = all(delta(c).component(PrimeIndex.zero()) is None
+                for c in _socle_box(0, T, field))
     rep.add("coboundaries", "the image of delta^0 has no E(0) component on "
             "socles, so distinct kernel vectors stay distinct", no_e0)
     rep.add("generator", "e_1 = Omega^0_0(Z^2 W^2)", _is_generator(1, field))
@@ -509,8 +509,7 @@ def _e2_relations(field):
     e2 = yoneda_rep(2, field).component(PrimeIndex.prime_w())
     ze2 = ChainElement(2, {PrimeIndex.prime_w(): e2.monomial_act(*VAR["Z"])},
                        field)
-    psi = E0Element({0: RationalFunction.monomial(2, 1, field)}, field, ())
-    cob = delta(ChainElement(1, {PrimeIndex.zero(): psi}, field))
+    cob = delta(_monomial_chain(1, (0, 0), 0, 2, 1, field))
     return ze2 == cob, e2.monomial_act(*VAR["W"]).is_zero()
 
 
@@ -594,8 +593,7 @@ def yoneda_rep(i, field=QQ):
     if i == 0:
         return iota0(BivarPoly.const(1, field), field)
     if i == 1:
-        e1 = E0Element({0: RationalFunction.monomial(2, 2, field)}, field, ())
-        return ChainElement(1, {PrimeIndex.zero(): e1}, field)
+        return _monomial_chain(1, (0, 0), 0, 2, 2, field)
     if i == 2:
         pw = PrimeIndex.prime_w()
         e2 = omega(pw, 0, RationalFunction.monomial(1, 0, field), field)
@@ -667,12 +665,14 @@ def yoneda_lift_stage(j, k, chain):
 
 def yoneda_product(i, j, field=QQ):
     """The scalar c with e_i x e_j = c e_{i+j}, evaluated by pushing the
-    representative of e_i through stage i of the lift of e_j: the field's
-    zero for a zero chain, and None for a chain that is no multiple of
-    e_{i+j} (in odd degrees >= 3 there is no class).  Supported indices:
-    0, 1 and even."""
-    if j == 1 and i >= 2:
-        # the odd lift stops at stage 1; use commutativity
+    representative of e_i through stage i of the lift of e_j, or for
+    j < 2 and i > j the representative of e_j through stage j of the lift
+    of e_i: the field's zero for a zero chain, and None for a chain that is
+    no multiple of e_{i+j} (in odd degrees >= 3 there is no class).
+    Supported indices: 0, 1 and even."""
+    if j < 2 and i > j:
+        # the lift of e_0 is the identity, which would compare e_i with
+        # itself, and the odd lift stops at stage 1: use commutativity
         i, j = j, i
     chain = yoneda_lift_stage(j, i, yoneda_rep(i, field))
     if chain.is_zero():

@@ -1,15 +1,20 @@
 """A 15-dimensional test module M and its dual invariants.
 
 M has a k-basis u1..u5, v1..v4, w1..w6 with an explicit X,Y,Z,W action
-table (m^3 M = 0, and only six degree-two monomial actions survive).  The
-module of homomorphisms M' = Hom(M, E(Z,W)) is again 15-dimensional,
-minimally generated by 5 elements; its values lie in the torsion box
-(0 : m^3) of hulls.torsion_box.  Ext^i(M, A/p) has dimensions
-0, 0, 6, 7, 0, 0, ... over the coefficient field: cohomology.hom_ext, the
-one route for modules of finite length, run on the dual basis.
+table (m^3 M = 0, and only six degree-two monomial actions survive).
+DHMModule builds the table once per field, and every use of the action
+reads it: the invariants, and the one hom condition Phi(x b) = x Phi(b),
+DHMModule.conditions, which DHMHom.is_hom and the solve on the maximal
+hull both read.  The module of homomorphisms M' = Hom(M, E(Z,W)) is
+again 15-dimensional, minimally generated by 5 elements; its values lie
+in the torsion box (0 : m^3) of hulls.torsion_box.  Ext^i(M, A/p) has
+dimensions 0, 0, 6, 7, 0, 0, ... over the coefficient field:
+cohomology.hom_ext, the one route for modules of finite length, run on
+the dual basis.
 """
 
 from functools import cache
+from itertools import product
 
 from .ring import BivarPoly, RationalFunction, QQ
 from .hulls import EZWElement, VAR, omega, omega_zw, torsion_box
@@ -59,25 +64,19 @@ DUAL_NAMES = [f"phi{i}" for i in range(1, 7)] + \
      "phi14", "phi25", "phi36", "phi135", "phi246"]
 
 
-def _act_vec(x, vec, field):
-    """Act by the variable x on a coefficient vector {basis: c}."""
-    out = {}
-    table = _ACTION[x]
-    for b, c in vec.items():
-        images = {b2: field.of(s) for b2, s in table.get(b, {}).items()}
-        linalg._axpy(out, images, c)
-    return out
-
-
 class DHMModule:
-    """The module M with its action table; invariants are verified on
-    construction.  The action of each variable on each basis vector is
-    computed once, here."""
+    """The module M over a field: the action of each variable on each basis
+    vector, and its preimages, computed and verified once, here."""
 
     def __init__(self, field=QQ):
         self.field = field
-        self.table = {x: {b: _act_vec(x, {b: field.one}, field) for b in BASIS}
-                      for x in VAR}
+        self.table = {x: {b: {b2: field.of(c)
+                              for b2, c in _ACTION[x].get(b, {}).items()}
+                          for b in BASIS} for x in VAR}
+        # (x, b) -> {b': coefficient of b in x b'}
+        self.preimages = {(x, b): {b2: c for b2 in BASIS
+                                   if (c := self.table[x][b2].get(b))}
+                          for x in VAR for b in BASIS}
         self._verify()
 
     def act(self, x, vec):
@@ -85,43 +84,50 @@ class DHMModule:
         change it in place) or a coefficient vector {basis: c}."""
         if isinstance(vec, str):
             return self.table[x][vec]
-        return _act_vec(x, vec, self.field)
+        out = {}
+        for b, c in vec.items():
+            linalg._axpy(out, self.table[x][b], c)
+        return out
+
+    def word(self, xs, b):
+        """The monomial xs, a sequence of variables, times the basis vector
+        b; the last variable acts first."""
+        vec = {b: self.field.one}
+        for x in reversed(xs):
+            vec = self.act(x, vec)
+        return vec
+
+    def conditions(self, b, e):
+        """The hom conditions Phi(x b') = x Phi(b') that the value e of Phi
+        at b enters, as one sparse column {(x, b', EZW index): c}: -x e in
+        the rows of b' = b, and e times the coefficient of b in x b' in the
+        rows of each b'.  Phi is a hom when the columns of its values sum
+        to zero."""
+        col = {}
+        for x in VAR:
+            linalg._axpy(col, {(x, b, k): c for k, c in
+                               e.monomial_act(*VAR[x]).terms.items()}, -1)
+            for b2, c in self.preimages[x, b].items():
+                linalg._axpy(col, {(x, b2, k): v for k, v in e.terms.items()},
+                             c)
+        return col
 
     def _verify(self):
-        f = self.field
-        one = f.one
+        one = self.field.one
+        swaps = [(x + y, y + x) for x, y in product(VAR, repeat=2)]
         for b in BASIS:
-            e = {b: one}
             # commutativity and the hypersurface relation XW = YZ
-            for x in VAR:
-                for y in VAR:
-                    lhs = _act_vec(x, _act_vec(y, e, f), f)
-                    rhs = _act_vec(y, _act_vec(x, e, f), f)
-                    if lhs != rhs:
-                        raise InvariantViolation(f"{x}{y} != {y}{x} on {b}")
-            xw = _act_vec("X", _act_vec("W", e, f), f)
-            yz = _act_vec("Y", _act_vec("Z", e, f), f)
-            if xw != yz:
-                raise InvariantViolation(f"XW != YZ on {b}")
+            for u, v in swaps + [("XW", "YZ")]:
+                if self.word(u, b) != self.word(v, b):
+                    raise InvariantViolation(f"{u} != {v} on {b}")
             # m^3 = 0
-            for x in VAR:
-                for y in VAR:
-                    for z in VAR:
-                        v = _act_vec(x, _act_vec(y, _act_vec(z, e, f), f), f)
-                        if v:
-                            raise InvariantViolation(f"m^3 does not kill {b}")
+            if any(self.word(xs, b) for xs in product(VAR, repeat=3)):
+                raise InvariantViolation(f"m^3 does not kill {b}")
             # degree-2 survivors are exactly the listed ones
-            for x in VAR:
-                for y in VAR:
-                    v = _act_vec(x, _act_vec(y, e, f), f)
-                    key = tuple(sorted((x, y)))
-                    want = _DEG2_SURVIVORS.get(b, {}).get(key)
-                    if want is None:
-                        if v:
-                            raise InvariantViolation(
-                                f"unexpected action {x}{y} on {b}")
-                    elif v != {want: one}:
-                        raise InvariantViolation(f"{x}{y} on {b} is wrong")
+            for x, y in product(VAR, repeat=2):
+                want = _DEG2_SURVIVORS.get(b, {}).get(tuple(sorted((x, y))))
+                if self.word(x + y, b) != ({want: one} if want else {}):
+                    raise InvariantViolation(f"{x}{y} on {b} is wrong")
 
 
 @cache
@@ -142,12 +148,6 @@ class DHMHom(linalg.SparseVector):
     def value(self, b):
         return self.terms.get(b, EZWElement.zero(self.field))
 
-    def apply(self, vec):
-        out = EZWElement.zero(self.field)
-        for b, c in vec.items():
-            out = out + self.value(b).scale(c)
-        return out
-
     def monomial_act(self, a, b, c, d):
         """The operator X^a Y^b Z^c W^d (any signs) on every value."""
         return self._like({name: v.monomial_act(a, b, c, d)
@@ -161,15 +161,13 @@ class DHMHom(linalg.SparseVector):
         return vec
 
     def is_hom(self):
-        """Check Phi(x b) = x Phi(b) for all variables and basis vectors."""
+        """Whether Phi(x b) = x Phi(b) for every variable x and basis vector
+        b: the hom conditions that its values enter sum to zero."""
         mod = module_over(self.field)
-        for x in VAR:
-            for b in BASIS:
-                lhs = self.apply(mod.act(x, b))
-                rhs = self.value(b).monomial_act(*VAR[x])
-                if not (lhs - rhs).is_zero():
-                    return False
-        return True
+        total = {}
+        for b, e in self.terms.items():
+            linalg._axpy(total, mod.conditions(b, e))
+        return not total
 
 
 def _divide(h, *xs):
@@ -183,56 +181,33 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
     """Hom(M, E(q)) for the hull at the given PrimeIndex, as (dimension,
     basis of DHMHom).  The verdicts are returned, not raised.
 
-    Maximal: solved exactly on the m^3-torsion subspace of E(Z,W).  The
-    basis is not checked here: the caller checks each member with
-    DHMHom.is_hom.  Height-one primes: zero, as M is torsion against the
-    variable that is a unit at the prime, and that variable kills no
-    element of the hull.  On a box of generators Omega^n(argument) it must
-    move each one onto the next of its row, built by omega from the
+    Maximal: the kernel of the hom conditions of DHMModule.conditions on
+    the m^3-torsion subspace of E(Z,W), solved exactly.  The basis is not
+    checked here: the caller checks each member with DHMHom.is_hom.
+    Height-one primes: zero, as M is torsion against the variable that is a
+    unit at the prime (DHMModule checks m^3 M = 0), and that variable kills
+    no element of the hull.  On a box of generators Omega^n(argument) it
+    must move each one onto the next of its row, built by omega from the
     argument times the variable: so it kills no generator of the box and
-    merges no two.  Returns (0, []), or (None, []) when M is not torsion
-    against that variable or a generator of the box is not moved so.
+    merges no two.  Returns (0, []), or (None, []) when a generator of the
+    box is not moved so.
     """
     if truncation < 2:
         raise TruncationTooSmall("need truncation >= 2 to contain the "
                                  "m^3-torsion of the hull")
-    mod = module_over(field)
     if prime.kind == "max":
-        box = torsion_box(3)
-        unknowns = [(b, key) for b in BASIS for key in box]
-        # (x, b) -> {b': coefficient of b in x b'}
-        preimages = {(x, b): {b2: c for b2 in BASIS
-                              if (c := mod.act(x, b2).get(b))}
-                     for x in VAR for b in BASIS}
-        # constraint rows indexed by (variable, basis vector, EZW coordinate)
-        pairs = []
-        for b, key in unknowns:
-            col = {}
-            e = omega_zw(*key, field)
-            for x in VAR:
-                # -x * Phi(b) lands in the rows of (x, b)
-                xe = e.monomial_act(*VAR[x])
-                linalg._axpy(col, {(x, b, k2): c
-                                   for k2, c in xe.terms.items()}, -1)
-                # +Phi(x b') wherever b appears in x b'
-                linalg._axpy(col, {(x, b2, key): c
-                                   for b2, c in preimages[x, b].items()})
-            pairs.append(((b, key), col))
-        kern = linalg.kernel_basis(pairs)
-        homs = []
-        for comb in kern:
-            vals = {}
-            for (b, key), c in comb.items():
-                vals[b] = vals.get(b, EZWElement.zero(field)) + \
-                    omega_zw(*key, field).scale(c)
-            homs.append(DHMHom(vals, field))
+        mod = module_over(field)
+        kern = linalg.kernel_basis(
+            [((b, key), mod.conditions(b, omega_zw(*key, field)))
+             for b in BASIS for key in torsion_box(3)])
+        homs = [sum((DHMHom({b: omega_zw(*key, field, c)}, field)
+                     for (b, key), c in comb.items()), DHMHom({}, field))
+                for comb in kern]
         return len(homs), homs
     if prime.kind in ("Z", "W", "irr"):
         # pick the variable that is a unit at the prime; M is its cube's
         # torsion, so it suffices that it acts injectively on the hull
         var = "W" if prime.kind == "Z" else "Z"
-        if any(mod.act(var, mod.act(var, mod.act(var, b))) for b in BASIS):
-            return None, []
         T = truncation
 
         def generator(a, bb):
@@ -264,12 +239,12 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
 
 def _extend_w_values(h, field):
     """Derive the u and v values of a hom from its w values through the
-    action: Phi(b) = x Phi(w) for the first x, w of _ACTION with x w = b."""
+    action: Phi(b) = x Phi(w) for the first x, w of the table with x w = b."""
     vals = dict(h.terms)
-    for x, table in _ACTION.items():
-        for w, image in table.items():
-            b = next(iter(image))
-            if w in W_NAMES and image == {b: 1} and b not in vals:
+    for x, table in module_over(field).table.items():
+        for w in W_NAMES:
+            b = next(iter(table[w]), None)
+            if table[w] == {b: field.one} and b not in vals:
                 vals[b] = h.value(w).monomial_act(*VAR[x])
     return DHMHom(vals, field)
 

@@ -550,7 +550,8 @@ def test_a_generator_off_its_kernel_fails_ext0_and_the_unit_products(
             for idx, el in real(g, field).terms.items()}, field))
     code, out = run(["--field", "7", "verify-all"])
     assert code == 1 and "raised" not in out, out
-    assert _failed_lines(out) == ["kernel of d0", "e_0 x e_1", "e_0 x e_2"]
+    assert _failed_lines(out) == ["kernel of d0", "e_0 x e_1", "e_0 x e_2",
+                                  "e_1 x e_0", "e_2 x e_0"]
 
 
 def _patch_lift_stage(monkeypatch, j, k, change):
@@ -595,7 +596,20 @@ def test_a_product_off_every_multiple_fails_its_line(monkeypatch, slot):
         1, {idx: el}, QQ))
     code, out = run(["yoneda"])
     assert code == 1 and "raised" not in out, out
-    assert _failed_lines(out) == ["e_0 x e_1"]
+    assert _failed_lines(out) == ["e_0 x e_1", "e_1 x e_0"]
+
+
+def test_a_doubled_generator_fails_both_unit_products(monkeypatch):
+    # e_1 x e_0 is read through stage 0 of the lift of e_1, not through the
+    # identity lift of e_0, which would compare the representative with
+    # itself and pass for any multiple of it
+    from injres import cohomology
+    real = cohomology.yoneda_rep
+    monkeypatch.setattr(cohomology, "yoneda_rep", lambda i, field: (
+        real(i, field) * field.of(2) if i == 1 else real(i, field)))
+    code, out = run(["--field", "7", "yoneda"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["e_0 x e_1", "e_1 x e_0"]
 
 
 def test_the_parser_is_built_once():

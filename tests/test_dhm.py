@@ -8,7 +8,7 @@ from injres.ring import parse_poly, QQ, Field
 from injres.resolution import PrimeIndex
 from injres import dhm, linalg
 from injres.cli import run_command
-from injres.hulls import VAR, omega_zw
+from injres.hulls import EZWElement, VAR, omega_zw
 from injres.dhm import (DHMModule, DHMHom, dhm_hom_space,
                         dhm_dual_basis, dhm_min_generators, dhm_ext,
                         InvariantViolation, TruncationTooSmall,
@@ -86,18 +86,58 @@ def test_hom_space_at_the_maximal_prime():
 
 @pytest.mark.parametrize("field", [QQ, Field(7)], ids=repr)
 def test_hom_space_and_hom_checks_read_the_action_table(monkeypatch, field):
-    mod = dhm.module_over(field)
-    calls = []
-    act_vec = dhm._act_vec
-    monkeypatch.setattr(dhm, "_act_vec",
-                        lambda *args: calls.append(args) or act_vec(*args))
+    # the table is built once per field: with the literal gone, the solver,
+    # the hom checks and the dual basis still see the action
+    dhm.module_over(field)
+    named = dhm_dual_basis(field)
+    monkeypatch.setattr(dhm, "_ACTION", {})
     dim, homs = dhm_hom_space(PrimeIndex.maximal(), truncation=3, field=field)
-    assert dim == 15 and calls == []
-    assert all(h.is_hom() for h in homs) and calls == []
-    # the table is the action on each basis vector
-    for x in "XYZW":
+    assert dim == 15 and all(h.is_hom() for h in homs)
+    assert all(h.is_hom() for h in named.values())
+    assert dhm_dual_basis(field) == named
+
+
+def evaluated_is_hom(h):
+    """Phi(x b) = x Phi(b) for every variable x and basis vector b, each
+    side evaluated: the hom check as it stood before DHMModule.conditions,
+    kept as a reference."""
+    mod = dhm.module_over(h.field)
+    for x in VAR:
         for b in BASIS:
-            assert mod.act(x, b) == act_vec(x, {b: field.one}, field)
+            lhs = EZWElement.zero(h.field)
+            for b2, c in mod.act(x, b).items():
+                lhs = lhs + h.value(b2).scale(c)
+            if not (lhs - h.value(b).monomial_act(*VAR[x])).is_zero():
+                return False
+    return True
+
+
+def mutants(h):
+    """h with its value at one of u1, v2, w3, w6 doubled, moved by Z, or
+    plus Omega^0(1)."""
+    one = omega_zw(0, 0, 0, h.field)
+    for b in ("u1", "v2", "w3", "w6"):
+        v = h.value(b)
+        for new in (v + v, v.monomial_act(*VAR["Z"]), v + one):
+            yield DHMHom({**h.terms, b: new}, h.field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7)], ids=repr)
+def test_the_hom_condition_agrees_with_evaluating_both_sides(field):
+    named = dhm_dual_basis(field)
+    _, solved = dhm_hom_space(PrimeIndex.maximal(), truncation=3, field=field)
+    homs = list(named.values()) + solved
+    for h in homs:
+        assert h.is_hom() and evaluated_is_hom(h)
+    verdicts = [(m.is_hom(), evaluated_is_hom(m))
+                for h in named.values() for m in mutants(h)]
+    assert all(new == old for new, old in verdicts)
+    assert len(verdicts) == 180 and sum(not old for _, old in verdicts) == 50
+    # M' built both ways: the named and the solved bases span one space
+    red = linalg.Reducer()
+    for h in homs:
+        red.add(h.coords())
+    assert red.rank == 15
 
 
 @pytest.mark.parametrize("ftext", ["Z", "W", "Z+W", "W-Z^2"])
