@@ -22,7 +22,7 @@ from itertools import islice
 
 from .ring import (BivarPoly, LocalFraction, QQ, Field,
                    parse_poly, format_poly, split_power, split_top)
-from .gfrac import (GeneralizedFraction, H2Canonical, reduce_h2, h4_reduce,
+from .gfrac import (GeneralizedFraction, H4Canonical, reduce_h2,
                     h2_canonical_fraction, minimal_onto_rewrite,
                     denominator_memo, NotSystemOfParameters)
 from .oracle import cech_equal
@@ -138,27 +138,26 @@ def suite_reduce(expr, field):
     num, dens = parse_gfrac(expr, field)
     if any(e < 1 for _, e in dens):
         raise UsageError("denominator exponents must be >= 1")
+    if len(dens) == 2:
+        if any(isinstance(b, str) for b, _ in dens):
+            raise UsageError("two-denominator fractions take Z,W-polynomials")
+    elif len(dens) == 4:
+        for pos, name in ((2, "X"), (3, "Y")):
+            if not isinstance(dens[pos][0], str) or dens[pos][0] != name:
+                raise UsageError(f"slot {pos + 1} must be a power of {name}")
+        for pos in (0, 1):
+            if isinstance(dens[pos][0], str):
+                raise UsageError("slots 1 and 2 must be Z,W-polynomials")
+    else:
+        raise UsageError("two or four denominators required")
     try:
-        if len(dens) == 2:
-            if any(isinstance(b, str) for b, _ in dens):
-                raise UsageError("two-denominator fractions take "
-                                 "Z,W-polynomials")
-            can = zw_part = reduce_h2(num, dens[0], dens[1])
-        elif len(dens) == 4:
-            for pos, name in ((2, "X"), (3, "Y")):
-                if not isinstance(dens[pos][0], str) or dens[pos][0] != name:
-                    raise UsageError(f"slot {pos + 1} must be a power of "
-                                     f"{name}")
-            for pos in (0, 1):
-                if isinstance(dens[pos][0], str):
-                    raise UsageError("slots 1 and 2 must be Z,W-polynomials")
-            can = h4_reduce(num, dens[:2], dens[2][1], dens[3][1])
-            # the X and Y indices are fixed: the oracle checks the (Z,W) part
-            zw_part = H2Canonical({k[:2]: c for k, c in can.terms.items()})
-        else:
-            raise UsageError("two or four denominators required")
+        zw_part = reduce_h2(num, dens[0], dens[1])
     except NotSystemOfParameters as exc:
         raise UsageError(f"not a system of parameters: {exc}") from None
+    # the X and Y indices of a four-slot fraction are fixed: they are
+    # attached for printing, and the oracle checks the (Z,W) part
+    can = zw_part if len(dens) == 2 else H4Canonical(
+        {k + (dens[2][1], dens[3][1]): c for k, c in zw_part.terms.items()})
     try:
         agreed = cech_equal(GeneralizedFraction(num, dens[:2]),
                             h2_canonical_fraction(zw_part, field))

@@ -8,8 +8,10 @@ local cohomology supported at (x1, ..., xn).  It obeys three laws:
   vanishing       [w / x1, ..., xn] = 0  iff  (x1...xn)^s * w lies in
                   (x1^{s+1}, ..., xn^{s+1}) for some s >= 0
 
-A fraction with any exponent <= 0 is zero.  This module reduces H^2 and H^4
-classes to their unique canonical coefficients, decides H^1 classes by
+A fraction with any exponent <= 0 is zero.  This module reduces H^2
+classes to their unique canonical coefficients (an H^4 class
+[w / u, v, X^x, Y^y] keeps its X and Y indices, so its coefficients are
+those of [w / u, v] in H4Canonical keys), decides H^1 classes by
 valuations, and rewrites [1 / W^t, Z^s] over a denominator pair (W^t, f^l)
 for irreducible f (minimal_onto_rewrite): the least l with f^l in
 (W^t, Z^s), and g from f^l by one division.  This witnesses the paper's
@@ -251,10 +253,3 @@ def h2_canonical_fraction(can, field=QQ):
         num = num + BivarPoly.mono((big_i - i, big_j - j), c, field)
     return GeneralizedFraction(num, [(zvar, big_i), (wvar, big_j)])
 
-
-def h4_reduce(num, zw_denoms, x_exp, y_exp):
-    """Reduce the (Z,W)-part of [num / u^i, v^j, X^x, Y^y] and attach the
-    fixed X and Y indices."""
-    assert x_exp >= 1 and y_exp >= 1
-    h2 = reduce_h2(num, zw_denoms[0], zw_denoms[1])
-    return H4Canonical({(a, b, x_exp, y_exp): c for (a, b), c in h2.terms.items()})

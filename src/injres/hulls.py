@@ -35,7 +35,7 @@ element is built by E0Element with the factor set of its denominators.
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ, adic_expand,
                    exact_divide, f_adic_valuation, normalize_monic,
                    series_inverse_truncated, truncate)
-from .gfrac import H1Class, H4Canonical, BadDenominator
+from .gfrac import H1Class, BadDenominator
 from .linalg import SparseVector, _axpy
 
 
@@ -349,30 +349,3 @@ def is_socle(e):
     return e.monomial_act(*VAR["X"]).is_zero() and \
         e.monomial_act(*VAR["Y"]).is_zero()
 
-
-# --- EZW <-> H4 canonical coordinates ---------------------------------------
-
-def _expand_basis(n, s, t):
-    """Indices (i, j, k, l) of eq-style expansion of Omega^n(Z^s W^t):
-    [1/Z^{n+1-i-s}, W^{i+1-t}, X^{i+1}, Y^{n+1-i}] over valid i."""
-    for i in range(max(0, t), min(n, n - s) + 1):
-        yield (n + 1 - i - s, i + 1 - t, i + 1, n + 1 - i)
-
-
-def ezw_to_h4(e):
-    out = {}
-    for (n, s, t), v in e.terms.items():
-        _axpy(out, dict.fromkeys(_expand_basis(n, s, t), v))
-    return H4Canonical(out)
-
-
-def h4_to_ezw(c, field=QQ):
-    """Invert ezw_to_h4; raises NotInEZW when c is not in the image.  The
-    H4 index (i, j, k, l) comes only from the expansion of Omega^n(Z^s W^t)
-    with (n, s, t) = (k+l-2, l-i, k-j), so each term names its basis
-    vector, and the re-expansion checks that c holds every term of each."""
-    e = EZWElement({(k + l - 2, l - i, k - j): v
-                    for (i, j, k, l), v in c.terms.items()}, field)
-    if ezw_to_h4(e) != c:
-        raise NotInEZW("re-expansion does not match the input")
-    return e

@@ -10,8 +10,9 @@ re-exported here:
   degree 2:  sum_f E(f) + E(Z) + E(W) + E(Z,W)
   degree n>=3:  E(Z,W)^2
 
-The differentials are assembled from d0 (argument-preserving), d1 (a
-case-by-case reduction into E(Z,W) coordinates) and the companion maps
+The differentials are assembled from d0 (argument-preserving), d1 (into
+E(Z,W) coordinates: on E(f) one H^2 reduction per graded part, its
+canonical coefficients read off as basis indices) and the companion maps
 pi0, pi11, pi12, which first multiply the argument by a Laurent monomial
 Z^a W^b through monomial_act.  d0 and pi0 have a slot at E(Z), at E(W) and
 at the prime of every factor an E(0) element carries
@@ -22,10 +23,9 @@ stages 1 and 2 of the lift of e_2 in cohomology.
 
 from .ring import (BivarPoly, RationalFunction, LocalFraction, QQ,
                    resultant_bezout, DegenerateResultant)
-from .gfrac import (H4Canonical, H1Class, denominator_memo, reduce_h2,
-                    minimal_onto_rewrite)
+from .gfrac import H1Class, reduce_h2, minimal_onto_rewrite
 from .hulls import (E0Element, EfElement, EZWElement, PrimeIndex, VAR,
-                    act_series, omega, omega_zw, h4_to_ezw, BadLocus)
+                    act_series, omega, omega_zw, BadLocus)
 from .linalg import Apart, SparseVector
 
 
@@ -114,21 +114,19 @@ def _d1_axis(el, axis):
 
 
 def _d1_irr(el):
-    """d1 on E(f): slotwise reduction of [g / h * Z^{n+1-i} * W^{i+1}, f^s]
-    for i = 0..n, reassembled through H4 coordinates.  By the
-    transformation law with det = Z^i * W^{n-i} each of these is
-    [Z^i * W^{n-i} * g / h * (Z*W)^{n+1}, f^s], so the n + 1 reductions of
-    a graded part share one denominator pair, eliminated once."""
-    h4 = H4Canonical()
-    with denominator_memo():
-        for n, cls in el.terms.items():
-            g, f, s = cls.g, cls.f, cls.s
-            base = cls.h.shift((n + 1, n + 1))
-            for i in range(n + 1):
-                h2 = reduce_h2(g.shift((i, n - i)), (base, 1), (f, s))
-                h4 = h4 + H4Canonical({(zi, wj, i + 1, n + 1 - i): c
-                                       for (zi, wj), c in h2.terms.items()})
-    return h4_to_ezw(h4, el.field)
+    """d1 on E(f), one reduction per graded part.  As defined,
+    Omega^n_f(g / h f^s) goes through [g / h Z^(n+1-i) W^(i+1), f^s] for
+    i = 0..n; by the transformation law each is
+    [Z^i W^(n-i) g / h (Z W)^(n+1), f^s], so Z^i W^(n-i) only shifts the
+    canonical coefficients of one reduction.  A coefficient c of
+    [1 / Z^a, W^b] lands on c Omega^n(Z^(n+1-a) W^(n+1-b)) for every i it
+    survives, and survives for none when a + b <= n + 1."""
+    out = {}
+    for n, cls in el.terms.items():
+        h2 = reduce_h2(cls.g, (cls.h.shift((n + 1, n + 1)), 1), (cls.f, cls.s))
+        out.update({(n, n + 1 - a, n + 1 - b): c
+                    for (a, b), c in h2.terms.items() if a + b >= n + 2})
+    return EZWElement(out, el.field)
 
 
 def d1_f(prime, el):

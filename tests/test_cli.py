@@ -75,6 +75,24 @@ def test_reduce_four_denominators():
     assert "[ok] oracle" in out
 
 
+def test_reduce_attaches_the_xy_indices(monkeypatch):
+    # one reduction of the (Z,W) part; the fixed X and Y exponents are
+    # appended to each of its keys
+    import injres.cli as cli
+    reduce_h2, calls = cli.reduce_h2, []
+    monkeypatch.setattr(cli, "reduce_h2",
+                        lambda *a: calls.append(a) or reduce_h2(*a))
+    argv = ["reduce", "[1 / Z^2, W^3, X^4, Y^5]"]
+    code, out = run(argv)
+    assert code == 0, out
+    assert [line for line in out.splitlines() if "canonical" in line] == \
+        ["  [ok] canonical: (2, 3, 4, 5): 1"]
+    assert len(calls) == 1
+    code, out = run(["--format", "json"] + argv)
+    report, = json.loads(out)["reports"]
+    assert report["data"]["coeffs"] == {"(2, 3, 4, 5)": "1"}
+
+
 def test_reduce_reads_parenthesised_powers():
     code, paren = run(["reduce", "[(Z+W)^2*Z / Z^3, (W)^2]"])
     assert code == 0, paren
@@ -204,6 +222,18 @@ def test_lc_at_a_unit_gcd_is_m_primary(field):
     code, out = run(["--field", field, "lc", "--ideal", "Z+Z*W,W+W^2"])
     assert code == 0, out
     assert "local cohomology at an m-primary I0\n" in out
+
+
+@pytest.mark.parametrize("ideal", ["Z", "W"])
+def test_an_axis_d1_acting_as_zero_fails_the_lc_h2_line(monkeypatch, ideal):
+    # H^2 is computed, not written down: d1 of each first-row witness must
+    # hit its target Omega^0(Z^s W^t)
+    from injres import hulls, resolution
+    monkeypatch.setattr(resolution, "_d1_axis",
+                        lambda el, axis: hulls.EZWElement.zero(el.field))
+    code, out = run(["lc", "--ideal", ideal])
+    assert code == 1, out
+    assert "  [FAIL] H^2: zero (d1 is onto the socle row)\n" in out
 
 
 LC_IDEALS = ["0", "Z,W", "Z", "W", "Z+W", "X", "Z*W", "Z^2", "1+Z", "Z,W^2",

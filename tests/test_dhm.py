@@ -153,9 +153,11 @@ def test_hom_space_vanishes_at_height_one(ftext):
         assert dim == 0 and homs == []
 
 
-def test_truncation_guard():
+@pytest.mark.parametrize("truncation", [1, 2])
+def test_truncation_guard(truncation):
+    # (0 : m^2) does not hold the m^3-torsion, where every hom lands
     with pytest.raises(TruncationTooSmall):
-        dhm_hom_space(PrimeIndex.maximal(), truncation=1)
+        dhm_hom_space(PrimeIndex.maximal(), truncation=truncation)
 
 
 def test_minimal_generators():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from injres import gfrac
 from injres.ring import Field, LocalFraction, parse_poly, QQ
 from injres.gfrac import (GeneralizedFraction, H1Class, H2Canonical,
-                          reduce_h2, h4_reduce, minimal_onto_rewrite,
+                          reduce_h2, minimal_onto_rewrite,
                           h2_canonical_fraction, NotSystemOfParameters,
                           NotApplicable)
 
@@ -86,11 +86,6 @@ def test_h1_scale_composes():
     c = H1Class(f, P("1"), P("1"), 2)
     assert c.scale(P("Z"), P("1"), 1) == c.scale(P("Z"), None, 0).scale(
         P("1"), P("1"), 1)
-
-
-def test_h4_reduce_attaches_xy_indices():
-    got = h4_reduce(P("1"), [(P("Z"), 2), (P("W"), 3)], 4, 5)
-    assert got.terms == {(2, 3, 4, 5): F(1)}
 
 
 @pytest.mark.parametrize("char", [0, 3, 5, 7, 32003],

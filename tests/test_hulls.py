@@ -1,5 +1,5 @@
-"""The five hull models, the module action, Laurent operators, socles, and
-the coordinate bridges to canonical fraction coefficients."""
+"""The five hull models, the module action, Laurent operators, socles and
+torsion boxes."""
 
 from fractions import Fraction
 
@@ -11,9 +11,7 @@ from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
 from injres.hulls import (E0Element, EZElement, EWElement, EfElement,
                           EZWElement, omega, omega_zw, act, act_series,
                           torsion_box,
-                          socle_project, is_socle, ezw_to_h4,
-                          h4_to_ezw, NotInEZW, BadLocus)
-from injres.gfrac import H4Canonical
+                          socle_project, is_socle, NotInEZW, BadLocus)
 from injres.resolution import PrimeIndex, ChainElement, DegreeMismatch
 from injres import samples
 
@@ -162,26 +160,6 @@ def test_height_one_names_the_axes_and_the_other_primes(field):
     assert named("Z*W").kind == "irr"  # a product of the axes is no axis
     with pytest.raises(BadLocus):
         named("0")
-
-
-def test_ezw_to_h4_basis_expansion():
-    got = ezw_to_h4(omega_zw(1, 0, 1))
-    assert got == H4Canonical({(1, 1, 2, 1): Fraction(1)})
-    zero = ezw_to_h4(EZWElement.zero(QQ))
-    assert zero.is_zero()
-
-
-def test_h4_roundtrip_random():
-    rng = samples.rng_from_seed(12)
-    for _ in range(25):
-        e = samples.random_ezw(rng)
-        assert h4_to_ezw(ezw_to_h4(e)) == e
-
-
-def test_h4_rejects_classes_outside_the_hull():
-    # half of the two-term expansion of Omega^1(1) is not itself in the hull
-    with pytest.raises(NotInEZW):
-        h4_to_ezw(H4Canonical({(2, 1, 1, 2): Fraction(1)}))
 
 
 def test_axis_truncation_identity():

@@ -7,8 +7,8 @@ import pytest
 
 from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
                          QQ, Field)
-from injres.hulls import (E0Element, omega, omega_zw, act, socle_project,
-                          h4_to_ezw)
+from injres.hulls import (E0Element, EZWElement, omega, omega_zw, act,
+                          socle_project)
 from injres.gfrac import H4Canonical, reduce_h2
 from injres import gfrac
 from injres.resolution import (PrimeIndex, ChainElement, legal_kinds,
@@ -64,9 +64,25 @@ def test_d1_irreducible_frozen_vector():
     assert got.terms == {(0, -1, 0): Fraction(-1), (0, 0, -1): Fraction(1)}
 
 
+def _h4_to_ezw(h4, field):
+    """The E(Z,W) element whose H^4 canonical coordinates are h4.
+    Omega^n(Z^s W^t) expands to [1 / Z^(n+1-i-s), W^(i+1-t), X^(i+1),
+    Y^(n+1-i)] over the valid i, so each key (i, j, k, l) names the basis
+    vector (k+l-2, l-i, k-j), and the re-expansion checks that h4 holds
+    every term of each."""
+    e = EZWElement({(k + l - 2, l - i, k - j): v
+                    for (i, j, k, l), v in h4.terms.items()}, field)
+    expanded = {(n + 1 - i - s, i + 1 - t, i + 1, n + 1 - i): v
+                for (n, s, t), v in e.terms.items()
+                for i in range(max(0, t), min(n, n - s) + 1)}
+    assert expanded == h4.terms
+    return e
+
+
 def _d1_irr_per_slot_pair(el):
     """d1 on E(f) as defined: one denominator pair
-    (h * Z^{n+1-i} * W^{i+1}, f^s) for each i = 0..n."""
+    (h * Z^{n+1-i} * W^{i+1}, f^s) for each i = 0..n, reassembled through
+    H^4 coordinates."""
     field = el.field
     Z, W = BivarPoly.var("Z", field), BivarPoly.var("W", field)
     h4 = H4Canonical()
@@ -76,7 +92,34 @@ def _d1_irr_per_slot_pair(el):
             h2 = reduce_h2(cls.g, (base, 1), (cls.f, cls.s))
             h4 = h4 + H4Canonical({(zi, wj, i + 1, n + 1 - i): c
                                    for (zi, wj), c in h2.terms.items()})
-    return h4_to_ezw(h4, field)
+    return _h4_to_ezw(h4, field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7), Field(32003)],
+                         ids=repr)
+def test_d1_irr_agrees_with_the_per_slot_reference(field):
+    # seeded E(f) elements of up to three graded parts at five
+    # irreducibles; most of their images are nonzero
+    rng = samples.rng_from_seed(30)
+    dens = ["1", "Z", "W", "Z*W", "1+Z", "W*(1-Z)", "Z^2*(1+W)"]
+    nonzero = total = 0
+    for ftext in ["Z+W", "W-Z^2", "Z+W^2", "Z^2+W^3", "Z+W+Z*W"]:
+        prime = PrimeIndex.irr(parse_poly(ftext, field=field))
+        for _ in range(6):
+            el = None
+            for n in rng.sample(range(4), rng.randint(1, 3)):
+                h = parse_poly(rng.choice(dens), field=field)
+                arg = RationalFunction(samples.random_poly(rng, field),
+                                       h * prime.f ** rng.randint(1, 3),
+                                       reduce=False)
+                part = omega(prime, n, arg, field)
+                el = part if el is None else el + part
+            if not el:
+                continue
+            got = d1_f(prime, el)
+            assert got.terms == _d1_irr_per_slot_pair(el).terms, (ftext, el)
+            total, nonzero = total + 1, nonzero + bool(got)
+    assert total >= 25 and 2 * nonzero > total, (nonzero, total)
 
 
 @pytest.mark.parametrize("field", [QQ, Field(3), Field(7)], ids=repr)
@@ -99,8 +142,12 @@ def test_d1_irr_shares_one_pair_per_graded_part(monkeypatch, field, ftext):
     bezout, calls = gfrac.resultant_bezout, []
     monkeypatch.setattr(gfrac, "resultant_bezout",
                         lambda *a: calls.append(a) or bezout(*a))
+    reduce, reductions = resolution.reduce_h2, []
+    monkeypatch.setattr(resolution, "reduce_h2",
+                        lambda *a: reductions.append(a) or reduce(*a))
     got = d1_f(PrimeIndex.irr(f), el)
-    # one pair per graded part, two eliminations each, not one per i
+    # one reduction per graded part, two eliminations each, not one per i
+    assert len(reductions) == len(parts)
     assert len(calls) == 2 * len(parts)
     monkeypatch.undo()
     assert got.terms == _d1_irr_per_slot_pair(el).terms
