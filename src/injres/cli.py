@@ -22,7 +22,7 @@ from itertools import islice
 
 from .ring import (BivarPoly, LocalFraction, QQ, Field,
                    parse_poly, format_poly, split_power, split_top)
-from .gfrac import (GeneralizedFraction, H4Canonical, reduce_h2,
+from .gfrac import (GeneralizedFraction, reduce_h2,
                     h2_canonical_fraction, minimal_onto_rewrite,
                     denominator_memo, NotSystemOfParameters)
 from .oracle import cech_equal
@@ -127,8 +127,8 @@ def parse_gfrac(text, field=QQ):
     return num, dens
 
 
-def _canonical_lines(can):
-    return [f"{key}: {c}" for key, c in sorted(can.terms.items())]
+def _canonical_lines(coeffs):
+    return [f"{key}: {c}" for key, c in sorted(coeffs.items())]
 
 
 # --- suites -------------------------------------------------------------------
@@ -156,8 +156,8 @@ def suite_reduce(expr, field):
         raise UsageError(f"not a system of parameters: {exc}") from None
     # the X and Y indices of a four-slot fraction are fixed: they are
     # attached for printing, and the oracle checks the (Z,W) part
-    can = zw_part if len(dens) == 2 else H4Canonical(
-        {k + (dens[2][1], dens[3][1]): c for k, c in zw_part.terms.items()})
+    coeffs = zw_part.terms if len(dens) == 2 else {
+        k + (dens[2][1], dens[3][1]): c for k, c in zw_part.terms.items()}
     try:
         agreed = cech_equal(GeneralizedFraction(num, dens[:2]),
                             h2_canonical_fraction(zw_part, field))
@@ -166,12 +166,12 @@ def suite_reduce(expr, field):
         # the oracle needs coprime slot products, and when no swap or
         # shear of the slots gives them, an unchecked line cannot pass
         rep.add("oracle", f"undecided: {exc}", False)
-    if can.is_zero():
+    if not coeffs:
         rep.add("canonical", "0")
     else:
-        for line in _canonical_lines(can):
+        for line in _canonical_lines(coeffs):
             rep.add("canonical", line)
-    rep.data["coeffs"] = {str(k): str(v) for k, v in sorted(can.terms.items())}
+    rep.data["coeffs"] = {str(k): str(v) for k, v in sorted(coeffs.items())}
     return [rep]
 
 

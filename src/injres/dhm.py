@@ -182,10 +182,10 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
     basis of DHMHom).  The verdicts are returned, not raised.
 
     Maximal: the kernel of the hom conditions of DHMModule.conditions on
-    the torsion box (0 : m^truncation) of E(Z,W), solved exactly; it holds
-    the m^3-torsion, where every hom lands, from truncation 3 on (the
-    Loewy length DHMModule checks).  The basis is not
-    checked here: the caller checks each member with DHMHom.is_hom.
+    the m^3-torsion subspace of E(Z,W), solved exactly, whatever the
+    truncation: every hom lands there (DHMModule checks m^3 M = 0).  The
+    basis is not checked here: the caller checks each member with
+    DHMHom.is_hom.
     Height-one primes: zero, as M is torsion against the variable that is a
     unit at the prime (DHMModule checks m^3 M = 0), and that variable kills
     no element of the hull.  On a box of generators Omega^n(argument) it
@@ -194,14 +194,14 @@ def dhm_hom_space(prime, truncation=8, field=QQ):
     merges no two.  Returns (0, []), or (None, []) when a generator of the
     box is not moved so.
     """
-    if truncation < 3:
-        raise TruncationTooSmall("need truncation >= 3 to contain the "
+    if truncation < 2:
+        raise TruncationTooSmall("need truncation >= 2 to contain the "
                                  "m^3-torsion of the hull")
     if prime.kind == "max":
         mod = module_over(field)
         kern = linalg.kernel_basis(
             [((b, key), mod.conditions(b, omega_zw(*key, field)))
-             for b in BASIS for key in torsion_box(truncation)])
+             for b in BASIS for key in torsion_box(3)])
         homs = [sum((DHMHom({b: omega_zw(*key, field, c)}, field)
                      for (b, key), c in comb.items()), DHMHom({}, field))
                 for comb in kern]

@@ -11,7 +11,7 @@ local cohomology supported at (x1, ..., xn).  It obeys three laws:
 A fraction with any exponent <= 0 is zero.  This module reduces H^2
 classes to their unique canonical coefficients (an H^4 class
 [w / u, v, X^x, Y^y] keeps its X and Y indices, so its coefficients are
-those of [w / u, v] in H4Canonical keys), decides H^1 classes by
+those of [w / u, v] with x and y appended), decides H^1 classes by
 valuations, and rewrites [1 / W^t, Z^s] over a denominator pair (W^t, f^l)
 for irreducible f (minimal_onto_rewrite): the least l with f^l in
 (W^t, Z^s), and g from f^l by one division.  This witnesses the paper's
@@ -62,10 +62,6 @@ class GeneralizedFraction:
 
 class H2Canonical(SparseVector):
     """Coefficients c_{ij} of sum c_{ij} [1 / Z^i, W^j], i,j >= 1."""
-
-
-class H4Canonical(SparseVector):
-    """Coefficients a_{ijkl} of sum a_{ijkl} [1 / Z^i, W^j, X^k, Y^l]."""
 
 
 class H1Class:

@@ -1,7 +1,7 @@
 """Sparse vectors and exact linear algebra over the coefficient field.
 
 SparseVector is the one sparse-vector type: every element of a hull, of a
-term of the resolution, of Hom(M, E(Z,W)) and every canonical H^2/H^4
+term of the resolution, of Hom(M, E(Z,W)) and every canonical H^2
 coefficient map is a finite sum of basis classes stored as a terms dict,
 and shares its +, -, scale and == with the others.
 

@@ -224,18 +224,6 @@ def test_lc_at_a_unit_gcd_is_m_primary(field):
     assert "local cohomology at an m-primary I0\n" in out
 
 
-@pytest.mark.parametrize("ideal", ["Z", "W"])
-def test_an_axis_d1_acting_as_zero_fails_the_lc_h2_line(monkeypatch, ideal):
-    # H^2 is computed, not written down: d1 of each first-row witness must
-    # hit its target Omega^0(Z^s W^t)
-    from injres import hulls, resolution
-    monkeypatch.setattr(resolution, "_d1_axis",
-                        lambda el, axis: hulls.EZWElement.zero(el.field))
-    code, out = run(["lc", "--ideal", ideal])
-    assert code == 1, out
-    assert "  [FAIL] H^2: zero (d1 is onto the socle row)\n" in out
-
-
 LC_IDEALS = ["0", "Z,W", "Z", "W", "Z+W", "X", "Z*W", "Z^2", "1+Z", "Z,W^2",
              "W-Z^2", "Z+W,Z-W", "Z+Z*W,W+W^2"]
 

@@ -8,8 +8,7 @@ by some call, and every command-line flag must be read by the CLI.  Only
 ring.py reads how a coefficient is stored, only a PrimeIndex names a hull,
 only resolution.py applies d1 to a twisted argument, and every monomial
 acts through monomial_act.  cli.py imports only the reduction path at load
-time, only cohomology.py evaluates Yoneda products, and only gfrac.py and
-cli.py name the H^4 coordinates.
+time, and only cohomology.py evaluates Yoneda products.
 """
 
 import ast
@@ -328,18 +327,3 @@ def test_the_product_table_has_one_home():
              in ("yoneda_product", "yoneda_lift_stage")]
     assert not found, "Yoneda products outside cohomology.py: " + \
         ", ".join(found)
-
-
-def test_h4_coordinates_live_only_at_the_four_slot_reduce():
-    # d1 reads its coefficients straight into E(Z,W) indices: H4Canonical
-    # is defined in gfrac.py and used only where cli.py prints a four-slot
-    # fraction's coefficients
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("gfrac.py", "cli.py"):
-            continue
-        tree = _parse(path)
-        names = _loaded_names(tree) | {name for name, _ in _imported_names(tree)}
-        if "H4Canonical" in names:
-            found.append(path.name)
-    assert not found, "H4Canonical named in: " + ", ".join(found)

@@ -9,7 +9,7 @@ from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
                          QQ, Field)
 from injres.hulls import (E0Element, EZWElement, omega, omega_zw, act,
                           socle_project)
-from injres.gfrac import H4Canonical, reduce_h2
+from injres.gfrac import reduce_h2
 from injres import gfrac
 from injres.resolution import (PrimeIndex, ChainElement, legal_kinds,
                                DegreeMismatch, d0, d1_f, d1_twisted, pi0,
@@ -71,11 +71,11 @@ def _h4_to_ezw(h4, field):
     vector (k+l-2, l-i, k-j), and the re-expansion checks that h4 holds
     every term of each."""
     e = EZWElement({(k + l - 2, l - i, k - j): v
-                    for (i, j, k, l), v in h4.terms.items()}, field)
+                    for (i, j, k, l), v in h4.items()}, field)
     expanded = {(n + 1 - i - s, i + 1 - t, i + 1, n + 1 - i): v
                 for (n, s, t), v in e.terms.items()
                 for i in range(max(0, t), min(n, n - s) + 1)}
-    assert expanded == h4.terms
+    assert expanded == h4
     return e
 
 
@@ -85,13 +85,13 @@ def _d1_irr_per_slot_pair(el):
     H^4 coordinates."""
     field = el.field
     Z, W = BivarPoly.var("Z", field), BivarPoly.var("W", field)
-    h4 = H4Canonical()
+    h4 = {}  # keys (i, j, k, l) of [1 / Z^i, W^j, X^k, Y^l]; (k, l) fix (n, i)
     for n, cls in el.terms.items():
         for i in range(n + 1):
             base = cls.h * W ** (i + 1) * Z ** (n + 1 - i)
             h2 = reduce_h2(cls.g, (base, 1), (cls.f, cls.s))
-            h4 = h4 + H4Canonical({(zi, wj, i + 1, n + 1 - i): c
-                                   for (zi, wj), c in h2.terms.items()})
+            h4.update({(zi, wj, i + 1, n + 1 - i): c
+                       for (zi, wj), c in h2.terms.items()})
     return _h4_to_ezw(h4, field)
 
 
