@@ -108,7 +108,9 @@ def parse_gfrac(text, field=QQ):
     if cut < 0:
         raise UsageError("missing '/' in generalized fraction")
     num_text = body[:cut].strip()
-    entries = [e for _, e in split_top(body[cut + 1:], ",") if e.strip()]
+    entries = [e for _, e in split_top(body[cut + 1:], ",")]
+    if not all(e.strip() for e in entries):
+        raise UsageError("empty denominator entry")
     if len(entries) < 2:
         raise UsageError("need at least two denominators")
     ncut = _structural_slash(num_text)

@@ -28,10 +28,10 @@ from math import prod
 from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    bivar_gcd, divides, exact_divide, normalize_monic,
                    verify_irreducible, VERIFIED)
-from .hulls import (E0Element, EZElement, EWElement, EZWElement, PrimeIndex,
+from .hulls import (E0Element, EZElement, EWElement, PrimeIndex,
                     VAR, act, omega, omega_zw, is_socle, torsion_box)
-from .resolution import (ChainElement, d1_f, d1_twisted, delta, iota0,
-                         legal_kinds, max_copies, _map_parts)
+from .resolution import (ChainElement, chain_map, d1_f, delta, iota0,
+                         legal_kinds, max_copies)
 from .report import CohomologyReport, UsageError
 from . import linalg
 
@@ -604,63 +604,45 @@ def yoneda_rep(i, field=QQ):
     raise UnsupportedIndex(f"no nonzero class e_{i}")
 
 
-# Stages 1 and 2 of the lift of e_2 as argument twists read by d1_twisted:
-# stage 1 sends the Z and f slots, twisted by 1/W, to the first copy of
-# E(Z,W) with a minus sign, and the W slot, twisted by 1/Z, to the second;
-# stage 2 sends every height-one slot to the second copy with a minus sign,
-# twisted by 1/W at Z, 1/Z at W and 1/(ZW) at f.
-_LIFT1_TOP = {"Z": (0, -1), "irr": (0, -1)}
-_LIFT1_BOTTOM = {"W": (-1, 0)}
-_LIFT2_BOTTOM = {"Z": (0, -1), "W": (-1, 0), "irr": (-1, -1)}
-# Stage 1 of the odd lift multiplies the argument of each height-one slot:
-# by W at Z, by Z at W and by ZW at f.
-_ODD_LIFT1 = {"Z": (0, 1), "W": (1, 0), "irr": (1, 1)}
+# The lifts of U = e_1 and V = e_2, one chain_map table per stage, read off
+# the commuting squares.  U multiplies by ZW on E(0), and by W, Z and ZW at
+# the Z, W and f slots.  V twists E(0) by 1/W into E(W), then sends the
+# height-one slots into the copies of E(Z,W) by d1, and from the hull pair
+# on it is minus the identity, its last stage.
+_LIFTS = {
+    1: [{"zero": [("zero", (0, 0, 1, 1), 1)]},
+        {"Z": [("Z", (0, 0, 0, 1), 1)], "W": [("W", (0, 0, 1, 0), 1)],
+         "irr": [("irr", (0, 0, 1, 1), 1)]}],
+    2: [{"zero": [("W", (0, 0, 0, -1), 1)]},
+        {"Z": [("max0", (0, 0, 0, -1), -1)],
+         "W": [("max1", (0, 0, -1, 0), 1)],
+         "irr": [("max0", (0, 0, 0, -1), -1)]},
+        {"max0": [("max0", (0, 0, 0, 0), -1)],
+         "Z": [("max1", (0, 0, 0, -1), -1)],
+         "W": [("max1", (0, 0, -1, 0), -1)],
+         "irr": [("max1", (0, 0, -1, -1), -1)]},
+        {"max0": [("max0", (0, 0, 0, 0), -1)],
+         "max1": [("max1", (0, 0, 0, 0), -1)]}],
+}
 
 
 def yoneda_lift_stage(j, k, chain):
     """Stage k of the chain map lifting the augmentation onto e_j:
-    a map E^k -> E^{k+j}.  Only U = e_1 and V = e_2 are lifted by hand:
-    stage 0 from the commuting squares, then the twist tables above, and
-    past the hull pair minus the identity.  e_0 lifts to the identity, and
-    the lift of e_j for even j >= 4 follows from e_j = -e_2 e_{j-2}."""
-    field = chain.field
+    a map E^k -> E^{k+j}.  e_0 lifts to the identity, U = e_1 and V = e_2
+    by the tables above, and the lift of e_j for even j >= 4 follows from
+    e_j = -e_2 e_{j-2}."""
     if j == 0:
         return chain
-    if j == 1:
-        if k == 0:
-            psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
-            return ChainElement(1, {PrimeIndex.zero():
-                                    psi0.monomial_act(0, 0, 1, 1)}, field)
-        if k == 1:
-            return ChainElement(2, {
-                idx: el.monomial_act(0, 0, *_ODD_LIFT1[idx.kind])
-                for idx, el in chain.terms.items() if idx.kind != "zero"},
-                field)
-        raise UnsupportedIndex("the odd lift is hard-coded in stages 0 and 1 "
-                               "only; use commutativity for higher stages")
-    if j % 2 or j < 2:
-        raise UnsupportedIndex(f"no lift for e_{j}")
-    if j > 2:
+    if j > 2 and j % 2 == 0:
         return -yoneda_lift_stage(2, k + j - 2,
                                   yoneda_lift_stage(j - 2, k, chain))
-    if k == 0:
-        psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
-        # the twist 1/W
-        pw = PrimeIndex.prime_w()
-        return ChainElement(2, {pw: _map_parts(psi0.monomial_act(0, 0, 0, -1),
-                                               pw)}, field)
-    if k == 1:
-        top = -d1_twisted(chain, _LIFT1_TOP)
-        bot = d1_twisted(chain, _LIFT1_BOTTOM)
-    elif k == 2:
-        top = -(chain.component(PrimeIndex.maximal(0)) or
-                EZWElement.zero(field))
-        bot = -d1_twisted(chain, _LIFT2_BOTTOM)
-    else:
-        # beyond the hull pair the lift is minus the identity
-        return ChainElement(k + 2, (-chain).terms, field)
-    return ChainElement(k + 2, {PrimeIndex.maximal(0): top,
-                                PrimeIndex.maximal(1): bot}, field)
+    if j not in _LIFTS:
+        raise UnsupportedIndex(f"no lift for e_{j}")
+    stages = _LIFTS[j]
+    if j == 1 and k >= len(stages):
+        raise UnsupportedIndex("the odd lift is written out in stages 0 and 1 "
+                               "only; use commutativity for higher stages")
+    return chain_map(stages[min(k, len(stages) - 1)], chain, k + j)
 
 
 def yoneda_product(i, j, field=QQ):

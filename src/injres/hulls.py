@@ -54,15 +54,17 @@ class NotInEZW(Exception):
 class PrimeIndex:
     """The name of a hull and of its slot in a resolution term: Zero,
     PrimeZ, PrimeW, Irr(f) for an irreducible f not associate to Z or W,
-    or Maximal(copy)."""
+    or Maximal(copy).  name is the slot's name in the tables of maps
+    between terms: its kind, or "max0" and "max1" for the copies."""
 
-    __slots__ = ("kind", "f", "copy", "_key")
+    __slots__ = ("kind", "f", "copy", "name", "_key")
 
     def __init__(self, kind, f=None, copy=0):
         assert kind in ("zero", "Z", "W", "irr", "max")
         self.kind = kind
         self.f = normalize_monic(f) if kind == "irr" else None
         self.copy = copy if kind == "max" else 0
+        self.name = f"max{self.copy}" if kind == "max" else kind
         # an index is never changed, so its sort and hash key is made once
         fk = None if self.f is None else \
             tuple(sorted((e, str(c)) for e, c in self.f.terms.items()))

@@ -10,21 +10,23 @@ re-exported here:
   degree 2:  sum_f E(f) + E(Z) + E(W) + E(Z,W)
   degree n>=3:  E(Z,W)^2
 
-The differentials are assembled from d0 (argument-preserving), d1 (into
-E(Z,W) coordinates: on E(f) one H^2 reduction per graded part, its
-canonical coefficients read off as basis indices) and the companion maps
-pi0, pi11, pi12, which first multiply the argument by a Laurent monomial
-Z^a W^b through monomial_act.  d0 and pi0 have a slot at E(Z), at E(W) and
-at the prime of every factor an E(0) element carries
-(PrimeIndex.height_one).  pi0, pi11 and pi12 are tables of these argument
-twists, one per slot kind; d1_twisted reads pi11 and pi12, as it does
-stages 1 and 2 of the lift of e_2 in cohomology.
+Every map between terms is a table applied by chain_map: a source slot
+name (PrimeIndex.name) maps to components (target, (a, b, c, d), sign).
+A component multiplies by X^a Y^b Z^c W^d through monomial_act, then
+applies d1 from a height-one slot into a copy of E(Z,W) (on E(f) one H^2
+reduction per graded part, its canonical coefficients read off as basis
+indices), or Omega from E(0) at each slot of the target kind that d0
+reaches (E(Z), E(W) and the prime of every factor an E(0) element
+carries), and otherwise stays in its hull.  DELTA is the differential:
+degrees 0-2, then the matrix factorization of XW - YZ by parity.  d0 is
+its degree-0 row without XW, pi0 its E(0) row of degree 1, and pi11, pi12
+its height-one components of degree 2 into the two copies of E(Z,W).
 """
 
 from .ring import (BivarPoly, RationalFunction, LocalFraction, QQ,
                    resultant_bezout, DegenerateResultant)
 from .gfrac import H1Class, reduce_h2, minimal_onto_rewrite
-from .hulls import (E0Element, EfElement, EZWElement, PrimeIndex, VAR,
+from .hulls import (E0Element, EfElement, EZWElement, PrimeIndex,
                     act_series, omega, omega_zw, BadLocus)
 from .linalg import Apart, SparseVector
 
@@ -75,12 +77,13 @@ class ChainElement(SparseVector):
             raise DegreeMismatch("cannot combine chains across degrees")
 
 
-def _slots(e0):
-    """The height-one slots d0 maps e0 to: PrimeZ, PrimeW, then the prime
-    of each other denominator factor, sorted."""
-    axes = [PrimeIndex.prime_z(), PrimeIndex.prime_w()]
-    return axes + sorted({PrimeIndex.height_one(f) for f in e0.factors} -
-                         set(axes))
+def _slots(e0, kind):
+    """The slots of one height-one kind that d0 maps e0 to: PrimeZ or
+    PrimeW, or the prime of each other denominator factor, sorted."""
+    if kind != "irr":
+        return [PrimeIndex(kind)]
+    return sorted({idx for idx in map(PrimeIndex.height_one, e0.factors)
+                   if idx.kind == "irr"})
 
 
 def _map_parts(e0, prime):
@@ -89,12 +92,6 @@ def _map_parts(e0, prime):
     for n, phi in e0.terms.items():
         out = out + omega(prime, n, phi, e0.field)
     return out
-
-
-def d0(e0):
-    """E(0) -> sum_f E(f) + E(Z) + E(W), argument-preserving on each slot."""
-    return ChainElement(1, {idx: _map_parts(e0, idx) for idx in _slots(e0)},
-                        e0.field)
 
 
 def _d1_axis(el, axis):
@@ -140,77 +137,63 @@ def d1_f(prime, el):
     raise DegreeMismatch(f"d1 undefined at slot {prime!r}")
 
 
-# The argument twist (a, b), for Z^a W^b, of each height-one slot kind:
-# pi0 twists the axis slots and maps the irreducible ones untwisted.  In
-# the two rows of delta on degree 2, pi11 lands in the first copy of
-# E(Z,W), pi12 in the second.  _D1 is d1 itself.
-PI0 = {"Z": (-1, 0), "W": (0, -1)}
-PI11 = {"Z": (1, -1), "W": (0, 0), "irr": (0, -1)}
-PI12 = {"Z": (0, 0), "W": (-1, 1), "irr": (-1, 0)}
-_D1 = {"Z": (0, 0), "W": (0, 0), "irr": (0, 0)}
+# The components of delta, by source degree and then by source slot name.
+# The tails are the matrix factorization of XW - YZ.
+_ONE = (0, 0, 0, 0)
+DELTA = {
+    0: {"zero": [("Z", _ONE, 1), ("W", _ONE, 1), ("irr", _ONE, 1),
+                 ("zero", (1, 0, 0, 1), 1)]},
+    1: {"zero": [("Z", (0, 0, -1, 0), 1), ("W", (0, 0, 0, -1), 1),
+                 ("irr", _ONE, 1)],
+        "Z": [("Z", (0, 1, 0, 0), -1), ("max0", _ONE, 1)],
+        "W": [("W", (1, 0, 0, 0), -1), ("max0", _ONE, 1)],
+        "irr": [("irr", (1, 0, 0, 1), -1), ("max0", _ONE, 1)]},
+    2: {"max0": [("max0", (1, 0, 0, 0), 1), ("max1", (0, 1, 0, 0), 1)],
+        "Z": [("max0", (0, 0, 1, -1), 1), ("max1", _ONE, 1)],
+        "W": [("max0", _ONE, 1), ("max1", (0, 0, -1, 1), 1)],
+        "irr": [("max0", (0, 0, 0, -1), 1), ("max1", (0, 0, -1, 0), 1)]},
+    "odd": {"max0": [("max0", (0, 0, 0, 1), 1), ("max1", (0, 1, 0, 0), -1)],
+            "max1": [("max0", (0, 0, 1, 0), -1), ("max1", (1, 0, 0, 0), 1)]},
+    "even": {"max0": [("max0", (1, 0, 0, 0), 1), ("max1", (0, 1, 0, 0), 1)],
+             "max1": [("max0", (0, 0, 1, 0), 1), ("max1", (0, 0, 0, 1), 1)]},
+}
 
-# f^triangle, the multiplier of delta on degree 1 at each height-one slot,
-# as the exponents (a, b, c, d) of X^a Y^b Z^c W^d: Y at Z, X at W, XW at f.
-_F_TRIANGLE = {"Z": (0, 1, 0, 0), "W": (1, 0, 0, 0), "irr": (1, 0, 0, 1)}
+_MAXIMAL = {"max0": PrimeIndex.maximal(0), "max1": PrimeIndex.maximal(1)}
 
 
-def pi0(e0):
-    """E(0) -> sum_f E(f): d0_f on irreducible slots, d0_Z(arg/Z),
-    d0_W(arg/W) on the axis slots.  Lands in degree 2."""
-    return ChainElement(2, {
-        idx: _map_parts(e0.monomial_act(0, 0, *PI0[idx.kind])
-                        if idx.kind in PI0 else e0, idx)
-        for idx in _slots(e0)}, e0.field)
-
-
-def d1_twisted(chain, twists):
-    """The sum of d1_f over the slots of chain whose kind twists names, each
-    argument first multiplied by Z^a W^b for its kind's (a, b)."""
-    field = chain.field
-    out = EZWElement.zero(field)
+def chain_map(rows, chain, degree):
+    """The image in the degree-n term of chain under the table rows, which
+    maps a source slot name to its components (target, monomial, sign)."""
+    out = {}
     for idx, el in chain.terms.items():
-        if idx.kind in twists:
-            a, b = twists[idx.kind]
-            if a or b:
-                el = el.monomial_act(0, 0, a, b)
-            out = out + d1_f(idx, el)
-    return out
+        for target, mono, sign in rows.get(idx.name, ()):
+            moved = el.monomial_act(*mono) if any(mono) else el
+            if sign < 0:
+                moved = -moved
+            if target == idx.name:
+                images = {idx: moved}
+            elif idx.kind == "zero":
+                images = {s: _map_parts(moved, s)
+                          for s in _slots(moved, target)}
+            else:
+                images = {_MAXIMAL[target]:
+                          moved if idx.kind == "max" else d1_f(idx, moved)}
+            for s, image in images.items():
+                out[s] = out[s] + image if s in out else image
+    return ChainElement(degree, out, chain.field)
+
+
+def d0(e0):
+    """E(0) -> sum_f E(f) + E(Z) + E(W), argument-preserving on each slot."""
+    return chain_map({"zero": DELTA[0]["zero"][:-1]},
+                     ChainElement(0, {PrimeIndex.zero(): e0}, e0.field), 1)
 
 
 def delta(chain):
     """The differential of the resolution."""
-    field = chain.field
     n = chain.degree
-    if n == 0:
-        psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
-        xw = psi0.monomial_act(1, 0, 0, 1)
-        return d0(psi0) + ChainElement(1, {PrimeIndex.zero(): xw}, field)
-    if n == 1:
-        psi0 = chain.component(PrimeIndex.zero())
-        comps = {idx: -el.monomial_act(*_F_TRIANGLE[idx.kind])
-                 for idx, el in chain.terms.items() if idx.kind != "zero"}
-        comps[PrimeIndex.maximal(0)] = d1_twisted(chain, _D1)
-        out = ChainElement(2, comps, field)
-        if psi0 is not None:
-            out = out + pi0(psi0)
-        return out
-    if n == 2:
-        psi_m = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
-        top = psi_m.monomial_act(*VAR["X"]) + d1_twisted(chain, PI11)
-        bot = psi_m.monomial_act(*VAR["Y"]) + d1_twisted(chain, PI12)
-        return ChainElement(3, {PrimeIndex.maximal(0): top,
-                                PrimeIndex.maximal(1): bot}, field)
-    p1 = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
-    p2 = chain.component(PrimeIndex.maximal(1)) or EZWElement.zero(field)
-    x, y, z, w = VAR.values()
-    if n % 2 == 1:
-        top = p1.monomial_act(*w) + (-p2.monomial_act(*z))
-        bot = (-p1.monomial_act(*y)) + p2.monomial_act(*x)
-    else:
-        top = p1.monomial_act(*x) + p2.monomial_act(*z)
-        bot = p1.monomial_act(*y) + p2.monomial_act(*w)
-    return ChainElement(n + 1, {PrimeIndex.maximal(0): top,
-                                PrimeIndex.maximal(1): bot}, field)
+    rows = DELTA[n] if n <= 2 else DELTA["odd" if n % 2 else "even"]
+    return chain_map(rows, chain, n + 1)
 
 
 def iota0(g, field=QQ):

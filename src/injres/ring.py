@@ -1096,17 +1096,21 @@ def parse_poly(text, cls=BivarPoly, field=QQ):
     """Parse a polynomial: terms separated by + and -, each a product of
     factors joined by *.  A factor is a coefficient (an integer, a decimal
     or a/b), a variable with an optional power such as Z^3, or a
-    parenthesised polynomial with an optional power such as (Z+W)^2."""
+    parenthesised polynomial with an optional power such as (Z+W)^2.  The
+    text, a group and every term must be nonempty, but for the piece
+    before a leading sign."""
     text = text.replace("−", "-").strip()
-    if text in ("0", ""):
+    if text == "0":
         return cls.zero(field)
-    sign = 1
+    if not text:
+        raise ValueError("empty polynomial")
     result = cls.zero(field)
-    for sep, term in split_top(text, "+-"):
-        if sep == "-":
-            sign = -sign
+    for i, (sep, term) in enumerate(split_top(text, "+-")):
+        sign = -1 if sep == "-" else 1
         term = term.strip()
         if not term:
+            if i:
+                raise ValueError(f"empty term in {text!r}")
             continue
         coeff = Fraction(1)
         exps = [0] * len(cls.VARS)
@@ -1132,5 +1136,4 @@ def parse_poly(text, cls=BivarPoly, field=QQ):
         for inner, k in groups:
             prod = prod * parse_poly(inner, cls, field) ** k
         result = result + prod
-        sign = 1
     return result

@@ -14,7 +14,7 @@ from injres.gfrac import (GeneralizedFraction, reduce_h2, minimal_onto_rewrite,
                           h2_canonical_fraction)
 from injres.oracle import cech_equal
 from injres.hulls import E0Element, omega_zw, act, is_socle, socle_project
-from injres.resolution import (PrimeIndex, ChainElement, delta, d1_f, pi0,
+from injres.resolution import (PrimeIndex, ChainElement, delta, d1_f,
                                surjectivity_witness)
 from injres.cohomology import (ext_power_of_max, local_cohomology,
                                yoneda_product, yoneda_rep, bass_numbers)
@@ -93,8 +93,10 @@ def test_criterion_06_presentation_relations_at_the_cochain_level():
                             for idx, el in e2.terms.items()}, QQ)
     w_e2 = ChainElement(2, {idx: act(P("W").to_quad(), el)
                             for idx, el in e2.terms.items()}, QQ)
-    coboundary = pi0(E0Element({0: RationalFunction(P("Z^2*W"), P("1"),
-                                                     reduce=False)}, QQ, ()))
+    # pi0 is delta on the E(0) slot of degree 1
+    coboundary = delta(ChainElement(1, {PrimeIndex.zero(): E0Element(
+        {0: RationalFunction(P("Z^2*W"), P("1"), reduce=False)}, QQ, ())},
+        QQ))
     assert (z_e2 - coboundary).is_zero()
     assert w_e2.is_zero()
     _report(6, "Z e2 equals the coboundary pi0(Omega^0_0(Z^2 W)) and "

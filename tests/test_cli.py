@@ -161,11 +161,25 @@ def test_gfrac_usage_errors():
     ["ext-self", "--max-i", "-1"],
     ["dhm", "--max-i", "-1"],
     ["--samples", "0", "resolution-check"],
+    ["reduce", "[ / Z, W]"],
+    ["reduce", "[/1 / Z, W]"],
+    ["reduce", "[1 / Z,, W]"],
+    ["reduce", "[1 / Z, W,]"],
+    ["reduce", "[1 / Z, W, , X, Y]"],
+    ["reduce", "[1+ / Z, W]"],
+    ["reduce", "[Z+-W / Z, W]"],
+    ["lc", "--ideal", "Z+"],
+    ["reduce", "[() / Z, W]"],
+    ["lc", "--ideal", "()"],
+    ["lc", "--ideal", "Z,,W"],
 ], ids=["shared-factor", "negative-exponent", "coefficient-mod-p",
         "slot-3-not-X", "zero-power-of-X", "lc-variable-X", "lc-reducible",
         "lc-multiplicity-divisible-by-p", "ext-power-n-0", "ext-self-negative-i", "dhm-trunc-1",
         "negative-trunc", "ext-self-negative-max-i", "dhm-negative-max-i",
-        "zero-samples"])
+        "zero-samples", "empty-numerator", "empty-numerator-of-a-fraction",
+        "empty-entry", "trailing-comma", "empty-entry-of-four",
+        "trailing-sign", "doubled-sign", "lc-trailing-sign", "empty-group", "lc-empty-group",
+        "lc-empty-generator"])
 def test_bad_input_is_a_usage_error(argv):
     code, out = run(argv)
     assert code == 2

@@ -262,8 +262,8 @@ def test_a_hull_is_named_by_its_prime_index():
 
 
 def test_only_resolution_applies_d1_to_a_twisted_argument():
-    # d1 after an argument twist is resolution.d1_twisted, read from a table
-    # of twists per slot kind; no other module writes the pattern by hand
+    # d1 after an argument twist is a component of a table applied by
+    # resolution.chain_map; no other module writes the pattern by hand
     found = [f"{path.name}:{node.lineno}"
              for path in sorted(PACKAGE.glob("*.py"))
              if path.name != "resolution.py"

@@ -1,10 +1,10 @@
 """Mutants the reports must catch.
 
-Each mutant rewrites one line of a function's source; the rewritten
-function is monkeypatched over the original, and the command paired with
-it must exit 1 with at least one FAIL line and no traceback.  The
-unmutated source, run the same way, must pass, so a mutant fails by its
-edit alone.
+Each mutant rewrites one line of a function's source, or flips the sign of
+one component of a table; the rewritten function or table is
+monkeypatched over the original, and the command paired with it must exit
+1 with at least one FAIL line and no traceback.  The unmutated source, run
+the same way, must pass, so a mutant fails by its edit alone.
 """
 
 import inspect
@@ -70,3 +70,23 @@ def test_resolution_check_catches_each_d1_irr_mutant(monkeypatch, line,
     assert code == 1, out
     assert "[FAIL]" in out
     assert "Traceback" not in out
+
+
+# every component of delta: (degree or tail parity, source slot name, index)
+DELTA_COMPONENTS = [(key, name, i) for key, table in resolution.DELTA.items()
+                    for name, row in table.items() for i in range(len(row))]
+
+
+@pytest.mark.parametrize("key,name,i", DELTA_COMPONENTS,
+                         ids=[f"{key}-{name}-{i}"
+                              for key, name, i in DELTA_COMPONENTS])
+def test_resolution_check_catches_each_delta_sign_flip(monkeypatch, key,
+                                                       name, i):
+    row = resolution.DELTA[key][name]
+    target, mono, sign = row[i]
+    monkeypatch.setitem(resolution.DELTA[key], name,
+                        row[:i] + [(target, mono, -sign)] + row[i + 1:])
+    code, out = _run(RESOLUTION_CHECK)
+    assert code == 1, out
+    assert "[FAIL]" in out
+    assert "raised" not in out

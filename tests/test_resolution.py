@@ -7,15 +7,15 @@ import pytest
 
 from injres.ring import (BivarPoly, QuadPoly, RationalFunction, parse_poly,
                          QQ, Field)
-from injres.hulls import (E0Element, EZWElement, omega, omega_zw, act,
-                          socle_project)
+from injres.hulls import (E0Element, EZWElement, VAR, omega, omega_zw,
+                          act, socle_project)
 from injres.gfrac import reduce_h2
 from injres import gfrac
 from injres.resolution import (PrimeIndex, ChainElement, legal_kinds,
-                               DegreeMismatch, d0, d1_f, d1_twisted, pi0,
-                               PI11, PI12, delta, iota0,
-                               surjectivity_witness, d0_preimage)
-from injres.cohomology import yoneda_lift_stage
+                               DegreeMismatch, DELTA, d0, d1_f, delta,
+                               iota0, surjectivity_witness, d0_preimage,
+                               _map_parts)
+from injres.cohomology import UnsupportedIndex, yoneda_lift_stage
 from injres import cohomology, resolution, samples
 
 
@@ -158,16 +158,21 @@ def test_d0_preserves_arguments_and_pi0_shifts():
     img = d0(e0)
     assert img.component(PrimeIndex.prime_z()) == omega(PZ, 1, RF("Z*W"))
     assert img.component(PrimeIndex.prime_w()) == omega(PW, 1, RF("Z*W"))
-    proj = pi0(e0)
+    # on a degree-1 chain with only an E(0) slot, delta is pi0
+    proj = delta(ChainElement(1, {PrimeIndex.zero(): e0}, QQ))
     assert proj.component(PrimeIndex.prime_z()) == omega(PZ, 1, RF("W"))
     assert proj.component(PrimeIndex.prime_w()) == omega(PW, 1, RF("Z"))
 
 
 def test_pi_components_recover_socle_coefficients():
+    # pi11 reads Omega^0_W(5) in the first copy, pi12 Omega^0_Z(-7) in the
+    # second
     five = ChainElement(2, {PW: omega(PW, 0, RF("5"))}, QQ)
     seven = ChainElement(2, {PZ: omega(PZ, 0, RF("-7"))}, QQ)
-    assert d1_twisted(five, PI11) == omega_zw(0, 0, 0).scale(QQ.of(5))
-    assert d1_twisted(seven, PI12) == omega_zw(0, 0, 0).scale(QQ.of(7))
+    assert delta(five).component(PrimeIndex.maximal(0)) == \
+        omega_zw(0, 0, 0).scale(QQ.of(5))
+    assert delta(seven).component(PrimeIndex.maximal(1)) == \
+        omega_zw(0, 0, 0).scale(QQ.of(7))
 
 
 def test_augmentation_is_a_cocycle():
@@ -189,12 +194,145 @@ def test_delta_squared_is_zero_seeded(field):
             assert delta(delta(ch)).is_zero()
 
 
+# --- the hand-written maps that the tables replace, as references ------------
+#
+# Argument twists (a, b), for Z^a W^b, per height-one slot kind: pi0 twists
+# the axis slots of E(0) and maps the irreducible ones untwisted, pi11 and
+# pi12 land in the two copies of E(Z,W), and F_TRIANGLE multiplies each
+# height-one slot of degree 1 by X^a Y^b Z^c W^d.  The LIFT tables are the
+# stages of the lifts of e_1 and e_2.
+
+REF_PI0 = {"Z": (-1, 0), "W": (0, -1)}
+REF_PI11 = {"Z": (1, -1), "W": (0, 0), "irr": (0, -1)}
+REF_PI12 = {"Z": (0, 0), "W": (-1, 1), "irr": (-1, 0)}
+REF_D1 = {"Z": (0, 0), "W": (0, 0), "irr": (0, 0)}
+REF_F_TRIANGLE = {"Z": (0, 1, 0, 0), "W": (1, 0, 0, 0), "irr": (1, 0, 0, 1)}
+REF_LIFT1_TOP = {"Z": (0, -1), "irr": (0, -1)}
+REF_LIFT1_BOTTOM = {"W": (-1, 0)}
+REF_LIFT2_BOTTOM = {"Z": (0, -1), "W": (-1, 0), "irr": (-1, -1)}
+REF_ODD_LIFT1 = {"Z": (0, 1), "W": (1, 0), "irr": (1, 1)}
+
+
+def _ref_slots(e0):
+    axes = [PrimeIndex.prime_z(), PrimeIndex.prime_w()]
+    return axes + sorted({PrimeIndex.height_one(f) for f in e0.factors} -
+                         set(axes))
+
+
+def _ref_d0(e0):
+    return ChainElement(1, {idx: _map_parts(e0, idx) for idx in _ref_slots(e0)},
+                        e0.field)
+
+
+def _ref_pi0(e0):
+    return ChainElement(2, {
+        idx: _map_parts(e0.monomial_act(0, 0, *REF_PI0[idx.kind])
+                        if idx.kind in REF_PI0 else e0, idx)
+        for idx in _ref_slots(e0)}, e0.field)
+
+
+def _ref_d1_twisted(chain, twists):
+    out = EZWElement.zero(chain.field)
+    for idx, el in chain.terms.items():
+        if idx.kind in twists:
+            out = out + d1_f(idx, el.monomial_act(0, 0, *twists[idx.kind]))
+    return out
+
+
+def _ref_delta(chain):
+    field, n = chain.field, chain.degree
+    if n == 0:
+        psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
+        xw = psi0.monomial_act(1, 0, 0, 1)
+        return _ref_d0(psi0) + ChainElement(1, {PrimeIndex.zero(): xw}, field)
+    if n == 1:
+        psi0 = chain.component(PrimeIndex.zero())
+        comps = {idx: -el.monomial_act(*REF_F_TRIANGLE[idx.kind])
+                 for idx, el in chain.terms.items() if idx.kind != "zero"}
+        comps[PrimeIndex.maximal(0)] = _ref_d1_twisted(chain, REF_D1)
+        out = ChainElement(2, comps, field)
+        return out + _ref_pi0(psi0) if psi0 is not None else out
+    if n == 2:
+        psi_m = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
+        top = psi_m.monomial_act(*VAR["X"]) + _ref_d1_twisted(chain, REF_PI11)
+        bot = psi_m.monomial_act(*VAR["Y"]) + _ref_d1_twisted(chain, REF_PI12)
+        return ChainElement(3, {PrimeIndex.maximal(0): top,
+                                PrimeIndex.maximal(1): bot}, field)
+    p1 = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
+    p2 = chain.component(PrimeIndex.maximal(1)) or EZWElement.zero(field)
+    x, y, z, w = VAR.values()
+    if n % 2 == 1:
+        top = p1.monomial_act(*w) + (-p2.monomial_act(*z))
+        bot = (-p1.monomial_act(*y)) + p2.monomial_act(*x)
+    else:
+        top = p1.monomial_act(*x) + p2.monomial_act(*z)
+        bot = p1.monomial_act(*y) + p2.monomial_act(*w)
+    return ChainElement(n + 1, {PrimeIndex.maximal(0): top,
+                                PrimeIndex.maximal(1): bot}, field)
+
+
+def _ref_lift_stage(j, k, chain):
+    field = chain.field
+    if j == 1:
+        if k == 0:
+            psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
+            return ChainElement(1, {PrimeIndex.zero():
+                                    psi0.monomial_act(0, 0, 1, 1)}, field)
+        return ChainElement(2, {
+            idx: el.monomial_act(0, 0, *REF_ODD_LIFT1[idx.kind])
+            for idx, el in chain.terms.items() if idx.kind != "zero"}, field)
+    if j > 2:
+        return -_ref_lift_stage(2, k + j - 2, _ref_lift_stage(j - 2, k, chain))
+    if k == 0:
+        psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
+        return ChainElement(2, {PW: _map_parts(psi0.monomial_act(0, 0, 0, -1),
+                                               PW)}, field)
+    if k == 1:
+        top = -_ref_d1_twisted(chain, REF_LIFT1_TOP)
+        bot = _ref_d1_twisted(chain, REF_LIFT1_BOTTOM)
+    elif k == 2:
+        top = -(chain.component(PrimeIndex.maximal(0)) or
+                EZWElement.zero(field))
+        bot = -_ref_d1_twisted(chain, REF_LIFT2_BOTTOM)
+    else:
+        return ChainElement(k + 2, (-chain).terms, field)
+    return ChainElement(k + 2, {PrimeIndex.maximal(0): top,
+                                PrimeIndex.maximal(1): bot}, field)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7), Field(32003)],
+                         ids=repr)
+def test_the_tables_agree_with_the_hand_written_maps(field):
+    # delta and every legal lift stage of e_1, e_2 and e_4 on seeded chains
+    # of degrees 0-6, a pole along a pool prime among them
+    rng = samples.rng_from_seed(32)
+    f = samples.irr_pool(field)[0]
+    pole = ChainElement(0, {PrimeIndex.zero(): E0Element(
+        {0: RationalFunction(BivarPoly.const(1, field), f)}, field, {f})},
+        field)
+    nonzero = 0
+    for deg in range(7):
+        chains = [samples.random_chain(rng, deg, field) for _ in range(15)]
+        for ch in chains + [pole] * (deg == 0):
+            got = delta(ch)
+            assert got == _ref_delta(ch), (deg, ch)
+            nonzero += bool(got)
+            for j in (1, 2, 4):
+                if j == 1 and deg > 1:
+                    with pytest.raises(UnsupportedIndex):
+                        yoneda_lift_stage(j, deg, ch)
+                    continue
+                assert yoneda_lift_stage(j, deg, ch) == \
+                    _ref_lift_stage(j, deg, ch), (j, deg, ch)
+    assert nonzero >= 75, nonzero
+
+
 def _delta_squared_fails():
     """delta o delta is nonzero on one of the seeded chains of
-    test_delta_squared_is_zero_seeded in degrees 0-2 over F_7."""
+    test_delta_squared_is_zero_seeded in degrees 0-4 over F_7."""
     field, rng = Field(7), samples.rng_from_seed(100)
     return any(not delta(delta(samples.random_chain(rng, deg, field))).is_zero()
-               for deg in range(3) for _ in range(12))
+               for deg in range(5) for _ in range(12))
 
 
 def _lift_fails():
@@ -215,13 +353,42 @@ def _lift_fails():
     return False
 
 
-def _raised(table, kinds=None):
-    """One mutant per exponent of each entry of a twist table, or of its
-    entries of the given kinds: that exponent raised by one."""
-    return [(f"{kind}[{i}]", lambda m, kind=kind, exps=exps, i=i: m.setitem(
-        table, kind, exps[:i] + (exps[i] + 1,) + exps[i + 1:]))
-        for kind, exps in list(table.items()) if kinds is None or kind in kinds
-        for i in range(len(exps))]
+def _replaced(table, name, i, change):
+    """A mutant that replaces component i of the row of name in table by
+    change(target, monomial, sign)."""
+    row = table[name]
+    return lambda m: m.setitem(table, name,
+                               row[:i] + [change(*row[i])] + row[i + 1:])
+
+
+def _raise(e):
+    """Exponent e of a component's monomial raised by one."""
+    return lambda t, mono, s: (t, mono[:e] + (mono[e] + 1,) + mono[e + 1:], s)
+
+
+def _mutants(tables):
+    """One mutant per exponent of each component of the (label, table)
+    pairs, that exponent raised by one, and one with its sign flipped."""
+    changes = [(e, _raise(e)) for e in range(4)] + \
+        [("sign", lambda t, mono, s: (t, mono, -s))]
+    return [(f"{label}:{name}[{i}] {e}", _replaced(table, name, i, change))
+            for label, table in tables for name, row in table.items()
+            for i in range(len(row)) for e, change in changes]
+
+
+def _axis_twists(degree, sources, targets):
+    """Mutants raising the Z or W exponent of each component of
+    DELTA[degree] from the named sources into the named targets."""
+    table = DELTA[degree]
+    return [(f"{name}[{i}] {e}", _replaced(table, name, i, _raise(e)))
+            for name in sources for i, component in enumerate(table[name])
+            if component[0] in targets for e in (2, 3)]
+
+
+DELTA_TABLES = [(f"DELTA[{key}]", table) for key, table in DELTA.items()]
+LIFT_TABLES = [(f"_LIFTS[{j}][{k}]", table)
+               for j, stages in cohomology._LIFTS.items()
+               for k, table in enumerate(stages)]
 
 
 def _swap_in_d1_axis(m):
@@ -233,22 +400,11 @@ def _swap_in_d1_axis(m):
 
 
 def _swap_in_tail(parity):
-    """A mutant of delta from the degrees n >= 3 of one parity: Z and W
-    exchanged in resolution.VAR while it runs."""
-    var = resolution.VAR
-    swapped = dict(var, Z=var["W"], W=var["Z"])
-
-    def mutate(m):
-        real = cohomology.delta
-
-        def mutant(chain):
-            with pytest.MonkeyPatch.context() as inner:
-                if chain.degree >= 3 and chain.degree % 2 == parity:
-                    inner.setattr(resolution, "VAR", swapped)
-                return real(chain)
-
-        m.setattr(cohomology, "delta", mutant)
-    return mutate
+    """A mutant of the tail of delta of one parity: the Z and W exponents
+    exchanged in every component."""
+    swap = {name: [(t, (a, b, d, c), s) for t, (a, b, c, d), s in row]
+            for name, row in DELTA[parity].items()}
+    return lambda m: m.setitem(DELTA, parity, swap)
 
 
 def _ext_self_failures():
@@ -264,29 +420,26 @@ def _ext_self_failures():
 
 
 @pytest.mark.parametrize("mutants, broken", [
-    *(pytest.param(_raised(getattr(module, name)), broken, id=name)
-      for module, names, broken in [
-          (resolution, ["PI0", "PI11", "PI12", "_D1", "_F_TRIANGLE"],
-           _delta_squared_fails),
-          (cohomology, ["_ODD_LIFT1", "_LIFT1_TOP", "_LIFT1_BOTTOM",
-                        "_LIFT2_BOTTOM"], _lift_fails)]
-      for name in names),
-    # the irreducible entries act only on E(f), which no monomial chain
+    pytest.param(_mutants(DELTA_TABLES), _delta_squared_fails, id="DELTA"),
+    pytest.param(_mutants(LIFT_TABLES), _lift_fails, id="_LIFTS"),
+    # the irreducible components act only on E(f), which no monomial chain
     # has, so only delta o delta above reads them
-    *(pytest.param(_raised(getattr(resolution, name), ("Z", "W")),
+    *(pytest.param(_axis_twists(degree, sources, targets),
                    lambda: bool(_ext_self_failures()), id=f"{name}-ext-self")
-      for name in ["PI0", "PI11", "PI12"]),
+      for name, degree, sources, targets in [
+          ("pi0", 1, ["zero"], ("Z", "W")), ("pi11", 2, ["Z", "W"], ("max0",)),
+          ("pi12", 2, ["Z", "W"], ("max1",))]),
     pytest.param([("d1 on the axes", _swap_in_d1_axis),
-                  ("odd tail", _swap_in_tail(1)),
-                  ("even tail", _swap_in_tail(0))],
+                  ("odd tail", _swap_in_tail("odd")),
+                  ("even tail", _swap_in_tail("even"))],
                  lambda: "delta multihomogeneous" in _ext_self_failures(),
                  id="variable-swaps"),
 ])
 def test_every_twist_table_entry_matters(monkeypatch, mutants, broken):
-    # raising any one exponent of any one entry must break the identity the
-    # table's map satisfies, so no entry is left that nothing reads; a
-    # variable swap in d1 or in the tails of delta must break the Segre
-    # multidegree that the ext-self reports check
+    # raising any one exponent of any one component, or flipping its sign,
+    # must break the identity the table's map satisfies, so no component is
+    # left that nothing reads; a variable swap in d1 or in the tails of
+    # delta must break the Segre multidegree that the ext-self reports check
     assert not broken()
     survivors = []
     for label, mutate in mutants:
