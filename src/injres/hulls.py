@@ -131,10 +131,6 @@ class E0Element(SparseVector):
         self.field = field
         self.factors = frozenset(factors)
 
-    @classmethod
-    def zero(cls, field=QQ):
-        return cls({}, field, ())
-
     @staticmethod
     def grade(n):
         return n

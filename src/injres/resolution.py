@@ -162,8 +162,9 @@ _MAXIMAL = {"max0": PrimeIndex.maximal(0), "max1": PrimeIndex.maximal(1)}
 
 
 def chain_map(rows, chain, degree):
-    """The image in the degree-n term of chain under the table rows, which
-    maps a source slot name to its components (target, monomial, sign)."""
+    """The image of chain, in the term of the given degree, under the table
+    rows, which maps a source slot name to its components
+    (target, monomial, sign)."""
     out = {}
     for idx, el in chain.terms.items():
         for target, mono, sign in rows.get(idx.name, ()):
@@ -184,7 +185,8 @@ def chain_map(rows, chain, degree):
 
 
 def d0(e0):
-    """E(0) -> sum_f E(f) + E(Z) + E(W), argument-preserving on each slot."""
+    """E(0) -> sum_f E(f) + E(Z) + E(W), argument-preserving on each slot:
+    the degree-0 row of DELTA without its last component, XW."""
     return chain_map({"zero": DELTA[0]["zero"][:-1]},
                      ChainElement(0, {PrimeIndex.zero(): e0}, e0.field), 1)
 

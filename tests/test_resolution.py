@@ -220,8 +220,8 @@ def _ref_slots(e0):
 
 
 def _ref_d0(e0):
-    return ChainElement(1, {idx: _map_parts(e0, idx) for idx in _ref_slots(e0)},
-                        e0.field)
+    return ChainElement(1, {idx: _map_parts(e0, idx)
+                            for idx in _ref_slots(e0)}, e0.field)
 
 
 def _ref_pi0(e0):
@@ -242,7 +242,7 @@ def _ref_d1_twisted(chain, twists):
 def _ref_delta(chain):
     field, n = chain.field, chain.degree
     if n == 0:
-        psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
+        psi0 = chain.component(PrimeIndex.zero()) or E0Element({}, field, ())
         xw = psi0.monomial_act(1, 0, 0, 1)
         return _ref_d0(psi0) + ChainElement(1, {PrimeIndex.zero(): xw}, field)
     if n == 1:
@@ -253,7 +253,8 @@ def _ref_delta(chain):
         out = ChainElement(2, comps, field)
         return out + _ref_pi0(psi0) if psi0 is not None else out
     if n == 2:
-        psi_m = chain.component(PrimeIndex.maximal(0)) or EZWElement.zero(field)
+        psi_m = chain.component(PrimeIndex.maximal(0)) or \
+            EZWElement.zero(field)
         top = psi_m.monomial_act(*VAR["X"]) + _ref_d1_twisted(chain, REF_PI11)
         bot = psi_m.monomial_act(*VAR["Y"]) + _ref_d1_twisted(chain, REF_PI12)
         return ChainElement(3, {PrimeIndex.maximal(0): top,
@@ -275,7 +276,8 @@ def _ref_lift_stage(j, k, chain):
     field = chain.field
     if j == 1:
         if k == 0:
-            psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
+            psi0 = chain.component(PrimeIndex.zero()) or \
+                E0Element({}, field, ())
             return ChainElement(1, {PrimeIndex.zero():
                                     psi0.monomial_act(0, 0, 1, 1)}, field)
         return ChainElement(2, {
@@ -284,7 +286,7 @@ def _ref_lift_stage(j, k, chain):
     if j > 2:
         return -_ref_lift_stage(2, k + j - 2, _ref_lift_stage(j - 2, k, chain))
     if k == 0:
-        psi0 = chain.component(PrimeIndex.zero()) or E0Element.zero(field)
+        psi0 = chain.component(PrimeIndex.zero()) or E0Element({}, field, ())
         return ChainElement(2, {PW: _map_parts(psi0.monomial_act(0, 0, 0, -1),
                                                PW)}, field)
     if k == 1:
