@@ -361,8 +361,11 @@ def suite_onto_rewrite(field):
         ok = True
         for (s, t), want in rhs.items():
             g, ell = minimal_onto_rewrite(f, s, t)
-            ok = ok and reduce_h2(g, (w, t), (f, ell)) == want
-        rep.add(text, "all 1 <= s,t <= 4", ok)
+            # l is least: f^(l-1) has a term outside (W^t, Z^s), or l = 1
+            least = ell == 1 or any(a < s and b < t
+                                    for a, b in (f ** (ell - 1)).terms)
+            ok = ok and least and reduce_h2(g, (w, t), (f, ell)) == want
+        rep.add(text, "all 1 <= s,t <= 4, least l with f^l in (W^t, Z^s)", ok)
     return [rep]
 
 

@@ -96,12 +96,17 @@ class H1Class:
             den = BivarPoly.const(1, self.f.field)
         return H1Class(self.f, self.g * num, self.h * den, self.s - fpow)
 
+    def _over_common(self, other):
+        """(m, n1, n2) with self = n1 / (h1*h2*f^m), other = n2 / (h1*h2*f^m)
+        and m = max(s1, s2)."""
+        m = max(self.s, other.s)
+        return (m, self.g * other.h * self.f ** (m - self.s),
+                other.g * self.h * self.f ** (m - other.s))
+
     def __add__(self, other):
         assert self.f == other.f
-        m = max(self.s, other.s)
-        g = (self.g * other.h * self.f ** (m - self.s)
-             + other.g * self.h * self.f ** (m - other.s))
-        return H1Class(self.f, g, self.h * other.h, m)
+        m, n1, n2 = self._over_common(other)
+        return H1Class(self.f, n1 + n2, self.h * other.h, m)
 
     def __neg__(self):
         return H1Class(self.f, -self.g, self.h, self.s)
@@ -114,9 +119,13 @@ class H1Class:
         return self + (-other)
 
     def __eq__(self, other):
+        """One divisibility test, with no class built: over the common
+        denominator h1*h2*f^m the difference is zero iff f^m divides its
+        numerator, as f divides neither h."""
         if not isinstance(other, H1Class) or self.f != other.f:
             return NotImplemented
-        return (self - other).is_zero()
+        m, n1, n2 = self._over_common(other)
+        return divides(self.f ** m, n1 - n2)
 
     def __hash__(self):
         # classes have no canonical representative; hash only the prime

@@ -161,7 +161,10 @@ class Poly:
     are formed, and coefficients are scaled only when the monomial's is
     not one.  An exact division by a one-term divisor c*x^k is the shift by
     the inverse monomial x^-k / c, refused (NotDivisible) when an exponent
-    would turn negative.  Values are never changed in place, so an
+    would turn negative.  A one-term operand also takes no remainder
+    sequence in bivar_gcd (the gcd is read off the orders in Z and W) or in
+    resultant_bezout (the Bezout identity has a closed form,
+    _one_term_bezout).  Values are never changed in place, so an
     operation may return one of its operands (p ** 1, normalize_monic of a
     monic p).
     """
@@ -556,17 +559,24 @@ def content_in(p, name):
 def bivar_gcd(a, b):
     """Gcd of two bivariate polynomials, normalized monic in lex order W > Z.
 
-    The primitive parts in k[Z][W] run through the subresultant remainder
-    sequence (_subresultant_prs), which keeps the Z-degrees of the
-    remainders bounded.  When it ends on a zero remainder, the primitive
-    part of the last nonzero one is the gcd of the primitive parts; when it
-    reaches degree 0 in W, they are coprime.  The gcd of the contents, in
-    k[Z], multiplies the result.
+    A one-term operand c Z^i W^j takes no remainder sequence: its gcd with
+    the other operand is Z^min(i, ord_Z) W^min(j, ord_W), and a constant's
+    is 1.  Otherwise the primitive parts in k[Z][W] run through the
+    subresultant remainder sequence (_subresultant_prs), which keeps the
+    Z-degrees of the remainders bounded.  When it ends on a zero remainder,
+    the primitive part of the last nonzero one is the gcd of the primitive
+    parts; when it reaches degree 0 in W, they are coprime.  The gcd of the
+    contents, in k[Z], multiplies the result.
     """
     if a.is_zero():
         return normalize_monic(b)
     if b.is_zero():
         return normalize_monic(a)
+    for x, y in ((a, b), (b, a)):
+        if len(x.terms) == 1:
+            (i, j), = x.terms
+            return BivarPoly.mono((min(i, y.order_in("Z")), min(j, y.order_in("W"))),
+                                  1, a.field)
     if a.degree_in("W") == 0 and b.degree_in("W") == 0:
         return univar_gcd(a, b, "Z")
     ca, cb = content_in(a, "W"), content_in(b, "W")
@@ -647,17 +657,8 @@ def normalize_monic(p):
 # --- rational functions ----------------------------------------------------
 
 def _cancel(a, b):
-    """(a/g, b/g, g) for the monic g = gcd(a, b) of nonzero a, b.  A
-    monomial c Z^i W^j needs no Euclid: its gcd with the other operand is
-    Z^min(i, ord_Z) W^min(j, ord_W), and a constant's is 1."""
-    for x, y in ((a, b), (b, a)):
-        if len(x.terms) == 1:
-            (i, j), = x.terms
-            g = BivarPoly.mono((min(i, y.order_in("Z")), min(j, y.order_in("W"))),
-                               1, a.field)
-            break
-    else:
-        g = bivar_gcd(a, b)
+    """(a/g, b/g, g) for the monic g = gcd(a, b) of nonzero a, b."""
+    g = bivar_gcd(a, b)
     if g.is_constant():
         return a, b, g
     return exact_divide(a, g), exact_divide(b, g), g
@@ -828,28 +829,36 @@ def resultant_bezout(u, v, eliminate):
     remaining variable alone.  Raises DegenerateResultant when u and v share
     a factor involving the eliminated variable.
 
-    The identity comes from _subresultant_prs, the subresultant remainder
-    sequence of u and v in k[other][eliminate], run on the rows (u, 1, 0)
-    and (v, 0, 1) so that both cofactors ride along.  Its last row lies in
-    k[other]; when no degree is skipped it is the resultant up to sign.  A
-    last row of positive degree means the next remainder vanished: a common
-    factor.  The identity is then made primitive, dividing (r, a, b) by
-    gcd(r, content(a), content(b)) in k[other], and scaled so r is monic.
-    The cofactors have degree below deg v and deg u in the eliminated
-    variable, so a/r and b/r are the unique such cofactors over k(other),
-    and the primitive r is the monic generator of the polynomials that
-    clear their denominators: no identity with degree-bounded cofactors has
-    an r of lower degree or order, which keeps the exponents alpha, beta of
-    reduce_h2 and its truncation box minimal.
+    When one operand is a single term and the other has positive degree in
+    the eliminated variable, the identity has a closed form
+    (_one_term_bezout).  Otherwise it comes from _subresultant_prs, the
+    subresultant remainder sequence of u and v in k[other][eliminate], run
+    on the rows (u, 1, 0) and (v, 0, 1) so that both cofactors ride along.
+    Its last row lies in k[other]; when no degree is skipped it is the
+    resultant up to sign.  A last row of positive degree means the next
+    remainder vanished: a common factor.  Either identity is then made
+    primitive, dividing (r, a, b) by gcd(r, content(a), content(b)) in
+    k[other], and scaled so r is monic.  The cofactors have degree below
+    deg v and deg u in the eliminated variable, so a/r and b/r are the
+    unique such cofactors over k(other), and the primitive r is the monic
+    generator of the polynomials that clear their denominators: no identity
+    with degree-bounded cofactors has an r of lower degree or order, which
+    keeps the exponents alpha, beta of reduce_h2 and its truncation box
+    minimal.  So both routes return the same least r, a and b.
     """
     if u.is_zero() or v.is_zero():
         raise DegenerateResultant("zero input")
     field = u.field
     other = next(x for x in BivarPoly.VARS if x != eliminate)
-    one, zero = BivarPoly.const(1, field), BivarPoly.zero(field)
-    r, a, b = _subresultant_prs((u, one, zero), (v, zero, one), eliminate)
-    if r.degree_in(eliminate) > 0:
-        raise DegenerateResultant("common factor in the eliminated variable")
+    if len(u.terms) == 1 and v.degree_in(eliminate) > 0:
+        r, a, b = _one_term_bezout(u, v, eliminate)
+    elif len(v.terms) == 1 and u.degree_in(eliminate) > 0:
+        r, b, a = _one_term_bezout(v, u, eliminate)
+    else:
+        one, zero = BivarPoly.const(1, field), BivarPoly.zero(field)
+        r, a, b = _subresultant_prs((u, one, zero), (v, zero, one), eliminate)
+        if r.degree_in(eliminate) > 0:
+            raise DegenerateResultant("common factor in the eliminated variable")
     # gcd(r, content(a), content(b)), one coefficient at a time from r,
     # stopping once it is a unit
     common = _gcd_of((r, *a.coeffs_in(eliminate).values(),
@@ -861,6 +870,37 @@ def resultant_bezout(u, v, eliminate):
     assert a * u + b * v == r
     assert r.degree_in(eliminate) == 0 and not r.is_zero()
     return r, a, b
+
+
+def _one_term_bezout(u, v, x):
+    """(r, a, b) with r = a*u + b*v free of x, for a one-term u = c x^e y^k
+    and a v of positive degree in x, with no remainder sequence.
+
+    Write v = v0 - t with v0 = v at x = 0, so x divides t.  The sum S of
+    t^j v0^(e-1-j) over j < e has S*v = v0^e - t^e, and x^e divides t^e.
+    So r = y^k v0^e and b = y^k (S mod x^e) leave r - b*v divisible by u,
+    and a = (r - b*v)/u is a shift.  Then deg_x b < e and deg_x a < deg_x v,
+    the degree bounds of the remainder sequence's cofactors.  A v0 of zero
+    with e >= 1 is the common factor x.
+    """
+    i = BivarPoly.VARS.index(x)
+    (exps, _), = u.terms.items()
+    e = exps[i]
+    yk = tuple(0 if j == i else d for j, d in enumerate(exps))
+    v0 = BivarPoly._trusted({k: c for k, c in v.terms.items() if not k[i]},
+                            v.field)
+    if e and v0.is_zero():
+        raise DegenerateResultant("common factor in the eliminated variable")
+    t = v0 - v
+    # S_(m+1) = v0 S_m + t^m from S_0 = 0, each t^m cut below x^e
+    s, tm = BivarPoly.zero(v.field), BivarPoly.const(1, v.field)
+    for m in range(e):
+        if m:
+            tm = BivarPoly._trusted({k: c for k, c in (tm * t).terms.items()
+                                     if k[i] < e}, v.field)
+        s = s * v0 + tm
+    r, b = (v0 ** e).shift(yk), s.shift(yk)
+    return r, exact_divide(r - b * v, u), b
 
 
 # --- truncated series ------------------------------------------------------

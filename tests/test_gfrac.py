@@ -1,5 +1,6 @@
 """Generalized-fraction canonicalization against frozen vectors and laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -86,6 +87,36 @@ def test_h1_scale_composes():
     c = H1Class(f, P("1"), P("1"), 2)
     assert c.scale(P("Z"), P("1"), 1) == c.scale(P("Z"), None, 0).scale(
         P("1"), P("1"), 1)
+
+
+@pytest.mark.parametrize("char", [0, 3, 7, 32003],
+                         ids=["Q", "F3", "F7", "F32003"])
+def test_h1_equality_is_the_difference_vanishing(char):
+    # == tests f^m | g1*h2*f^(m-s1) - g2*h1*f^(m-s2) with no class built;
+    # it agrees with (a - b).is_zero() on seeded pairs, equal ones among
+    # them: b is a over a scaled denominator, plus a multiple of f^s
+    field = Field(char) if char else QQ
+    Pf = lambda t: parse_poly(t, field=field)
+    rng = random.Random(f"h1-equality/{char}")
+    units = ["1", "2", "1+Z", "1-W^2", "Z", "W", "2*Z*W"]
+    outcomes = []
+    for _ in range(150):
+        f = Pf(rng.choice(["Z+W", "W-Z^2", "Z+W^2", "Z^2+W^3"]))
+        g = Pf(rng.choice(["1", "Z", "W-1", "Z*W+2", "Z^2-W", "0"]))
+        g = g * f ** rng.randint(0, 2)
+        h, c = Pf(rng.choice(units)), Pf(rng.choice(units))
+        s, j = rng.randint(0, 3), rng.randint(0, 2)
+        a = H1Class(f, g, h, s)
+        if rng.random() < 0.5:
+            k = Pf(rng.choice(["1", "Z-W", "W^2"])) * f ** s * h
+            b = H1Class(f, (g + k) * c * f ** j, h * c, s + j)
+        else:
+            b = H1Class(f, Pf(rng.choice(["1", "Z", "W+Z^2"])) * f ** j,
+                        c, rng.randint(0, 3))
+        equal = a == b
+        assert equal == (a - b).is_zero() == (b == a), (a, b)
+        outcomes.append(equal)
+    assert 30 < sum(outcomes) < 120, sum(outcomes)
 
 
 @pytest.mark.parametrize("char", [0, 3, 5, 7, 32003],

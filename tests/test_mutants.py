@@ -12,7 +12,7 @@ import io
 
 import pytest
 
-from injres import resolution
+from injres import cli, gfrac, resolution
 from injres.cli import run_command
 
 
@@ -87,6 +87,35 @@ def test_resolution_check_catches_each_delta_sign_flip(monkeypatch, key,
     monkeypatch.setitem(resolution.DELTA[key], name,
                         row[:i] + [(target, mono, -sign)] + row[i + 1:])
     code, out = _run(RESOLUTION_CHECK)
+    assert code == 1, out
+    assert "[FAIL]" in out
+    assert "raised" not in out
+
+
+# the onto-rewrite one f-power too high: [g*f / W^t, f^(l+1)] is the same
+# class, so only the check that l is least can refuse it
+ONTO_LINE = "return BivarPoly(below, f.field).shift((-s, 0)), ell"
+ONTO_MUTANT = "return BivarPoly(below, f.field).shift((-s, 0)) * f, ell + 1"
+VERIFY_ALL = ["--field", "7", "verify-all"]
+
+
+def _patch_onto_rewrite(monkeypatch, line=None, mutant=None):
+    # cli and resolution import the name, so their bindings are patched too
+    _patch(monkeypatch, gfrac, "minimal_onto_rewrite", line, mutant)
+    for module in (cli, resolution):
+        monkeypatch.setattr(module, "minimal_onto_rewrite",
+                            gfrac.minimal_onto_rewrite)
+
+
+def test_the_recompiled_onto_rewrite_passes(monkeypatch):
+    _patch_onto_rewrite(monkeypatch)
+    code, out = _run(VERIFY_ALL)
+    assert code == 0, out
+
+
+def test_verify_all_catches_an_onto_rewrite_that_is_not_least(monkeypatch):
+    _patch_onto_rewrite(monkeypatch, ONTO_LINE, ONTO_MUTANT)
+    code, out = _run(VERIFY_ALL)
     assert code == 1, out
     assert "[FAIL]" in out
     assert "raised" not in out

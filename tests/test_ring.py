@@ -1,6 +1,7 @@
 """Base arithmetic: polynomials, rational functions, resultants, expansions."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -560,11 +561,14 @@ def test_equal_rational_functions_are_not_hashed_apart():
 
 
 def test_monomial_and_constant_operands_take_no_gcd(monkeypatch):
+    # a monomial's gcd is read off the orders: no remainder sequence and no
+    # Euclid runs, though the cancellation may call bivar_gcd
     x = RationalFunction(P("Z+W^2"), P("Z*(W-Z^2)"))
     p = P("1 + Z + W^2")
-    def no_gcd(a, b):
+    def no_gcd(*args):
         raise AssertionError("gcd taken")
-    monkeypatch.setattr(ring, "bivar_gcd", no_gcd)
+    monkeypatch.setattr(ring, "_subresultant_prs", no_gcd)
+    monkeypatch.setattr(ring, "_gcd_of", no_gcd)
     y = x * RationalFunction.monomial(2, -1)
     assert (y.num, y.den) == (P("(Z+W^2)*Z"), P("(W-Z^2)*W"))
     assert (x * 3).den == x.den
@@ -677,3 +681,95 @@ def test_only_elimination_builds_the_pseudo_quotient(monkeypatch, field):
     _checked_bezout(parse_poly("W^2 + Z", field=field),
                     parse_poly("W^3 - Z^2*W + 1", field=field), "W")
     assert built and all(built)
+
+
+# --- one-term operands ------------------------------------------------------
+
+def _ref_bezout(u, v, var):
+    """resultant_bezout by the remainder sequence alone: _subresultant_prs,
+    then the same primitive and monic steps."""
+    other = "Z" if var == "W" else "W"
+    one, zero = BivarPoly.const(1, u.field), BivarPoly.zero(u.field)
+    r, a, b = ring._subresultant_prs((u, one, zero), (v, zero, one), var)
+    if r.degree_in(var) > 0:
+        raise DegenerateResultant("common factor in the eliminated variable")
+    common = ring._gcd_of((r, *a.coeffs_in(var).values(),
+                           *b.coeffs_in(var).values()), other, r)
+    if not common.is_constant():
+        r, a, b = (exact_divide(p, common) for p in (r, a, b))
+    inv = u.field.one / r.terms[max(r.terms)]
+    return r * inv, a * inv, b * inv
+
+
+def _ref_gcd(a, b):
+    """bivar_gcd of nonzero a, b by contents and the remainder sequence, the
+    route of two operands of two terms or more."""
+    if a.degree_in("W") == 0 and b.degree_in("W") == 0:
+        return univar_gcd(a, b, "Z")
+    ca, cb = content_in(a, "W"), content_in(b, "W")
+    r, = ring._subresultant_prs((exact_divide(a, ca),),
+                                (exact_divide(b, cb),), "W")
+    g = univar_gcd(ca, cb, "Z")
+    if r.degree_in("W") > 0:
+        g = g * exact_divide(r, content_in(r, "W"))
+    return normalize_monic(g)
+
+
+def _one_term_pairs(field, count):
+    """count seeded triples (u, v, var): u = c Z^i W^j, v of two terms or
+    more and of positive degree in var, at times times a power of an
+    irreducible, of Z or of W (which makes v vanish at var = 0)."""
+    rng = random.Random(f"one-term/{field.char}")
+    out = []
+    while len(out) < count:
+        u = BivarPoly.mono((rng.randint(0, 4), rng.randint(0, 4)),
+                           rng.choice([1, 2, -1, 5, Fraction(1, 2)]), field)
+        v = BivarPoly({(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-4, 4)
+                       for _ in range(rng.randint(2, 4))}, field)
+        if rng.random() < 0.4:
+            base = rng.choice(["Z+W", "1+Z", "W-Z^2", "Z^2+W^3", "Z", "W"])
+            v = v * parse_poly(base, field=field) ** rng.randint(1, 3)
+        var = rng.choice("ZW")
+        if len(v.terms) >= 2 and v.degree_in(var) > 0:
+            out.append((u, v, var))
+    return out
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_one_term_elimination_matches_the_remainder_sequence(field):
+    # the closed form returns exactly the remainder sequence's least
+    # identity, and refuses the same pairs (those sharing var)
+    degenerate = 0
+    for u, v, var in _one_term_pairs(field, 150):
+        for p, q in ((u, v), (v, u)):
+            try:
+                want = _ref_bezout(p, q, var)
+            except DegenerateResultant:
+                with pytest.raises(DegenerateResultant):
+                    resultant_bezout(p, q, var)
+                degenerate += 1
+                continue
+            got = resultant_bezout(p, q, var)
+            assert [x.terms for x in got] == [x.terms for x in want], (p, q, var)
+    assert 0 < degenerate < 300
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_one_term_gcd_matches_the_remainder_sequence(field):
+    for u, v, _ in _one_term_pairs(field, 150):
+        want = _ref_gcd(u, v)
+        assert bivar_gcd(u, v).terms == want.terms, (u, v)
+        assert bivar_gcd(v, u).terms == want.terms, (u, v)
+
+
+def test_one_term_operands_run_no_remainder_sequence(monkeypatch):
+    pairs = _one_term_pairs(Field(7), 60)
+    monkeypatch.setattr(ring, "_subresultant_prs",
+                        lambda *args: pytest.fail("remainder sequence run"))
+    for u, v, var in pairs:
+        for p, q in ((u, v), (v, u)):
+            bivar_gcd(p, q)
+            try:
+                resultant_bezout(p, q, var)
+            except DegenerateResultant:
+                pass
