@@ -22,7 +22,7 @@ from itertools import islice
 
 from .ring import (BivarPoly, LocalFraction, QQ, Field,
                    parse_poly, format_poly, split_power, split_top)
-from .gfrac import (GeneralizedFraction, reduce_h2,
+from .gfrac import (GeneralizedFraction, H2Canonical, reduce_h2,
                     h2_canonical_fraction, minimal_onto_rewrite,
                     denominator_memo, NotSystemOfParameters)
 from .oracle import cech_equal
@@ -178,17 +178,26 @@ def suite_reduce(expr, field):
 
 
 def suite_oracle(field, seed, count):
+    # the first five instances are negative controls too: the oracle must
+    # refuse their canonical forms with 1 added to the [1 / Z, W] coefficient
     rep = CohomologyReport("reduction vs independent oracle",
                            {"samples": count})
     rng = samples.rng_from_seed(seed)
-    bad = 0
-    for _ in range(count):
+    bump = H2Canonical({(1, 1): field.one})
+    controls = min(5, count)
+    bad = refused = 0
+    for k in range(count):
         num, d1_, d2_ = samples.random_h2_instance(rng, field)
         can = reduce_h2(num, d1_, d2_)
         gf = GeneralizedFraction(num, [d1_, d2_])
         if not cech_equal(gf, h2_canonical_fraction(can, field)):
             bad += 1
+        if k < controls and not cech_equal(
+                gf, h2_canonical_fraction(can + bump, field)):
+            refused += 1
     rep.add("agreement", f"{count - bad}/{count} instances", bad == 0)
+    rep.add("negative controls", f"{refused}/{controls} perturbed canonical "
+            "forms refused", refused == controls)
     return [rep]
 
 

@@ -30,8 +30,8 @@ from .ring import (BivarPoly, QuadPoly, RationalFunction, QQ,
                    verify_irreducible, VERIFIED)
 from .hulls import (E0Element, EZElement, EWElement, PrimeIndex,
                     VAR, act, omega, omega_zw, is_socle, torsion_box)
-from .resolution import (ChainElement, chain_map, d1_f, delta, iota0,
-                         legal_kinds, max_copies)
+from .resolution import (ChainElement, GRADED_SLOTS, chain_map, d1_f,
+                         delta, iota0, rows)
 from .report import CohomologyReport, UsageError
 from . import linalg
 
@@ -58,11 +58,9 @@ def _mono_coords(rf):
 
 def chain_coords(chain):
     """Flatten a chain element into a sparse vector, exactly.  A key is
-    (slot, copy, n, a, b): slot 0 is E(0) with argument Z^a W^b, slot 1 is
-    E(Z) with Z^a W^b, slot 2 is E(W) with W^a Z^b, and slot 3 copy c is
-    the c-th copy of E(Z,W) at Omega^n(Z^a W^b).  Arguments in E(0) and
-    axis-slot coefficients must have monomial denominators (true on the
-    boxes used here); EZW slots are exact."""
+    (slot name, n, s, t), the coordinate of Omega^n(Z^s W^t) in that slot.
+    Arguments in E(0) and axis-slot coefficients must have monomial
+    denominators (true on the boxes used here); EZW slots are exact."""
     vec = {}
 
     def put(key, c):
@@ -71,16 +69,16 @@ def chain_coords(chain):
     for idx, el in chain.terms.items():
         if idx.kind == "max":
             for (n, s, t), c in el.terms.items():
-                put((3, idx.copy, n, s, t), c)
+                put((idx.name, n, s, t), c)
         elif idx.kind == "zero":
             for n, phi in el.terms.items():
                 for (ez, ew), v in _mono_coords(phi):
-                    put((0, 0, n, ez, ew), v)
+                    put((idx.name, n, ez, ew), v)
         elif idx.kind in ("Z", "W"):
-            slot = 1 if idx.kind == "Z" else 2
             for (n, m), c in el.terms.items():
                 for (ez, ew), v in _mono_coords(c):
-                    put((slot, 0, n, m, ez + ew), v)
+                    st = (m, ez + ew) if idx.kind == "Z" else (ez + ew, m)
+                    put((idx.name, n) + st, v)
         else:
             raise ValueError(f"slot {idx!r} has no box coordinates")
     return vec
@@ -227,10 +225,11 @@ def _hom_cochains(homs, degree, field):
     """(coordinates, coordinates of the image under Hom(M, delta)) of each
     hom in homs placed in each copy of E(Z,W) in the degree-n term."""
     out = []
-    for copy in range(max_copies(degree)):
+    copies = [idx for idx in map(GRADED_SLOTS.get, _slots(degree))
+              if idx.kind == "max"]
+    for idx in copies:
         for h in homs:
-            vals = {b: ChainElement(degree, {PrimeIndex.maximal(copy): v},
-                                    field)
+            vals = {b: ChainElement(degree, {idx: v}, field)
                     for b, v in h.items()}
             out.append((_hom_coords(vals), _hom_coords(
                 {b: delta(chain) for b, chain in vals.items()})))
@@ -286,110 +285,84 @@ def ext_power_of_max(n, field=QQ):
 # --- Segre multidegree of monomial socle chains -------------------------------
 #
 # A = k[s1t1, s1t2, s2t1, s2t2] is Z^4-graded, with deg X = (1,0,1,0),
-# deg Y = (1,0,0,1), deg Z = (0,1,1,0) and deg W = (0,1,0,1).  In E(0), E(Z),
+# deg Y = (1,0,0,1), deg Z = (0,1,1,0) and deg W = (0,1,0,1), so
+# X^a Y^b Z^c W^d raises a degree by (a+b, c+d, a+c, b+d).  In E(0), E(Z),
 # E(W) and E(Z,W) alike Omega^n(Z^s W^t) has the raw degree
-# (-n, s+t-n, s-n, t-n), which each variable raises by its own degree.  A
-# term of a chain has the raw degree of its key plus the twist of its slot in
-# its degree (_twists), and on chains of monomial terms delta keeps that
-# multidegree: every Ext^i report with i >= 2 checks it on the images it
-# computes.  A piece of one multidegree holds at most one socle chain per
-# slot (_piece), so Ext splits into pieces of at most three chains.
+# (-n, s+t-n, s-n, t-n), which d1 and Omega keep.  A term of a chain has the
+# raw degree of its key plus the twist of its slot in its degree, and delta
+# keeps that multidegree on chains of monomial terms, so each twist is read
+# off a component of DELTA (_twists): every Ext^i report with i >= 2 checks
+# it on the images it computes.  A piece of one multidegree holds at most
+# one socle chain per slot (_piece), so Ext splits into pieces of at most
+# three chains.
 
 def _raw(key):
     """The raw degree of a chain_coords key."""
-    slot, _, n, a, b = key
-    s, t = (b, a) if slot == 2 else (a, b)
+    _, n, s, t = key
     return (-n, s + t - n, s - n, t - n)
 
 
 def _multidegree(degree, key, twists):
-    """The multidegree of one chain_coords key of a degree-n chain; None
-    when its slot has no twist."""
-    twist = twists.get((degree,) + key[:2])
-    if twist is None:
-        return None
-    (r0, r1, r2, r3), (w0, w1, w2, w3) = _raw(key), twist
-    return (r0 + w0, r1 + w1, r2 + w2, r3 + w3)
+    """The multidegree of one chain_coords key of a degree-n chain."""
+    return tuple(r + w for r, w in zip(_raw(key), twists[degree, key[0]]))
 
 
 def _slots(degree):
-    """The (slot, copy) of each monomial slot of the degree-n term, in the
-    numbering of chain_coords: E(0), E(Z), E(W) and the copies of E(Z,W).
-    E(f) at a non-monomial f is not graded."""
-    kinds = legal_kinds(degree)
-    return ([(0, 0)] * ("zero" in kinds) + [(1, 0), (2, 0)] * ("Z" in kinds)
-            + [(3, copy) for copy in range(max_copies(degree))])
+    """The names of the graded slots of the degree-n term: E(0), E(Z), E(W)
+    and the copies of E(Z,W).  E(f) at a non-monomial f is not graded."""
+    return [name for name in GRADED_SLOTS if name in rows(degree)]
 
 
-# the hull of each slot of chain_coords
-_SLOT_INDEX = {(0, 0): PrimeIndex.zero(), (1, 0): PrimeIndex.prime_z(),
-               (2, 0): PrimeIndex.prime_w(), (3, 0): PrimeIndex.maximal(0),
-               (3, 1): PrimeIndex.maximal(1)}
-
-
-def _monomial_chain(degree, slot, n, s, t, field):
-    """Omega^n(Z^s W^t) in one slot of the degree-n term; the zero chain
-    when the hull truncates it away.  On the axes the argument is its own
-    adic expansion: one power of the axis variable with a monomial
+def _monomial_chain(degree, name, n, s, t, field):
+    """Omega^n(Z^s W^t) in the named slot of the degree-n term; the zero
+    chain when the hull truncates it away.  On the axes the argument is its
+    own adic expansion: one power of the axis variable with a monomial
     coefficient."""
     mono = RationalFunction.monomial
-    kind = slot[0]
-    if kind == 0:
+    idx = GRADED_SLOTS[name]
+    if idx.kind == "zero":
         el = E0Element({n: mono(s, t, field)}, field, ())
-    elif kind == 1:
+    elif idx.kind == "Z":
         el = EZElement({(n, s): mono(0, t, field)}, field)
-    elif kind == 2:
+    elif idx.kind == "W":
         el = EWElement({(n, t): mono(s, 0, field)}, field)
     else:
         el = omega_zw(n, s, t, field)
-    return ChainElement(degree, {_SLOT_INDEX[slot]: el}, field)
+    return ChainElement(degree, {idx: el}, field)
 
 
-def _follow(twists, degree, field):
-    """Add to twists those of the slots of degree n + 1.  delta is followed
-    on one reference chain Omega^1(Z^-1 W^-1) per slot of degree n, in slot
-    order, until every slot of degree n + 1 has a twist: the one that gives
-    the first image term landing there the multidegree of its reference.
-    Grade 1 keeps X and Y from killing the references, so E(0) in degree
-    1, which delta reaches from degree 0 only through XW, gets a twist
-    too."""
-    for slot in _slots(degree):
-        if all((degree + 1,) + s in twists for s in _slots(degree + 1)):
-            return
-        ref = _monomial_chain(degree, slot, 1, -1, -1, field)
-        (key,) = chain_coords(ref)
-        source = _multidegree(degree, key, twists)
-        if source is None:
-            continue
-        for k in sorted(chain_coords(delta(ref))):
-            twists.setdefault((degree + 1,) + k[:2], tuple(
-                d - r for d, r in zip(source, _raw(k))))
+def _twists(top):
+    """{(degree, slot name): twist} for the graded slots of degrees 0..top,
+    read off the rows of DELTA out of degrees 0..top-1 from E(0) in degree 0
+    with twist 0: the first component from a twisted source into a slot
+    gives it the source's twist minus the degree of its monomial.  The
+    E(f) get none."""
+    twists = {(0, "zero"): (0, 0, 0, 0)}
+    for degree in range(top):
+        for source, components in rows(degree).items():
+            twist = twists.get((degree, source))
+            if twist is None:
+                continue
+            for target, (a, b, c, d), _ in components:
+                if target in GRADED_SLOTS:
+                    raised = (a + b, c + d, a + c, b + d)
+                    twists.setdefault((degree + 1, target), tuple(
+                        w - r for w, r in zip(twist, raised)))
+    return twists
 
 
 @cache
 def _low_degrees(field):
-    """The twists of degrees 0..3, followed from E(0) in degree 0 with twist
-    0, and (chains, how many are off their multidegree) of delta on the
-    socle boxes of degrees 0..2 at truncation 1: the maps out of those
-    degrees, which the Ext pieces run on one chain (Ext^2) or on the
-    degree-2 axis chains only (Ext^3).  delta is a constant of the program,
-    so both are computed once per field."""
-    twists = {(0, 0, 0): (0, 0, 0, 0)}
-    for degree in range(3):
-        _follow(twists, degree, field)
+    """(chains, how many are off their multidegree) of delta on the socle
+    boxes of degrees 0..2 at truncation 1: the maps out of those degrees,
+    which the Ext pieces run on one chain (Ext^2) or on the degree-2 axis
+    chains only (Ext^3).  delta is a constant of the program, so this is
+    computed once per field."""
+    twists = _twists(3)
     boxes = [(degree, _images(_socle_box(degree, 1, field)))
              for degree in range(3)]
-    return (twists, sum(len(pairs) for _, pairs in boxes),
+    return (sum(len(pairs) for _, pairs in boxes),
             sum(_off_degree(degree, pairs, twists) for degree, pairs in boxes))
-
-
-def _twists(top, field):
-    """{(degree, slot, copy): twist} for the monomial slots of degrees
-    0..top."""
-    twists = dict(_low_degrees(field)[0])
-    for degree in range(3, top):
-        _follow(twists, degree, field)
-    return twists
 
 
 def _piece(degree, mdeg, twists, field):
@@ -397,13 +370,10 @@ def _piece(degree, mdeg, twists, field):
     Omega^0(Z^s W^t) of the degree-n term in multidegree mdeg, at most one
     per slot."""
     out = []
-    for slot in _slots(degree):
-        twist = twists.get((degree,) + slot)
-        if twist is None:
-            continue
-        n, st, s, t = (d - w for d, w in zip(mdeg, twist))
+    for name in _slots(degree):
+        n, st, s, t = (d - w for d, w in zip(mdeg, twists[degree, name]))
         if n == 0 and st == s + t:
-            chain = _monomial_chain(degree, slot, 0, s, t, field)
+            chain = _monomial_chain(degree, name, 0, s, t, field)
             if chain:
                 out.append(chain)
     return out
@@ -419,7 +389,7 @@ def _coboundaries(degree, vectors, twists, field):
     a term of the degree-(n+1) coordinate vectors occupies."""
     pieces = {_multidegree(degree + 1, k, twists) for vec in vectors
               for k in vec}
-    return _images(c for mdeg in sorted(pieces - {None})
+    return _images(c for mdeg in sorted(pieces)
                    for c in _piece(degree, mdeg, twists, field))
 
 
@@ -430,14 +400,14 @@ def _off_degree(degree, pairs, twists):
     for vec, img in pairs:
         source = {_multidegree(degree, k, twists) for k in vec}
         target = {_multidegree(degree + 1, k, twists) for k in img}
-        off += len(source) != 1 or None in source or not target <= source
+        off += len(source) != 1 or not target <= source
     return off
 
 
 def _homogeneity(rep, twists, degree_pairs, field):
     """Add the line that checks delta's multidegree on the (degree, pairs)
     given and on the low-degree boxes of _low_degrees."""
-    _, checked, off = _low_degrees(field)
+    checked, off = _low_degrees(field)
     for degree, pairs in degree_pairs:
         checked += len(pairs)
         off += _off_degree(degree, pairs, twists)
@@ -451,10 +421,10 @@ def _socle_box(degree, T, field):
     degree-n term: |s|, |t| <= T at E(0); -T <= s <= 0, |t| <= T at E(Z);
     |s| <= T, -T <= t <= 0 at E(W); -T <= s, t <= 0 at each copy of
     E(Z,W).  The irreducible slots get no box."""
-    return [_monomial_chain(degree, slot, 0, s, t, field)
-            for slot in _slots(degree)
-            for s in range(-T, (0 if slot[0] in (1, 3) else T) + 1)
-            for t in range(-T, (0 if slot[0] in (2, 3) else T) + 1)]
+    return [_monomial_chain(degree, idx.name, 0, s, t, field)
+            for idx in map(GRADED_SLOTS.get, _slots(degree))
+            for s in range(-T, (0 if idx.kind in ("Z", "max") else T) + 1)
+            for t in range(-T, (0 if idx.kind in ("W", "max") else T) + 1)]
 
 
 def _is_generator(i, field):
@@ -471,11 +441,11 @@ def _spans_kernel(i, T, field):
     delta^0 is d0, as XW kills socles, and delta^1 is pi0."""
     box = [(a, b) for a in range(-T, T + 1) for b in range(-T, T + 1)]
     kernel = {(a, b) for a, b in box if delta(
-        _monomial_chain(i, (0, 0), 0, a, b, field)).is_zero()}
+        _monomial_chain(i, "zero", 0, a, b, field)).is_zero()}
     gen = list(chain_coords(yoneda_rep(i, field)))
-    if len(gen) != 1 or gen[0][:3] != (0, 0, 0):
+    if len(gen) != 1 or gen[0][:2] != ("zero", 0):
         return False
-    a0, b0 = gen[0][3:]
+    a0, b0 = gen[0][2:]
     return kernel == {(a, b) for a, b in box if a >= a0 and b >= b0}
 
 
@@ -509,13 +479,13 @@ def _e2_relations(field):
     e2 = yoneda_rep(2, field).component(PrimeIndex.prime_w())
     ze2 = ChainElement(2, {PrimeIndex.prime_w(): e2.monomial_act(*VAR["Z"])},
                        field)
-    cob = delta(_monomial_chain(1, (0, 0), 0, 2, 1, field))
+    cob = delta(_monomial_chain(1, "zero", 0, 2, 1, field))
     return ze2 == cob, e2.monomial_act(*VAR["W"]).is_zero()
 
 
 def _ext_self_2(T, field):
     rep = CohomologyReport("Ext^2(A/p, A/p)", {"dim": 1})
-    twists = _twists(3, field)
+    twists = _twists(3)
     ((e2, image),) = pairs = _images([yoneda_rep(2, field)])
     rep.add("cocycle", "delta^2(e_2) = 0", not image)
     # e_2 is not the coboundary of a monomial chain: delta keeps the
@@ -544,7 +514,7 @@ def _ext_pieces(i, T, field):
     rank, whether e_i is independent modulo the coboundaries, the number of
     kernel classes outside the coboundaries and k*e_i, the twists, and the
     (degree, coordinate pairs) of every chain whose image was computed)."""
-    twists = _twists(i + 1, field)
+    twists = _twists(i + 1)
     gens = [chain_coords(yoneda_rep(i, field))] if i % 2 == 0 else []
     cochains = _images(_socle_box(i, T, field))
     cycles = []
@@ -593,7 +563,7 @@ def yoneda_rep(i, field=QQ):
     if i == 0:
         return iota0(BivarPoly.const(1, field), field)
     if i == 1:
-        return _monomial_chain(1, (0, 0), 0, 2, 2, field)
+        return _monomial_chain(1, "zero", 0, 2, 2, field)
     if i == 2:
         pw = PrimeIndex.prime_w()
         e2 = omega(pw, 0, RationalFunction.monomial(1, 0, field), field)
@@ -726,9 +696,8 @@ def bass_numbers(max_degree=6, field=QQ):
     copy of E(Z,W)."""
     degrees = range(max_degree + 1)
     return {
-        "p = (X,Y)": [int("zero" in legal_kinds(i)) for i in degrees],
-        "height-one primes (X,Y,f)": [int("irr" in legal_kinds(i))
-                                      for i in degrees],
+        "p = (X,Y)": [int("zero" in rows(i)) for i in degrees],
+        "height-one primes (X,Y,f)": [int("irr" in rows(i)) for i in degrees],
         "m = (X,Y,Z,W)": hom_ext([{"1": omega_zw(0, 0, 0, field)}],
                                  max_degree, field),
     }

@@ -73,6 +73,8 @@ class H1Class:
 
     def __init__(self, f, g, h, s):
         f = normalize_monic(f)
+        if h.is_zero():
+            raise BadDenominator("zero denominator")
         if divides(f, h):
             raise BadDenominator("denominator divisible by f")
         v = f_adic_valuation(g, f)

@@ -1,9 +1,10 @@
 """The minimal injective resolution of A/p over A = k[X,Y,Z,W]_m/(XW-YZ),
 p = (X,Y).
 
-Terms (one slot per height-one prime over p, then a pair of copies of the
-hull at the maximal ideal); hulls.PrimeIndex names each slot, and is
-re-exported here:
+The slots of the degree-n term are the keys of rows(n), the row of DELTA
+out of it, and nothing else states them: one slot per height-one prime
+over p, then the copies of the hull at the maximal ideal.
+hulls.PrimeIndex names each slot, and is re-exported here:
 
   degree 0:  E(0)
   degree 1:  E(0) + sum_f E(f) + E(Z) + E(W)
@@ -35,32 +36,14 @@ class DegreeMismatch(Apart):
     pass
 
 
-_LEGAL = {0: {"zero"}, 1: {"zero", "Z", "W", "irr"}, 2: {"Z", "W", "irr", "max"}}
-
-
-def legal_kinds(degree):
-    return _LEGAL.get(degree, {"max"})
-
-
-def max_copies(degree):
-    """How many copies of E(Z,W) the degree-n term has: one in degree 2 (or
-    below, if legal there), two from degree 3 on."""
-    if "max" not in legal_kinds(degree):
-        return 0
-    return 1 if degree <= 2 else 2
-
-
 class ChainElement(SparseVector):
     """An element of the degree-n term: finitely many nonzero slots."""
 
     def __init__(self, degree, terms=None, field=QQ):
         assert degree >= 0
         for idx in terms or {}:
-            if idx.kind not in legal_kinds(degree):
+            if idx.name not in rows(degree):
                 raise DegreeMismatch(f"slot {idx!r} illegal in degree {degree}")
-            if idx.kind == "max" and idx.copy >= max_copies(degree):
-                raise DegreeMismatch(f"degree {degree} has "
-                                     f"{max_copies(degree)} maximal slot(s)")
         super().__init__(terms)
         self.degree = degree
         self.field = field
@@ -158,16 +141,26 @@ DELTA = {
              "max1": [("max0", (0, 0, 1, 0), 1), ("max1", (0, 0, 0, 1), 1)]},
 }
 
-_MAXIMAL = {"max0": PrimeIndex.maximal(0), "max1": PrimeIndex.maximal(1)}
+# the slots whose hulls are Z^4-graded, by name: all but the E(f)
+GRADED_SLOTS = {idx.name: idx for idx in (
+    PrimeIndex.zero(), PrimeIndex.prime_z(), PrimeIndex.prime_w(),
+    PrimeIndex.maximal(0), PrimeIndex.maximal(1))}
 
 
-def chain_map(rows, chain, degree):
-    """The image of chain, in the term of the given degree, under the table
-    rows, which maps a source slot name to its components
+def rows(degree):
+    """The row of DELTA out of the degree-n term; its keys are the names of
+    the term's slots."""
+    tail = "odd" if degree % 2 else "even"
+    return DELTA[degree if degree <= 2 else tail]
+
+
+def chain_map(table, chain, degree):
+    """The image of chain, in the term of the given degree, under table,
+    which maps a source slot name to its components
     (target, monomial, sign)."""
     out = {}
     for idx, el in chain.terms.items():
-        for target, mono, sign in rows.get(idx.name, ()):
+        for target, mono, sign in table.get(idx.name, ()):
             moved = el.monomial_act(*mono) if any(mono) else el
             if sign < 0:
                 moved = -moved
@@ -177,7 +170,7 @@ def chain_map(rows, chain, degree):
                 images = {s: _map_parts(moved, s)
                           for s in _slots(moved, target)}
             else:
-                images = {_MAXIMAL[target]:
+                images = {GRADED_SLOTS[target]:
                           moved if idx.kind == "max" else d1_f(idx, moved)}
             for s, image in images.items():
                 out[s] = out[s] + image if s in out else image
@@ -193,9 +186,7 @@ def d0(e0):
 
 def delta(chain):
     """The differential of the resolution."""
-    n = chain.degree
-    rows = DELTA[n] if n <= 2 else DELTA["odd" if n % 2 else "even"]
-    return chain_map(rows, chain, n + 1)
+    return chain_map(rows(chain.degree), chain, chain.degree + 1)
 
 
 def iota0(g, field=QQ):

@@ -8,7 +8,7 @@ import random
 
 from .ring import BivarPoly, RationalFunction, QQ, parse_poly
 from .hulls import E0Element, EZWElement, PrimeIndex, omega, omega_zw
-from .resolution import ChainElement, legal_kinds, max_copies
+from .resolution import ChainElement, GRADED_SLOTS, rows
 
 
 IRR_POOL_TEXT = ["Z+W", "W-Z^2"]
@@ -106,11 +106,16 @@ def random_hull_element(rng, prime, field=QQ):
 
 
 def random_chain(rng, degree, field=QQ):
-    """A random element of the degree-n term with slots drawn from the
-    degree's legal kinds."""
-    kinds = sorted(legal_kinds(degree))
+    """A random element of the degree-n term, its slots read off the row of
+    DELTA out of that degree.  Each kind of slot is skipped with probability
+    0.3, the copies of E(Z,W) together; E(f) takes each pool prime with
+    probability 0.5."""
+    kinds = {}
+    for name in rows(degree):
+        idx = GRADED_SLOTS.get(name)
+        kinds.setdefault(name if idx is None else idx.kind, []).append(idx)
     comps = {}
-    for kind in kinds:
+    for kind in sorted(kinds):
         if rng.random() < 0.3:
             continue
         if kind == "irr":
@@ -118,12 +123,9 @@ def random_chain(rng, degree, field=QQ):
                 if rng.random() < 0.5:
                     idx = PrimeIndex.irr(f)
                     comps[idx] = random_ef(rng, idx, field)
-        elif kind == "max":
-            for c in range(max_copies(degree)):
-                comps[PrimeIndex.maximal(c)] = random_ezw(rng, field)
         else:
-            idx = PrimeIndex(kind)
-            comps[idx] = random_hull_element(rng, idx, field)
+            for idx in kinds[kind]:
+                comps[idx] = random_hull_element(rng, idx, field)
     return ChainElement(degree, comps, field)
 
 

@@ -56,7 +56,7 @@ def test_pieces_give_the_full_box_ext(field):
 def test_pieces_invert_the_multidegree(field):
     # each socle chain of a box lies in the piece of its own multidegree,
     # which holds at most one chain per slot
-    twists = cohomology._twists(8, field)
+    twists = cohomology._twists(8)
     for degree in range(8):
         for chain in cohomology._socle_box(degree, 2, field):
             (key,) = cohomology.chain_coords(chain)
@@ -65,10 +65,43 @@ def test_pieces_invert_the_multidegree(field):
             assert chain in piece and len(piece) <= 3, (degree, key)
 
 
+def _followed_twists(top, field):
+    """The twists as they were found before DELTA's monomials gave them:
+    delta followed on one reference chain Omega^1(Z^-1 W^-1) per graded
+    slot of degree n, in slot order, until every graded slot of degree
+    n + 1 has a twist, the one that gives the first image term landing
+    there the multidegree of its reference.  Grade 1 keeps X and Y from
+    killing the references."""
+    twists = {(0, "zero"): (0, 0, 0, 0)}
+    for degree in range(top):
+        targets = cohomology._slots(degree + 1)
+        for name in cohomology._slots(degree):
+            if all((degree + 1, t) in twists for t in targets):
+                break
+            ref = cohomology._monomial_chain(degree, name, 1, -1, -1, field)
+            (key,) = cohomology.chain_coords(ref)
+            source = cohomology._multidegree(degree, key, twists)
+            if source is None:
+                continue
+            for k in sorted(cohomology.chain_coords(delta(ref))):
+                twists.setdefault((degree + 1, k[0]), tuple(
+                    d - r for d, r in zip(source, cohomology._raw(k))))
+    return twists
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(7)], ids=repr)
+def test_twists_read_off_delta_match_the_followed_ones(field):
+    # every graded slot of degrees 0..8 gets a twist, the E(f) none
+    twists = cohomology._twists(8)
+    assert twists == _followed_twists(8, field)
+    assert set(twists) == {(degree, name) for degree in range(9)
+                           for name in cohomology._slots(degree)}
+
+
 def test_one_ext_self_pass_evaluates_delta_on_at_most_750_chains(monkeypatch):
     # Ext^2..Ext^7 at T = 5 ran delta on 1,646 chains with the full boxes;
-    # the count includes the twists and the low-degree box, which the
-    # cache is emptied to recompute
+    # the count includes the low-degree box, which the cache is emptied to
+    # recompute
     real, calls = cohomology.delta, []
     monkeypatch.setattr(cohomology, "delta",
                         lambda chain: calls.append(chain) or real(chain))
@@ -218,14 +251,17 @@ def test_height1_scan_fails_without_kernel_vectors(monkeypatch):
 
 
 def test_bass_numbers_follow_the_slot_table(monkeypatch):
+    # the slots of a term are the keys of the row of DELTA out of it: an
+    # E(f) slot added to the odd tail shows at the height-one primes in
+    # degree 3, and the copy of E(Z,W) taken out of degree 2 at m
     import injres.resolution as res
-    table = dict(res._LEGAL)
-    table[3] = {"irr", "max"}
-    monkeypatch.setattr(res, "_LEGAL", table)
+    monkeypatch.setitem(res.DELTA, "odd", dict(res.DELTA["odd"], irr=[]))
     got = bass_numbers(max_degree=4)
     assert got["height-one primes (X,Y,f)"] == [0, 1, 1, 1, 0]
     assert got["m = (X,Y,Z,W)"] == [0, 0, 1, 2, 2]
-    table[2] = {"Z", "W", "irr"}
+    monkeypatch.setitem(res.DELTA, 2, {name: row for name, row
+                                       in res.DELTA[2].items()
+                                       if name in ("Z", "W", "irr")})
     assert bass_numbers(max_degree=4)["m = (X,Y,Z,W)"] == [0, 0, 0, 2, 2]
 
 

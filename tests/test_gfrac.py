@@ -11,7 +11,7 @@ from injres.ring import Field, LocalFraction, parse_poly, QQ
 from injres.gfrac import (GeneralizedFraction, H1Class, H2Canonical,
                           reduce_h2, minimal_onto_rewrite,
                           h2_canonical_fraction, NotSystemOfParameters,
-                          NotApplicable)
+                          NotApplicable, BadDenominator)
 
 
 P = lambda t: parse_poly(t)
@@ -80,6 +80,24 @@ def test_h1_class_vanishing_by_valuation():
     assert H1Class(f, f * f * P("Z"), P("1"), 2).is_zero()
     assert not H1Class(f, P("Z"), P("1"), 1).is_zero()
     assert H1Class(f, P("Z"), P("1+W"), 0).is_zero()
+
+
+@pytest.mark.parametrize("char", [0, 3], ids=["Q", "F3"])
+def test_h1_class_refuses_a_zero_denominator(char):
+    # f divides 0, so a zero h was once refused as divisible by f; 3*Z*W is
+    # zero over F_3 only
+    field = Field(char) if char else QQ
+    Pf = lambda t: parse_poly(t, field=field)
+    f = Pf("Z+W")
+    with pytest.raises(BadDenominator, match="^zero denominator$"):
+        H1Class(f, Pf("1"), Pf("0"), 1)
+    if char == 3:
+        with pytest.raises(BadDenominator, match="^zero denominator$"):
+            H1Class(f, Pf("1"), Pf("3*Z*W"), 1)
+    else:
+        assert not H1Class(f, Pf("1"), Pf("3*Z*W"), 1).is_zero()
+    with pytest.raises(BadDenominator, match="divisible by f"):
+        H1Class(f, Pf("1"), f * Pf("Z"), 1)
 
 
 def test_h1_scale_composes():

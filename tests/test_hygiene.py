@@ -8,7 +8,9 @@ by some call, and every command-line flag must be read by the CLI.  Only
 ring.py reads how a coefficient is stored, only a PrimeIndex names a hull,
 only resolution.py applies d1 to a twisted argument, and every monomial
 acts through monomial_act.  cli.py imports only the reduction path at load
-time, and only cohomology.py evaluates Yoneda products.
+time, and only cohomology.py evaluates Yoneda products.  Only resolution.py
+reads DELTA, whose rows state the slots of every term, and the copies of
+E(Z,W) are named literally only in DELTA and cohomology._LIFTS.
 """
 
 import ast
@@ -327,3 +329,28 @@ def test_the_product_table_has_one_home():
              in ("yoneda_product", "yoneda_lift_stage")]
     assert not found, "Yoneda products outside cohomology.py: " + \
         ", ".join(found)
+
+
+def test_the_slot_table_has_one_home():
+    # the slots of each term are the keys of resolution.DELTA's rows, read
+    # only in resolution.py, and the copies of E(Z,W) are named literally
+    # only in DELTA and cohomology._LIFTS: no second slot table or slot
+    # numbering can come back beside them
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        tables = {id(node) for table in tree.body
+                  if isinstance(table, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id in ("DELTA", "_LIFTS")
+                          for t in table.targets)
+                  for node in ast.walk(table.value)}
+        for node in ast.walk(tree):
+            if path.name != "resolution.py" and (
+                    isinstance(node, ast.Name) and node.id == "DELTA"
+                    or isinstance(node, ast.Attribute) and node.attr == "DELTA"
+                    or isinstance(node, ast.alias) and node.name == "DELTA"):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '')} DELTA")
+            if isinstance(node, ast.Constant) and \
+                    node.value in ("max0", "max1") and id(node) not in tables:
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not found, "the slot table outside DELTA: " + ", ".join(found)

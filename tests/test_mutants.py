@@ -1,10 +1,11 @@
 """Mutants the reports must catch.
 
-Each mutant rewrites one line of a function's source, or flips the sign of
-one component of a table; the rewritten function or table is
-monkeypatched over the original, and the command paired with it must exit
-1 with at least one FAIL line and no traceback.  The unmutated source, run
-the same way, must pass, so a mutant fails by its edit alone.
+Each mutant rewrites one line of a function's source, flips the sign of
+one component of a table, or wraps a function the reports call; the
+rewritten function or table is monkeypatched over the original, and the
+command paired with it must exit 1 with at least one FAIL line and no
+traceback.  The unmutated source, run the same way, must pass, so a mutant
+fails by its edit alone.
 """
 
 import inspect
@@ -14,6 +15,7 @@ import pytest
 
 from injres import cli, gfrac, resolution
 from injres.cli import run_command
+from injres.ring import QQ, parse_poly
 
 
 # one-line edits of resolution._d1_irr: (name, line as written, mutant)
@@ -119,3 +121,93 @@ def test_verify_all_catches_an_onto_rewrite_that_is_not_least(monkeypatch):
     assert code == 1, out
     assert "[FAIL]" in out
     assert "raised" not in out
+
+
+def test_verify_all_catches_an_oracle_that_accepts_everything(monkeypatch):
+    # the negative controls perturb five canonical forms, which an oracle
+    # that returns True for every pair accepts
+    monkeypatch.setattr(cli, "cech_equal", lambda a, b: True)
+    code, out = _run(VERIFY_ALL)
+    assert code == 1, out
+    assert _failed_lines(out) == ["negative controls"]
+    assert "raised" not in out
+
+
+def _failed_lines(out):
+    return [line.split(":")[0].removeprefix("  [FAIL] ")
+            for line in out.splitlines() if line.startswith("  [FAIL]")]
+
+
+def test_a_generator_off_its_kernel_fails_ext0_and_the_unit_products(
+        monkeypatch):
+    # iota0 sending g to Omega^0_0(Z W^2 g) leaves e_0 a nonzero cocycle,
+    # which verify-all passed while Ext^0 compared the kernel of d0 with a
+    # literal and e_0 x e_k was e_k without a lift
+    from injres import cohomology
+    from injres.resolution import ChainElement
+    real = cohomology.iota0
+    monkeypatch.setattr(cohomology, "iota0", lambda g, field: ChainElement(
+        0, {idx: el.monomial_act(0, 0, 0, 1)
+            for idx, el in real(g, field).terms.items()}, field))
+    code, out = _run(["--field", "7", "verify-all"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["kernel of d0", "e_0 x e_1", "e_0 x e_2",
+                                  "e_1 x e_0", "e_2 x e_0"]
+
+
+def _patch_lift_stage(monkeypatch, j, k, change):
+    """Stage k of the lift of e_j returns change(its value); the lifts of
+    e_4, e_6, ... reach the patched stages too, as they call them."""
+    from injres import cohomology
+    real = cohomology.yoneda_lift_stage
+
+    def stage(j2, k2, chain):
+        out = real(j2, k2, chain)
+        return change(out) if (j2, k2) == (j, k) else out
+
+    monkeypatch.setattr(cohomology, "yoneda_lift_stage", stage)
+
+
+def test_a_product_off_its_sign_fails_its_lines(monkeypatch):
+    # stage 2 of the lift of e_2 doubled makes e_2 e_2 = 2 e_4: a scalar
+    # the reports compare, not a product the suite cannot identify
+    _patch_lift_stage(monkeypatch, 2, 2, lambda out: out + out)
+    code, out = _run(["yoneda"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["e_2 x e_2", "e_2 x e_4", "e_2 x e_6",
+                                  "(-1)^(n+1) e_{2n} = e_2^n"]
+
+
+@pytest.mark.parametrize("slot", ["E(0)", "E(Z+W)"])
+def test_a_product_off_every_multiple_fails_its_line(monkeypatch, slot):
+    # a stray term in stage 0 of the lift of e_1: Omega^0_0(Z^3 W^3) is
+    # not a multiple of e_1, and an E(Z+W) term has no box coordinates
+    from injres.hulls import E0Element, PrimeIndex, omega
+    from injres.resolution import ChainElement
+    from injres.ring import BivarPoly, RationalFunction
+    f = parse_poly("Z+W")
+    idx, el = {
+        "E(0)": (PrimeIndex.zero(), E0Element(
+            {0: RationalFunction.monomial(3, 3, QQ)}, QQ, ())),
+        "E(Z+W)": (PrimeIndex.height_one(f), omega(
+            PrimeIndex.height_one(f), 0,
+            RationalFunction(BivarPoly.const(1), f), QQ)),
+    }[slot]
+    _patch_lift_stage(monkeypatch, 1, 0, lambda out: out + ChainElement(
+        1, {idx: el}, QQ))
+    code, out = _run(["yoneda"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["e_0 x e_1", "e_1 x e_0"]
+
+
+def test_a_doubled_generator_fails_both_unit_products(monkeypatch):
+    # e_1 x e_0 is read through stage 0 of the lift of e_1, not through the
+    # identity lift of e_0, which would compare the representative with
+    # itself and pass for any multiple of it
+    from injres import cohomology
+    real = cohomology.yoneda_rep
+    monkeypatch.setattr(cohomology, "yoneda_rep", lambda i, field: (
+        real(i, field) * field.of(2) if i == 1 else real(i, field)))
+    code, out = _run(["--field", "7", "yoneda"])
+    assert code == 1 and "raised" not in out, out
+    assert _failed_lines(out) == ["e_0 x e_1", "e_1 x e_0"]

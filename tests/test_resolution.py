@@ -11,7 +11,7 @@ from injres.hulls import (E0Element, EZWElement, VAR, omega, omega_zw,
                           act, socle_project)
 from injres.gfrac import reduce_h2
 from injres import gfrac
-from injres.resolution import (PrimeIndex, ChainElement, legal_kinds,
+from injres.resolution import (PrimeIndex, ChainElement, rows,
                                DegreeMismatch, DELTA, d0, d1_f, delta,
                                iota0, surjectivity_witness, d0_preimage,
                                _map_parts)
@@ -34,13 +34,39 @@ def LM(s, t):
 
 
 def test_slot_legality_by_degree():
-    assert legal_kinds(0) == {"zero"}
-    assert "irr" in legal_kinds(1) and "zero" in legal_kinds(1)
-    assert legal_kinds(2) == {"Z", "W", "irr", "max"}
-    assert legal_kinds(3) == {"max"}
+    # the slots of a term are the keys of the row of DELTA out of it
+    assert set(rows(0)) == {"zero"}
+    assert set(rows(1)) == {"zero", "Z", "W", "irr"}
+    assert set(rows(2)) == {"Z", "W", "irr", "max0"}
+    assert set(rows(3)) == set(rows(4)) == {"max0", "max1"}
     with pytest.raises(DegreeMismatch):
         ChainElement(0, {PrimeIndex.prime_z():
                          omega(PZ, 0, RF("1"))}, QQ)
+    # degree 2 has one copy of E(Z,W)
+    with pytest.raises(DegreeMismatch):
+        ChainElement(2, {PrimeIndex.maximal(1): omega_zw(0, 0, 0)}, QQ)
+    ChainElement(3, {PrimeIndex.maximal(1): omega_zw(0, 0, 0)}, QQ)
+
+
+def _tables():
+    """(label, table, source degree, target degree) of the row of DELTA out
+    of each degree up to 7 and of each stage of cohomology._LIFTS; the last
+    stage of the lift of e_2 serves every stage from 3 on."""
+    out = [(f"DELTA degree {n}", rows(n), n, n + 1) for n in range(8)]
+    for j, stages in cohomology._LIFTS.items():
+        last = len(stages) - 1
+        out += [(f"_LIFTS[{j}] stage {k}", stages[min(k, last)], k, k + j)
+                for k in range(last + 1 if j == 1 else 8)]
+    return out
+
+
+def test_every_table_names_slots_of_its_terms():
+    # chain_map skips a source name no slot has, so a mistyped one would
+    # drop its components without a word
+    for label, table, source, target in _tables():
+        assert set(table) <= set(rows(source)), label
+        assert {t for row in table.values() for t, _, _ in row} <= \
+            set(rows(target)), label
 
 
 def test_d1_monomial_identities():
@@ -411,8 +437,8 @@ def _swap_in_tail(parity):
 
 def _ext_self_failures():
     """The labels of the failing lines of Ext^2..Ext^7 over F_7 at
-    truncation 3.  The per-field twist cache is emptied before and after,
-    so no mutant's twists outlive it."""
+    truncation 3.  The per-field cache of the low-degree boxes is emptied
+    before and after, so no mutant's images outlive it."""
     cohomology._low_degrees.cache_clear()
     try:
         return {label for i in range(2, 8) for label, _, ok
