@@ -81,8 +81,6 @@ def _followed_twists(top, field):
             ref = cohomology._monomial_chain(degree, name, 1, -1, -1, field)
             (key,) = cohomology.chain_coords(ref)
             source = cohomology._multidegree(degree, key, twists)
-            if source is None:
-                continue
             for k in sorted(cohomology.chain_coords(delta(ref))):
                 twists.setdefault((degree + 1, k[0]), tuple(
                     d - r for d, r in zip(source, cohomology._raw(k))))

@@ -56,6 +56,11 @@ def _run(argv):
     return code, buf.getvalue()
 
 
+def _failed_lines(out):
+    return [line.split(":")[0].removeprefix("  [FAIL] ")
+            for line in out.splitlines() if line.startswith("  [FAIL]")]
+
+
 def test_the_recompiled_d1_irr_passes(monkeypatch):
     _patch(monkeypatch, resolution, "_d1_irr")
     code, out = _run(RESOLUTION_CHECK)
@@ -133,11 +138,6 @@ def test_verify_all_catches_an_oracle_that_accepts_everything(monkeypatch):
     assert "raised" not in out
 
 
-def _failed_lines(out):
-    return [line.split(":")[0].removeprefix("  [FAIL] ")
-            for line in out.splitlines() if line.startswith("  [FAIL]")]
-
-
 def test_a_generator_off_its_kernel_fails_ext0_and_the_unit_products(
         monkeypatch):
     # iota0 sending g to Omega^0_0(Z W^2 g) leaves e_0 a nonzero cocycle,
@@ -149,7 +149,7 @@ def test_a_generator_off_its_kernel_fails_ext0_and_the_unit_products(
     monkeypatch.setattr(cohomology, "iota0", lambda g, field: ChainElement(
         0, {idx: el.monomial_act(0, 0, 0, 1)
             for idx, el in real(g, field).terms.items()}, field))
-    code, out = _run(["--field", "7", "verify-all"])
+    code, out = _run(VERIFY_ALL)
     assert code == 1 and "raised" not in out, out
     assert _failed_lines(out) == ["kernel of d0", "e_0 x e_1", "e_0 x e_2",
                                   "e_1 x e_0", "e_2 x e_0"]
